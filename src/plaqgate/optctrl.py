@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize
 
-from .spincore import SpinRegister, pauli_dot, pauli_site
+from .spincore import SpinRegister, pauli_dot, pauli_site, read_only
 
 CONTROL_SITES = ("2", "3", "1'", "4'")
 N_CONTROLS = 5
@@ -102,7 +102,7 @@ def control_register() -> SpinRegister:
 
 @lru_cache(maxsize=1)
 def _ops_stack() -> np.ndarray:
-    return control_operators().stack()
+    return read_only(control_operators().stack())
 
 
 def control_operators() -> ControlSet:
@@ -118,12 +118,16 @@ def control_operators() -> ControlSet:
     return ControlSet(operators=(o1, o2, o3, o4, o5))
 
 
+@lru_cache(maxsize=1)
 def target_gate() -> np.ndarray:
-    """1 - 2 P_T(2,3) P_T(1',4'): controlled phase on the two pair qubits."""
+    """1 - 2 P_T(2,3) P_T(1',4'): controlled phase on the two pair qubits.
+
+    Cached; the returned array is read-only.
+    """
     reg = control_register()
     p_t_left = (pauli_dot(reg, "2", "3") + 3.0 * np.eye(FULL_DIM)) / 4.0
     p_t_right = (pauli_dot(reg, "1'", "4'") + 3.0 * np.eye(FULL_DIM)) / 4.0
-    return np.eye(FULL_DIM, dtype=complex) - 2.0 * (p_t_left @ p_t_right)
+    return read_only(np.eye(FULL_DIM, dtype=complex) - 2.0 * (p_t_left @ p_t_right))
 
 
 # ---------------------------------------------------------------------------

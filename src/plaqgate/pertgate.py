@@ -33,9 +33,16 @@ Note on the rotating-wave step: dropping the non-energy-preserving terms of
 the second-order Hamiltonian removes, besides the sx sz + sz sx + sx single
 lines, also a double-(de)excitation piece (J'^2/8J)(sx sx' - sy sy'); the
 `full` and `rwa` forms returned by effective_hamiltonian differ by both.
+
+Exact numerics: the Hamiltonian and both echo pulses conserve total spin,
+and the logical states are total singlets, so gate_fidelity and
+validate_effective work in the 14-dim S = 0 sector of the 256-dim space.
+superplaquette_hamiltonian, echo_pulse and echo_gate give the same
+operators on all 256 dimensions.
 """
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,6 +56,7 @@ from .spincore import (
     PAULI_Z,
     eig_hermitian,
     pauli_dot,
+    read_only,
     superplaquette_register,
     unitary_evolve,
 )
@@ -161,6 +169,10 @@ def _two_qubit(op1: np.ndarray, op2: np.ndarray) -> np.ndarray:
 
 IDENTITY_4 = np.eye(4, dtype=complex)
 
+# s.s' and sz sz' of the two logical qubits
+_HEIS_4 = read_only(sum(_two_qubit(s, s) for s in (PAULI_X, PAULI_Y, PAULI_Z)))
+_ZZ_4 = read_only(_two_qubit(PAULI_Z, PAULI_Z))
+
 
 def effective_hamiltonian(p: PertParams, form: str = "rwa") -> np.ndarray:
     """4x4 effective two-qubit Hamiltonian in the {|box>,|cross>}^(x2) basis.
@@ -212,29 +224,29 @@ def superplaquette_hamiltonian(p: PertParams) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _logical_isometry() -> np.ndarray:
-    """256x4 isometry onto {|box>,|cross>} x {|box>,|cross>}."""
+    """256x4 isometry onto {|box>,|cross>} x {|box>,|cross>} (read-only)."""
     basis = logical_basis()
     cols = (basis.ket_box, basis.ket_cross)
     iso = np.zeros((256, 4), dtype=complex)
     for i2, right in enumerate(cols):
         for i1, left in enumerate(cols):
             iso[:, 2 * i2 + i1] = np.kron(right, left)
-    return iso
+    return read_only(iso)
 
 
 @lru_cache(maxsize=1)
 def _echo_pulse_single_ideal() -> np.ndarray:
-    """16x16 pi pulse: sigma^x on {|box>,|cross>}, identity on the rest."""
+    """16x16 pi pulse: sigma^x on {|box>,|cross>}, identity on the rest (read-only)."""
     basis = logical_basis()
     box, cross = basis.ket_box, basis.ket_cross
     p_bc = np.outer(box, box.conj()) + np.outer(cross, cross.conj())
     flip = np.outer(box, cross.conj()) + np.outer(cross, box.conj())
-    return flip + (np.eye(16, dtype=complex) - p_bc)
+    return read_only(flip + (np.eye(16, dtype=complex) - p_bc))
 
 
 @lru_cache(maxsize=1)
 def _echo_pulse_single_physical() -> np.ndarray:
-    """16x16 echo pulse composed of three physical exchange pulses.
+    """16x16 echo pulse composed of three physical exchange pulses (read-only).
 
     In the {|0>,|1>} basis the required pi rotation has axis
     (1/2, 0, -sqrt3/2); three alternating rotations about AXIS_V and AXIS_H
@@ -266,7 +278,7 @@ def _echo_pulse_single_physical() -> np.ndarray:
     if best.fun > 1e-9:
         raise RuntimeError(f"echo pulse decomposition failed, residual {best.fun:.2e}")
     a, b, c = best.x
-    return (
+    return read_only(
         _rotation_pulse(0.0, 1.0, c)
         @ _rotation_pulse(1.0, 0.0, b)
         @ _rotation_pulse(0.0, 1.0, a)
@@ -296,6 +308,103 @@ def echo_gate(p: PertParams, physical_x: bool = False) -> np.ndarray:
     return x @ half @ x @ half
 
 
+# ---------------------------------------------------------------------------
+# The 14-dim total-singlet sector
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _SingletSector:
+    """The S = 0 sector of the two-plaquette space, where the echoed gate acts.
+
+    The Hamiltonian and both echo pulses conserve total spin, and the four
+    logical states are total singlets, so U P never leaves this 14-dim
+    sector. Its orthonormal real basis is given over the 70-dim Sz = 0 block
+    (`states` lists the register indices of that block). Operators are the
+    restrictions of their 256-dim counterparts; every array is read-only.
+    """
+
+    states: np.ndarray  # 70 register indices, ascending
+    basis: np.ndarray  # 70 x 14
+    edge: np.ndarray  # sum of s_i.s_j over the edges of both plaquettes
+    diagonal: np.ndarray  # sum of s_i.s_j over the diagonals of both plaquettes
+    coupling: np.ndarray  # s2.s1' + s3.s4'
+    isometry: np.ndarray  # 14 x 4, the columns of _logical_isometry
+
+
+@lru_cache(maxsize=1)
+def _singlet_sector() -> _SingletSector:
+    reg = superplaquette_register()
+    states = np.array([k for k in range(reg.dim) if k.bit_count() == reg.site_count // 2])
+    rows = np.arange(len(states))
+
+    def dot(i: str, j: str) -> np.ndarray:
+        # s_i.s_j = 2 SWAP_ij - 1, and SWAP_ij maps the Sz = 0 block onto itself
+        a, b = reg.index(i), reg.index(j)
+        differ = ((states >> a) ^ (states >> b)) & 1
+        swapped = states ^ (differ * ((1 << a) | (1 << b)))
+        op = -np.eye(len(states))
+        op[np.searchsorted(states, swapped), rows] += 2.0
+        return op
+
+    def intra(couplings: PlaquetteCouplings) -> np.ndarray:
+        return sum(c * (dot(i, j) + dot(i + "'", j + "'")) for i, j, c in couplings.pairs() if c)
+
+    # (sum_i s_i)^2 = 3N + 2 sum_{i<j} s_i.s_j; its kernel is the S = 0 sector
+    spin_sq = 3.0 * reg.site_count * np.eye(len(states)) + 2.0 * sum(
+        dot(i, j) for i, j in itertools.combinations(reg.site_labels, 2)
+    )
+    w, v = np.linalg.eigh(spin_sq)
+    basis = v[:, w < 4.0]  # 4S(S+1): 0 on singlets, 8 on the next multiplet
+
+    logical = logical_basis()
+    cols = (logical.ket_box, logical.ket_cross)
+    right, left = np.divmod(states, 16)
+    iso = np.stack([cols[c >> 1][right] * cols[c & 1][left] for c in range(4)], axis=1)
+
+    def restrict(op: np.ndarray) -> np.ndarray:
+        return read_only(basis.T @ op @ basis)
+
+    return _SingletSector(
+        states=read_only(states),
+        basis=read_only(basis),
+        edge=restrict(intra(PlaquetteCouplings.diag(1.0, 0.0))),
+        diagonal=restrict(intra(PlaquetteCouplings.diag(0.0, 1.0))),
+        coupling=restrict(dot("2", "1'") + dot("3", "4'")),
+        isometry=read_only(basis.T @ iso),
+    )
+
+
+@lru_cache(maxsize=2)
+def _sector_echo(physical: bool) -> np.ndarray:
+    """echo_pulse(physical) restricted to the S = 0 sector, 14x14 (read-only)."""
+    sector = _singlet_sector()
+    single = _echo_pulse_single_physical() if physical else _echo_pulse_single_ideal()
+    right, left = np.divmod(sector.states, 16)
+    block = single[np.ix_(right, right)] * single[np.ix_(left, left)]
+    return read_only(sector.basis.T @ block @ sector.basis)
+
+
+def _sector_hamiltonian(p: PertParams) -> np.ndarray:
+    """superplaquette_hamiltonian(p) restricted to the S = 0 sector, 14x14."""
+    sector = _singlet_sector()
+    return p.j * sector.edge + p.d * sector.diagonal + p.jp * sector.coupling
+
+
+def _sector_gate(p: PertParams, t_c: float, physical_x: bool) -> tuple[np.ndarray, float]:
+    """Logical 4x4 block of the echoed gate and its leakage, from the S = 0 sector.
+
+    Same figures as echo_gate(p, physical_x) sandwiched by _logical_isometry,
+    to rounding that grows with t_c.
+    """
+    iso = _singlet_sector().isometry
+    half = unitary_evolve(_sector_hamiltonian(p), t_c / 2.0)
+    x = _sector_echo(physical_x)
+    u_cols = x @ (half @ (x @ (half @ iso)))
+    u_logical = iso.conj().T @ u_cols
+    leakage = float(np.linalg.norm(u_cols - iso @ u_logical) ** 2)
+    return u_logical, leakage
+
+
 def _target_corrected_cphase(n: int) -> np.ndarray:
     """Controlled-phase target with its local z corrections, 4x4.
 
@@ -319,13 +428,23 @@ def _effective_echoed_evolution(p: PertParams, t_c: float) -> np.ndarray:
     c = effective_coeffs(p.j, p.d)
     b_coef = -p.jp**2 / (8.0 * p.j)
     c_coef = -(p.jp**2 / p.j) * (c.lambda_z - 0.125)
-    heis = (
-        _two_qubit(PAULI_X, PAULI_X)
-        + _two_qubit(PAULI_Y, PAULI_Y)
-        + _two_qubit(PAULI_Z, PAULI_Z)
-    )
-    zz = _two_qubit(PAULI_Z, PAULI_Z)
-    return unitary_evolve(b_coef * heis + c_coef * zz, t_c)
+    return unitary_evolve(b_coef * _HEIS_4 + c_coef * _ZZ_4, t_c)
+
+
+def _gate_target(p: PertParams, target: str, t_c: float) -> np.ndarray:
+    """The 4x4 target that gate_fidelity scores against (see its docstring)."""
+    if target == "corrected_cphase":
+        return _target_corrected_cphase(p.n)
+    if target == "cphase_literal":
+        t = _target_corrected_cphase(p.n)
+        # strip the local corrections again: bare controlled-phase only
+        sz = np.diag([-1.0, 1.0]).astype(complex)
+        z1z2 = _two_qubit(sz, np.eye(2)) + _two_qubit(np.eye(2), sz)
+        angle = -(2 * p.n - 1) * np.pi / 4.0
+        return unitary_evolve(angle * z1z2, -1.0) @ t
+    if target == "effective":
+        return _effective_echoed_evolution(p, t_c)
+    raise ValueError(f"unknown target {target!r}")
 
 
 def gate_fidelity(
@@ -344,27 +463,16 @@ def gate_fidelity(
         "effective": the echoed second-order evolution itself, isolating
             higher-order and leakage errors from phase-matching errors.
 
-    Leakage is ||(1-P) U P||_F^2 over the 4-dim logical subspace.
+    Leakage is ||(1-P) U P||_F^2, the population leaving the 4-dim logical
+    subspace summed over the four logical input states. It lies in [0, 4],
+    not [0, 1]; leakage/4 is the mean leaked population.
+
+    The gate is computed exactly in the 14-dim total-singlet sector, which
+    holds U P; echo_gate gives the same U on the full 256-dim space.
     """
     t_c = gate_time(p)
-    u = echo_gate(p, physical_x=physical_x)
-    iso = _logical_isometry()
-    u_cols = u @ iso
-    u_logical = iso.conj().T @ u_cols
-    leakage = float(np.linalg.norm(u_cols - iso @ u_logical) ** 2)
-    if target == "corrected_cphase":
-        t = _target_corrected_cphase(p.n)
-    elif target == "cphase_literal":
-        t = _target_corrected_cphase(p.n)
-        # strip the local corrections again: bare controlled-phase only
-        sz = np.diag([-1.0, 1.0]).astype(complex)
-        z1z2 = _two_qubit(sz, np.eye(2)) + _two_qubit(np.eye(2), sz)
-        angle = -(2 * p.n - 1) * np.pi / 4.0
-        t = unitary_evolve(angle * z1z2, -1.0) @ t
-    elif target == "effective":
-        t = _effective_echoed_evolution(p, t_c)
-    else:
-        raise ValueError(f"unknown target {target!r}")
+    u_logical, leakage = _sector_gate(p, t_c, physical_x)
+    t = _gate_target(p, target, t_c)
     f = np.trace(t.conj().T @ u_logical) / 4.0
     phi_t = p.jp**2 * t_c / (8.0 * p.j)
     phi_s = -3.0 * p.jp**2 * t_c / (8.0 * p.j)
@@ -427,14 +535,15 @@ def allowed_ratios(
 def validate_effective(p: PertParams, horizon: float, samples: int = 48) -> float:
     """Max infidelity of the effective (rwa) vs exact evolution up to `horizon`.
 
-    Each of the four {|box>,|cross>} product states is evolved under the full
-    256-dim Hamiltonian and under the 4x4 effective one; the deviation is
+    Each of the four {|box>,|cross>} product states is evolved under the exact
+    Hamiltonian and under the 4x4 effective one; the deviation is
     1 - |<psi_eff| P |psi_full>|^2 maximized over states and sampled times
     (leakage counts as deviation). Scales as a few times (J'/J)^2 in the
-    perturbative regime.
+    perturbative regime. The exact evolution runs in the 14-dim
+    total-singlet sector, which holds all four states at every time.
     """
-    iso = _logical_isometry()
-    full = eig_hermitian(superplaquette_hamiltonian(p))
+    iso = _singlet_sector().isometry
+    full = eig_hermitian(_sector_hamiltonian(p))
     eff = eig_hermitian(effective_hamiltonian(p, form="rwa"))
     worst = 0.0
     times = np.linspace(0.0, horizon, samples + 1)[1:]
@@ -453,6 +562,8 @@ def validate_effective(p: PertParams, horizon: float, samples: int = 48) -> floa
 # Figure-style sweeps
 # ---------------------------------------------------------------------------
 
+#: Columns of a sweep row. "leakage" is gate_fidelity's ||(1-P) U P||_F^2,
+#: summed over the four logical inputs: it lies in [0, 4], not [0, 1].
 SWEEP_FIELDS = ("d_over_J", "Jp_over_J", "n", "m", "t_c", "F", "leakage")
 
 

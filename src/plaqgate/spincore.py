@@ -8,11 +8,13 @@ Conventions used throughout the package:
       amplitude index, so serialized states are portable between tools.
 All operators are dense complex arrays (max dimension 256 = 8 sites), and
 matrix exponentials go through a Hermitian eigendecomposition rather than a
-series expansion.
+series expansion. Cached operators are returned as read-only arrays; copy
+one before writing into it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -106,14 +108,24 @@ def pauli_vector(reg: SpinRegister, site: str) -> tuple[np.ndarray, np.ndarray, 
     return tuple(pauli_site(reg, site, ax) for ax in ("x", "y", "z"))
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """Mark `arr` read-only in place and return it (for cached results)."""
+    arr.setflags(write=False)
+    return arr
+
+
+@lru_cache(maxsize=128)
 def pauli_dot(reg: SpinRegister, i: str, j: str) -> np.ndarray:
-    """Exchange dot product s_i . s_j (eigenvalues -3 on singlets, +1 on triplets)."""
+    """Exchange dot product s_i . s_j (eigenvalues -3 on singlets, +1 on triplets).
+
+    Cached per (register, i, j); the returned array is read-only.
+    """
     if i == j:
         raise ValueError(f"pauli_dot needs two distinct sites, got {i!r} twice")
     out = np.zeros((reg.dim, reg.dim), dtype=complex)
     for ax in ("x", "y", "z"):
         out += pauli_site(reg, i, ax) @ pauli_site(reg, j, ax)
-    return out
+    return read_only(out)
 
 
 def total_spin(reg: SpinRegister) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -124,10 +136,14 @@ def total_spin(reg: SpinRegister) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(comps)
 
 
+@lru_cache(maxsize=16)
 def total_spin_squared(reg: SpinRegister) -> np.ndarray:
-    """(Sum_i s_i)^2; eigenvalue 4S(S+1) on a total-spin-S multiplet."""
+    """(Sum_i s_i)^2; eigenvalue 4S(S+1) on a total-spin-S multiplet.
+
+    Cached per register; the returned array is read-only.
+    """
     sx, sy, sz = total_spin(reg)
-    return sx @ sx + sy @ sy + sz @ sz
+    return read_only(sx @ sx + sy @ sy + sz @ sz)
 
 
 def eig_hermitian(op: np.ndarray) -> Spectrum:

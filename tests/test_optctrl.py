@@ -7,6 +7,7 @@ import pytest
 from plaqgate.optctrl import (
     FULL_DIM,
     PulseParams,
+    _ops_stack,
     control_operators,
     control_register,
     export_pulse_csv,
@@ -69,6 +70,14 @@ def test_target_gate_properties():
     assert abs(np.trace(u) - (-2.0)) < 1e-12
     vals = np.sort(np.real(np.linalg.eigvals(u)))
     assert np.sum(vals < 0) == 9  # triplet (x) triplet block picks up the sign
+
+
+@pytest.mark.parametrize("cached", [target_gate, _ops_stack])
+def test_cached_operators_are_read_only(cached):
+    arr = cached()
+    assert cached() is arr
+    with pytest.raises(ValueError, match="read-only"):
+        arr += 0
 
 
 def test_target_gate_logical_restriction():

@@ -1,22 +1,40 @@
 """Second-order coefficients, echoed gate fidelity, and phase matching."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from plaqgate.pertgate import (
     COEFF_POLES,
     PertParams,
     WeakCouplingWarning,
+    _echo_pulse_single_ideal,
+    _echo_pulse_single_physical,
+    _gate_target,
+    _logical_isometry,
+    _sector_echo,
+    _sector_gate,
+    _sector_hamiltonian,
+    _singlet_sector,
     allowed_ratios,
+    default_sweep_grid,
     echo_gate,
     echo_pulse,
     effective_coeffs,
+    effective_hamiltonian,
     gate_fidelity,
     gate_time,
+    superplaquette_hamiltonian,
     sweep,
     validate_effective,
 )
+from plaqgate.spincore import eig_hermitian
+
+TARGETS = ("corrected_cphase", "cphase_literal", "effective")
 
 # Root of lambda_z(r) = 1/8, recomputed from the closed form (bisection on
 # the pole-free interval); frozen to full precision.
@@ -114,8 +132,6 @@ def test_echo_pulse_is_unitary_involution_on_logical_space():
 
 
 def test_physical_echo_matches_ideal_on_logical_subspace():
-    from plaqgate.pertgate import _logical_isometry
-
     iso = _logical_isometry()
     ideal = iso.conj().T @ echo_pulse(physical=False) @ iso
     phys = iso.conj().T @ echo_pulse(physical=True) @ iso
@@ -220,3 +236,137 @@ def test_validate_effective_deviation_is_second_order():
     assert devs[0] < 0.1
     for coarse, fine in zip(devs, devs[1:]):
         assert fine < coarse / 3.0
+
+
+# ---------------------------------------------------------------------------
+# The 14-dim total-singlet sector against the full 256-dim space
+# ---------------------------------------------------------------------------
+
+def _full_space_gate(p: PertParams, physical_x: bool = False) -> tuple[np.ndarray, float]:
+    """Logical 4x4 block and leakage of the 256-dim echo_gate."""
+    iso = _logical_isometry()
+    u_cols = echo_gate(p, physical_x=physical_x) @ iso
+    u_logical = iso.conj().T @ u_cols
+    return u_logical, float(np.linalg.norm(u_cols - iso @ u_logical) ** 2)
+
+
+def _full_space_gate_columns(p: PertParams) -> tuple[np.ndarray, float]:
+    """_full_space_gate by one 256-dim eigensolve, applied to the four logical columns."""
+    iso = _logical_isometry()
+    spec = eig_hermitian(superplaquette_hamiltonian(p))
+    phases = np.exp(-0.5j * gate_time(p) * spec.eigenvalues)[:, None]
+
+    def half(cols: np.ndarray) -> np.ndarray:
+        return spec.eigenvectors @ (phases * (spec.eigenvectors.conj().T @ cols))
+
+    x = echo_pulse()
+    u_cols = x @ half(x @ half(iso))
+    u_logical = iso.conj().T @ u_cols
+    return u_logical, float(np.linalg.norm(u_cols - iso @ u_logical) ** 2)
+
+
+def _full_space_fidelity(p: PertParams, u_logical: np.ndarray, target: str) -> float:
+    t = _gate_target(p, target, gate_time(p))
+    return float(abs(np.trace(t.conj().T @ u_logical) / 4.0) ** 2)
+
+
+def _full_space_validate(p: PertParams, horizon: float, samples: int = 48) -> float:
+    """validate_effective with the exact evolution on all 256 dimensions."""
+    iso = _logical_isometry()
+    full = eig_hermitian(superplaquette_hamiltonian(p))
+    eff = eig_hermitian(effective_hamiltonian(p, form="rwa"))
+    full_modes = full.eigenvectors.conj().T @ iso
+    worst = 0.0
+    for t in np.linspace(0.0, horizon, samples + 1)[1:]:
+        full_t = full.eigenvectors @ (np.exp(-1j * full.eigenvalues * t)[:, None] * full_modes)
+        eff_t = eff.eigenvectors @ (np.exp(-1j * eff.eigenvalues * t)[:, None] * eff.eigenvectors.conj().T)
+        overlaps = np.abs(np.sum(eff_t.conj() * (iso.conj().T @ full_t), axis=0)) ** 2
+        worst = max(worst, float(1.0 - overlaps.min()))
+    return worst
+
+
+def test_sector_spans_the_logical_states_and_is_invariant():
+    sector = _singlet_sector()
+    q = sector.basis
+    assert q.shape == (70, 14)
+    np.testing.assert_allclose(q.T @ q, np.eye(14), atol=1e-13)
+    idx = np.ix_(sector.states, sector.states)
+    # the logical states live on the Sz = 0 block, inside the sector
+    iso = _logical_isometry()
+    assert np.abs(np.delete(iso, sector.states, axis=0)).max() == 0.0
+    np.testing.assert_allclose(q @ sector.isometry, iso[sector.states], atol=1e-14)
+    # both echo pulses and the Hamiltonian map the sector into itself and
+    # restrict to the sector's operators
+    for physical in (False, True):
+        block = echo_pulse(physical=physical)[idx]
+        np.testing.assert_allclose(block @ q, q @ _sector_echo(physical), atol=1e-14)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WeakCouplingWarning)
+        p = PertParams(j=1.3, d=0.4, jp=0.2)
+    block = superplaquette_hamiltonian(p)[idx]
+    np.testing.assert_allclose(block @ q, q @ _sector_hamiltonian(p), atol=1e-13)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    d=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+    jp=st.floats(0.01, 0.2, exclude_min=True, exclude_max=True),
+    target=st.sampled_from(TARGETS),
+    physical_x=st.booleans(),
+    horizon=st.floats(0.5, 100.0),
+)
+def test_sector_matches_full_space(d, jp, target, physical_x, horizon):
+    assume(abs(effective_coeffs(1.0, d).lambda_z - 0.125) > 1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WeakCouplingWarning)
+        p = PertParams(j=1.0, d=d, jp=jp)
+    t_c = gate_time(p)
+    # rounding in the phases grows with the evolution time on both paths
+    tol = 1e-13 * max(1.0, t_c)
+    u_full, leak_full = _full_space_gate(p, physical_x)
+    u_sector, _ = _sector_gate(p, t_c, physical_x)
+    assert np.abs(u_sector - u_full).max() <= tol
+    rep = gate_fidelity(p, physical_x=physical_x, target=target)
+    assert abs(rep.fidelity - _full_space_fidelity(p, u_full, target)) <= tol
+    assert abs(rep.leakage - leak_full) <= tol
+    assert abs(validate_effective(p, horizon) - _full_space_validate(p, horizon)) <= 1e-9
+
+
+def test_sweep_matches_full_space_on_pertfid_grid():
+    # every (d/J, J'/J) point of report --figure pertfid
+    for jp in (0.05, 0.1, 0.2):
+        for row in sweep(default_sweep_grid(), [jp]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", WeakCouplingWarning)
+                p = PertParams(j=1.0, d=row["d_over_J"], jp=jp)
+            u_full, leak_full = _full_space_gate_columns(p)
+            assert abs(row["F"] - _full_space_fidelity(p, u_full, "effective")) <= 1e-9
+            assert abs(row["leakage"] - leak_full) <= 1e-9
+
+
+def test_leakage_sums_over_the_four_logical_inputs():
+    # ||(1-P) U P||_F^2 is a sum of four populations: it can exceed 1
+    rows = sweep([0.06], [0.2])
+    assert 1.0 < rows[0]["leakage"] <= 4.0
+
+
+CACHED_ARRAYS = {
+    "logical_isometry": _logical_isometry,
+    "echo_pulse_single_ideal": _echo_pulse_single_ideal,
+    "echo_pulse_single_physical": _echo_pulse_single_physical,
+    "sector_echo_ideal": lambda: _sector_echo(False),
+    "sector_echo_physical": lambda: _sector_echo(True),
+    "sector_states": lambda: _singlet_sector().states,
+    "sector_basis": lambda: _singlet_sector().basis,
+    "sector_edge": lambda: _singlet_sector().edge,
+    "sector_diagonal": lambda: _singlet_sector().diagonal,
+    "sector_coupling": lambda: _singlet_sector().coupling,
+    "sector_isometry": lambda: _singlet_sector().isometry,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CACHED_ARRAYS))
+def test_cached_array_is_read_only(name):
+    arr = CACHED_ARRAYS[name]()
+    with pytest.raises(ValueError, match="read-only"):
+        arr += 0

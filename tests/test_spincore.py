@@ -67,6 +67,21 @@ def test_total_spin_squared_two_sites():
     np.testing.assert_allclose(vals, [0.0, 8.0, 8.0, 8.0], atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "cached",
+    [
+        lambda: pauli_dot(plaquette_register(), "1", "3"),
+        lambda: total_spin_squared(plaquette_register()),
+    ],
+    ids=["pauli_dot", "total_spin_squared"],
+)
+def test_cached_operators_are_read_only(cached):
+    arr = cached()
+    assert cached() is arr
+    with pytest.raises(ValueError, match="read-only"):
+        arr += 0
+
+
 def test_total_spin_components_commute_with_s2():
     reg = plaquette_register()
     s2 = total_spin_squared(reg)
