@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -489,14 +490,16 @@ HANDLERS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="plaqgate", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, **kwargs):
         sp = sub.add_parser(name, **kwargs)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--output-dir", default=os.environ.get(OUTPUT_ENV, "runs"))
+        sp.add_argument("--output-dir", default=None)  # resolved in run(), see OUTPUT_ENV
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--force", action="store_true", help="recompute even if complete")
         sp.add_argument("--workers", type=int, default=1)
@@ -623,9 +626,8 @@ _ARG_KEYS = {
 
 def run(argv) -> int:
     """Parse argv, execute the subcommand, write dataset + manifest."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     params = {
@@ -637,7 +639,10 @@ def run(argv) -> int:
             command=args.command,
             params=params,
             seed=args.seed,
-            output_dir=args.output_dir,
+            output_dir=(
+                args.output_dir if args.output_dir is not None
+                else os.environ.get(OUTPUT_ENV, "runs")
+            ),
             format=args.format,
         )
         if _is_complete(config) and not args.force:

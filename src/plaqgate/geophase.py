@@ -277,24 +277,33 @@ def export_ledger_csv(entries, path) -> None:
 class TwoBandFockSpace:
     """Occupation basis for the six link modes, capped at 2 (bosons) or 1 (fermions).
 
-    The basis spans every occupation pattern up to the cap; fixed-number
-    sectors are index views. Operator matrices are built state-by-state, so
-    bosonic ladder algebra is exact except where a matrix element would
-    leave the truncated space (occupation at the cap).
+    With `total_number=None` the basis spans every occupation pattern up to
+    the cap (729 states for bosons, 64 for fermions). With an integer N it
+    spans only the patterns with N particles, in the same order: 21/50/90
+    states for bosons at N = 2/3/4 and 15/20/15 for fermions. That is all a
+    number-conserving Hamiltonian needs, and every operator built on such a
+    basis must conserve the particle number. Operator matrices are built
+    state-by-state, so bosonic ladder algebra is exact except where a matrix
+    element would leave the truncated space (occupation at the cap).
     """
 
     statistics: str
     total_number: "int | None" = None
     occupations: list = field(init=False)
     index: dict = field(init=False)
+    #: (dim, 6) float array of the mode occupations, row i for basis state i
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.statistics not in ("boson", "fermion"):
             raise ValueError(f"statistics must be 'boson' or 'fermion', got {self.statistics!r}")
         self.occupations = [
-            occ for occ in itertools.product(range(self.cap + 1), repeat=len(MODE_LABELS))
+            occ
+            for occ in itertools.product(range(self.cap + 1), repeat=len(MODE_LABELS))
+            if self.total_number is None or sum(occ) == self.total_number
         ]
         self.index = {occ: i for i, occ in enumerate(self.occupations)}
+        self.counts = np.array(self.occupations, dtype=float).reshape(-1, len(MODE_LABELS))
 
     @property
     def cap(self) -> int:
@@ -303,6 +312,10 @@ class TwoBandFockSpace:
     @property
     def dim(self) -> int:
         return len(self.occupations)
+
+    def occupation(self, *modes: int) -> np.ndarray:
+        """Diagonal of the number operator summed over `modes`, as a vector."""
+        return self.counts[:, list(modes)].sum(axis=1)
 
     def sector_indices(self, total: "int | None" = None) -> np.ndarray:
         n = self.total_number if total is None else total
@@ -362,30 +375,33 @@ class TwoBandFockSpace:
         return tuple(state), amp
 
     def operator(self, strings) -> np.ndarray:
-        """Dense matrix of sum_i coef_i * string_i on the full basis."""
+        """Dense matrix of sum_i coef_i * string_i on this basis."""
         mat = np.zeros((self.dim, self.dim), dtype=complex)
         for coef, ops in strings:
             for occ in self.occupations:
                 out = self.apply_string(occ, ops)
-                if out is not None:
-                    mat[self.index[out[0]], self.index[occ]] += coef * out[1]
+                if out is None:
+                    continue
+                if out[0] not in self.index:
+                    raise ValueError(f"operator leaves the {self.total_number}-particle basis")
+                mat[self.index[out[0]], self.index[occ]] += coef * out[1]
         return mat
 
     def number_op(self, mode: int) -> np.ndarray:
-        return np.diag([float(occ[mode]) for occ in self.occupations]).astype(complex)
+        return np.diag(self.occupation(mode)).astype(complex)
 
     def spin_operators(self, orbital_pairs=ORBITAL_PAIRS):
         """(Sx, Sy, Sz) summed over the given orbitals, spin-1/2 per particle."""
         s_plus = self.operator([(1.0, [(up, +1), (dn, -1)]) for up, dn in orbital_pairs])
-        s_z = np.diag(
-            [
-                0.5 * sum(occ[up] - occ[dn] for up, dn in orbital_pairs)
-                for occ in self.occupations
-            ]
-        ).astype(complex)
+        s_z = np.diag(self.spin_z(orbital_pairs)).astype(complex)
         s_x = (s_plus + s_plus.conj().T) / 2.0
         s_y = (s_plus - s_plus.conj().T) / 2.0j
         return s_x, s_y, s_z
+
+    def spin_z(self, orbital_pairs=ORBITAL_PAIRS) -> np.ndarray:
+        """Diagonal of S_z summed over the given orbitals, as a vector."""
+        ups, dns = zip(*orbital_pairs)
+        return 0.5 * (self.occupation(*ups) - self.occupation(*dns))
 
     def total_spin_squared(self, orbital_pairs=ORBITAL_PAIRS) -> np.ndarray:
         s_x, s_y, s_z = self.spin_operators(orbital_pairs)
@@ -477,24 +493,26 @@ def onsite_hamiltonian(
     """
     if statistics != space.statistics:
         raise ValueError("statistics of params call and Fock space disagree")
-    n_l = space.number_op(L_UP) + space.number_op(L_DN)
-    n_ra = space.number_op(RA_UP) + space.number_op(RA_DN)
-    n_rb = space.number_op(RB_UP) + space.number_op(RB_DN)
-    eye = np.eye(space.dim)
-    h = params.mu_l * n_l + params.mu_r * n_ra + (params.mu_r + params.omega) * n_rb
+    # the number terms are diagonal: build them as vectors over the basis
+    n_l = space.occupation(L_UP, L_DN)
+    n_ra = space.occupation(RA_UP, RA_DN)
+    n_rb = space.occupation(RB_UP, RB_DN)
+    diag = params.mu_l * n_l + params.mu_r * n_ra + (params.mu_r + params.omega) * n_rb
+    band = np.diag(n_ra * n_rb).astype(complex)
     if statistics == "boson":
-        h += params.u_l_aa * (n_l @ (n_l - eye))
-        h += 0.5 * params.u_r_aa * (n_ra @ (n_ra - eye))
-        h += 0.5 * params.u_r_bb * (n_rb @ (n_rb - eye))
-        h += params.u_r_ab * (n_ra @ n_rb + space.operator(_exchange_strings(+1.0)))
-        if include_band_changing:
-            pair = space.operator(_pair_transfer_strings())
-            h += params.u_r_ab * (pair + pair.conj().T)
+        diag += params.u_l_aa * (n_l * (n_l - 1.0))
+        diag += 0.5 * params.u_r_aa * (n_ra * (n_ra - 1.0))
+        diag += 0.5 * params.u_r_bb * (n_rb * (n_rb - 1.0))
+        band += space.operator(_exchange_strings(+1.0))
     else:
-        h += params.u_l_aa * (space.number_op(L_UP) @ space.number_op(L_DN))
-        h += params.u_r_aa * (space.number_op(RA_UP) @ space.number_op(RA_DN))
-        h += params.u_r_bb * (space.number_op(RB_UP) @ space.number_op(RB_DN))
-        h += params.u_r_ab * (n_ra @ n_rb - space.operator(_exchange_strings(+1.0)))
+        for (up, dn), u in zip(ORBITAL_PAIRS, (params.u_l_aa, params.u_r_aa, params.u_r_bb)):
+            diag += u * (space.occupation(up) * space.occupation(dn))
+        band -= space.operator(_exchange_strings(+1.0))
+    h = np.diag(diag).astype(complex)
+    h += params.u_r_ab * band
+    if statistics == "boson" and include_band_changing:
+        pair = space.operator(_pair_transfer_strings())
+        h += params.u_r_ab * (pair + pair.conj().T)
     return h
 
 
@@ -570,13 +588,12 @@ def _initial_channel_state(
     ]
     if not pattern:
         raise ValueError(f"occupations ({n_l}, {n_r_a}) not representable")
-    j2 = space.total_spin_squared()
-    _, _, s_z = space.spin_operators()
+    s_z = space.spin_z()
     m_target = float(channel_spin)
-    sub = [i for i in pattern if abs(s_z[i, i].real - m_target) < 1e-9]
+    sub = [i for i in pattern if abs(s_z[i] - m_target) < 1e-9]
     if not sub:
         raise ValueError(f"no m = {channel_spin} state for occupations ({n_l}, {n_r_a})")
-    block = j2[np.ix_(sub, sub)]
+    block = space.total_spin_squared()[np.ix_(sub, sub)]
     evals, evecs = np.linalg.eigh(block)
     target = float(channel_spin * (channel_spin + 1))
     hits = np.flatnonzero(np.abs(evals - target) < 1e-8)
@@ -587,6 +604,30 @@ def _initial_channel_state(
     psi = np.zeros(space.dim, dtype=complex)
     psi[sub] = evecs[:, hits[0]]
     return psi
+
+
+def _link_spectrum(
+    n_l: int, n_r_a: int, channel_spin, params: OnsiteParams, statistics: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of one link and the weights |<k|psi0>|^2 of its initial state.
+
+    The Hamiltonian conserves the particle number, so it is built and
+    diagonalized on the (n_l + n_r_a)-particle basis only.
+    """
+    space = TwoBandFockSpace(statistics, total_number=n_l + n_r_a)
+    psi0 = _initial_channel_state(space, n_l, n_r_a, _as_half_integer(channel_spin))
+    h = onsite_hamiltonian(params, statistics, space) + tunneling_hamiltonian(params, space)
+    evals, evecs = np.linalg.eigh(h)
+    return evals, np.abs(evecs.conj().T @ psi0) ** 2
+
+
+def _return_scan(
+    evals: np.ndarray, weights: np.ndarray, params: OnsiteParams, scan_points: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grid t_k = k t_max / scan_points up to t_max = 1.25 pi / |t|, and |a(t_k)|."""
+    t_max = 1.25 * np.pi / abs(params.t)
+    ts = np.linspace(t_max / scan_points, t_max, scan_points)
+    return ts, np.abs(np.exp(-1j * np.outer(ts, evals)) @ weights)
 
 
 def link_tunneling_phase(
@@ -610,23 +651,16 @@ def link_tunneling_phase(
     """
     if n_l < 1:
         return 0.0, 0.0, 0.0
-    space = TwoBandFockSpace(statistics, total_number=n_l + n_r_a)
-    psi0 = _initial_channel_state(space, n_l, n_r_a, _as_half_integer(channel_spin))
-    h = onsite_hamiltonian(params, statistics, space) + tunneling_hamiltonian(params, space)
-    sector = space.sector_indices()
-    h_s = h[np.ix_(sector, sector)]
-    psi_s = psi0[sector]
-    evals, evecs = np.linalg.eigh(h_s)
-    coeffs = evecs.conj().T @ psi_s
-    weights = np.abs(coeffs) ** 2
+    evals, weights = _link_spectrum(n_l, n_r_a, channel_spin, params, statistics)
     e0 = float(weights @ evals)
 
     def amplitude(t: float) -> complex:
         return np.exp(1j * e0 * t) * np.sum(weights * np.exp(-1j * evals * t))
 
-    t_max = 1.25 * np.pi / abs(params.t)
-    ts = np.linspace(t_max / scan_points, t_max, scan_points)
-    mags = np.abs(np.exp(-1j * np.outer(ts, evals)) @ weights)
+    # the bracketing scan skips eigencomponents that psi0 does not overlap
+    # (weights below 1e-20 are rounding residue from other spin sectors)
+    kept = weights >= 1e-20
+    ts, mags = _return_scan(evals[kept], weights[kept], params, scan_points)
     # first local minimum, then the next local maximum
     minima = np.flatnonzero((mags[1:-1] <= mags[:-2]) & (mags[1:-1] <= mags[2:])) + 1
     if len(minima) == 0:
@@ -649,7 +683,7 @@ def link_tunneling_phase(
         lambda t: -abs(amplitude(t)),
         bounds=(lo, hi),
         method="bounded",
-        options={"xatol": t_max * 1e-12},
+        options={"xatol": ts[-1] * 1e-12},
     )
     t_ret = float(res.x)
     a_ret = amplitude(t_ret)
@@ -674,16 +708,8 @@ def link_peak_leakage(
     """
     if n_l < 1:
         return 0.0
-    space = TwoBandFockSpace(statistics, total_number=n_l + n_r_a)
-    psi0 = _initial_channel_state(space, n_l, n_r_a, _as_half_integer(channel_spin))
-    h = onsite_hamiltonian(params, statistics, space) + tunneling_hamiltonian(params, space)
-    sector = space.sector_indices()
-    h_s = h[np.ix_(sector, sector)]
-    evals, evecs = np.linalg.eigh(h_s)
-    weights = np.abs(evecs.conj().T @ psi0[sector]) ** 2
-    t_max = 1.25 * np.pi / abs(params.t)
-    ts = np.linspace(t_max / scan_points, t_max, scan_points)
-    mags = np.abs(np.exp(-1j * np.outer(ts, evals)) @ weights)
+    evals, weights = _link_spectrum(n_l, n_r_a, channel_spin, params, statistics)
+    _, mags = _return_scan(evals, weights, params, scan_points)
     return float(max(0.0, 1.0 - mags.min() ** 2))
 
 
@@ -695,6 +721,13 @@ def tunneling_phase(
     Each active link is evolved exactly, taking the worst case over its
     spin channels; phases add, return_time is the slowest link, and the
     combined leakage treats the links as independent amplitudes.
+
+    The sign of the returned phase is set by rounding in two places, so
+    only |phase| is meaningful. A resonant link's phase pi sits on the
+    +-pi branch cut of `np.angle`. Where two spin channels give equal and
+    opposite phases (fermion TT: +-0.0039196430157 at `geophase-dynamics
+    --u 40`, magnitudes 3e-14 apart), the tie-break below keeps whichever
+    magnitude rounds larger.
     """
     if sector not in SECTORS:
         raise ValueError(f"sector must be one of {SECTORS}, got {sector!r}")

@@ -6,6 +6,7 @@ from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from plaqgate import geophase as gp
 
@@ -164,6 +165,8 @@ def test_commutation_relations(statistics):
 def test_dims():
     assert gp.TwoBandFockSpace("boson").dim == 3**6
     assert gp.TwoBandFockSpace("fermion").dim == 2**6
+    assert [gp.TwoBandFockSpace("boson", total_number=n).dim for n in (2, 3, 4)] == [21, 50, 90]
+    assert [gp.TwoBandFockSpace("fermion", total_number=n).dim for n in (2, 3, 4)] == [15, 20, 15]
 
 
 def test_schwinger_identity():
@@ -195,6 +198,92 @@ def test_single_particle_ground_state(statistics, params):
     one = space.sector_indices(1)
     evals = np.linalg.eigvalsh(h[np.ix_(one, one)])
     assert abs(evals.min() - min(params.mu_l, params.mu_r)) < 1e-10
+
+
+def test_fixed_number_operator_must_conserve_number():
+    space = gp.TwoBandFockSpace("boson", total_number=2)
+    with pytest.raises(ValueError):
+        space.operator([(1.0, [(gp.L_UP, -1)])])
+
+
+# ---------------------------------------------------------------------------
+# Fixed-number link sectors against the full space
+# ---------------------------------------------------------------------------
+
+#: every (statistics, n_L, n_R_a, channel spin) that tunneling_phase evolves
+SECTOR_LINK_CHANNELS = sorted(
+    {
+        (stat, n_l, n_r_a, j)
+        for stat, sectors in gp.SECTOR_LINKS.items()
+        for links in sectors.values()
+        for n_l, n_r_a, channels in links
+        for j in channels
+    }
+)
+
+
+def _reference_return_figures(evals, weights, t_hop, scan_points=8000):
+    """Return figures from a scan over every eigencomponent, then a bounded refinement."""
+    e0 = weights @ evals
+
+    def amplitude(t):
+        return np.exp(1j * e0 * t) * np.sum(weights * np.exp(-1j * evals * t))
+
+    t_max = 1.25 * np.pi / abs(t_hop)
+    ts = np.linspace(t_max / scan_points, t_max, scan_points)
+    mags = np.abs(np.exp(-1j * np.outer(ts, evals)) @ weights)
+    inner = mags[1:-1]
+    first_min = np.flatnonzero((inner <= mags[:-2]) & (inner <= mags[2:]))[0] + 1
+    maxima = [k for k in range(first_min + 2, len(ts) - 1)
+              if mags[k] >= mags[k - 1] and mags[k] >= mags[k + 1]]
+    k = maxima[0]
+    res = minimize_scalar(lambda t: -abs(amplitude(t)), bounds=(ts[k - 1], ts[k + 1]),
+                          method="bounded", options={"xatol": t_max * 1e-12})
+    a_ret = amplitude(res.x)
+    peak = max(0.0, 1.0 - mags.min() ** 2)
+    return res.x, np.angle(a_ret), max(0.0, 1.0 - abs(a_ret) ** 2), peak
+
+
+@pytest.fixture(scope="module")
+def full_spaces():
+    return {stat: gp.TwoBandFockSpace(stat) for stat in ("boson", "fermion")}
+
+
+@pytest.mark.parametrize(
+    "statistics,n_l,n_r_a,j",
+    SECTOR_LINK_CHANNELS,
+    ids=[f"{s}-{n_l}-{n_r_a}-2j{2 * j}" for s, n_l, n_r_a, j in SECTOR_LINK_CHANNELS],
+)
+def test_link_sector_matches_full_space(statistics, n_l, n_r_a, j, full_spaces):
+    """Link figures on the fixed-number basis equal those of the full-space block."""
+    full = full_spaces[statistics]
+    space = gp.TwoBandFockSpace(statistics, total_number=n_l + n_r_a)
+    sector = full.sector_indices(n_l + n_r_a)
+    assert [full.occupations[i] for i in sector] == space.occupations
+
+    psi_full = gp._initial_channel_state(full, n_l, n_r_a, j)
+    assert np.abs(np.delete(psi_full, sector)).max() == 0.0
+    psi = gp._initial_channel_state(space, n_l, n_r_a, j)
+    proj = np.outer(psi, psi.conj())
+    assert np.abs(proj - np.outer(psi_full[sector], psi_full[sector].conj())).max() <= 1e-12
+
+    for u in (25.0, 50.0, 100.0):
+        omega = 20.0 * u
+        p = gp.OnsiteParams(mu_l=omega + (0.0 if statistics == "boson" else u), mu_r=0.0,
+                            omega=omega, u_l_aa=1.546 * u, u_r_aa=u, u_r_bb=u, u_r_ab=u, t=T)
+        h_full = gp.onsite_hamiltonian(p, statistics, full) + gp.tunneling_hamiltonian(p, full)
+        block = h_full[np.ix_(sector, sector)]
+        h = gp.onsite_hamiltonian(p, statistics, space) + gp.tunneling_hamiltonian(p, space)
+        assert np.abs(h - block).max() <= 1e-12
+
+        evals, evecs = np.linalg.eigh(block)
+        weights = np.abs(evecs.conj().T @ psi_full[sector]) ** 2
+        t_ref, phase_ref, leak_ref, peak_ref = _reference_return_figures(evals, weights, T)
+        t_ret, phase, leak = gp.link_tunneling_phase(n_l, n_r_a, j, p, statistics)
+        assert abs(t_ret - t_ref) <= 1e-12
+        assert abs(np.angle(np.exp(1j * (phase - phase_ref)))) <= 1e-12
+        assert abs(leak - leak_ref) <= 1e-12
+        assert abs(gp.link_peak_leakage(n_l, n_r_a, j, p, statistics) - peak_ref) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
