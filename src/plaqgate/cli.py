@@ -36,7 +36,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -45,25 +45,6 @@ from . import geophase, optctrl, pertgate, plaquette
 
 ARTIFACT_VERSION = "1"
 OUTPUT_ENV = "PLAQGATE_OUTPUT_DIR"
-
-COMMAND_PARAMS = {
-    "spectrum": {"j", "dJ"},
-    "prepare-plus": {"mode", "angle_scale"},
-    "pert-coeffs": {"dJ"},
-    "pert-fidelity": {"dJ_min", "dJ_max", "dJ_step", "jp", "n", "m", "target"},
-    "pert-allowed": {"n", "m"},
-    "pert-validate": {"dJ", "jp", "horizon_tc"},
-    "optctrl-optimize": {"l", "t_horizon", "restarts", "max_iter", "target_eps", "steps"},
-    "optctrl-gradcheck": {"points", "steps", "fd_step"},
-    "optctrl-robustness": {"result", "deltas"},
-    "optctrl-liedim": set(),
-    "geophase-table": {"statistics", "u_l_aa", "u_r_ab", "bias_surplus"},
-    "geophase-dynamics": {"statistics", "sector", "u", "u_l_aa"},
-    "schwinger-check": set(),
-    "hubbard-check": {"t_over_u", "statistics"},
-    "report": {"figure"},
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -76,9 +57,9 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self) -> None:
-        if self.command not in COMMAND_PARAMS:
+        if self.command not in COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
-        extra = set(self.params) - COMMAND_PARAMS[self.command]
+        extra = set(self.params) - set(_param_keys(self.command))
         if extra:
             raise ValueError(f"unknown parameter keys for {self.command}: {sorted(extra)}")
         if self.format not in ("csv", "json"):
@@ -340,6 +321,11 @@ def _cmd_optctrl_liedim(config: RunConfig, args):
     return ["dimension"], [{"dimension": dim}], None
 
 
+def _statistics(choice: str) -> tuple[str, ...]:
+    """The statistics a --statistics choice names; "both" is boson then fermion."""
+    return ("boson", "fermion") if choice == "both" else (choice,)
+
+
 def _geophase_params(u_l_aa: float, u_r_ab: float, bias_surplus: float) -> geophase.OnsiteParams:
     omega = max(20.0 * u_r_ab, 1.0)
     return geophase.OnsiteParams(
@@ -356,10 +342,9 @@ def _geophase_params(u_l_aa: float, u_r_ab: float, bias_surplus: float) -> geoph
 
 def _cmd_geophase_table(config: RunConfig, args):
     p = config.params
-    stats = ("boson", "fermion") if p["statistics"] == "both" else (p["statistics"],)
     fields = ["statistics", "n_L", "n_R_a", "j_R", "c0", "c1", "c2", "resonant"]
     rows = []
-    for stat in stats:
+    for stat in _statistics(p["statistics"]):
         surplus = p["bias_surplus"]
         if surplus is None:
             surplus = 0.0 if stat == "boson" else p["u_r_ab"]
@@ -382,11 +367,11 @@ def _cmd_geophase_table(config: RunConfig, args):
 
 def _cmd_geophase_dynamics(config: RunConfig, args):
     p = config.params
-    stats = ("boson", "fermion") if p["statistics"] == "both" else (p["statistics"],)
     sectors = list(geophase.SECTORS) if p["sector"] == "all" else [p["sector"]]
     u = p["u"]
     u_l_aa = p["u_l_aa"] if p["u_l_aa"] is not None else 1.546 * u
-    grid = [{"statistics": s, "sector": sec} for s in stats for sec in sectors]
+    grid = [{"statistics": s, "sector": sec}
+            for s in _statistics(p["statistics"]) for sec in sectors]
 
     def point(statistics: str, sector: str) -> dict:
         surplus = 0.0 if statistics == "boson" else u
@@ -408,7 +393,7 @@ def _cmd_schwinger_check(config: RunConfig, args):
 def _cmd_hubbard_check(config: RunConfig, args):
     p = config.params
     rows = []
-    for stat in ("boson", "fermion") if p["statistics"] == "both" else (p["statistics"],):
+    for stat in _statistics(p["statistics"]):
         gap, ref = plaquette.superexchange_hubbard_check(p["t_over_u"], 1.0, stat)
         rows.append(
             {
@@ -471,23 +456,77 @@ def _cmd_report(config: RunConfig, args):
     return fields, rows, {"figure": figure, "schema": REPORT_FIGURES[figure], "artifacts": ["plot.gp"]}
 
 
-HANDLERS = {
-    "spectrum": _cmd_spectrum,
-    "prepare-plus": _cmd_prepare_plus,
-    "pert-coeffs": _cmd_pert_coeffs,
-    "pert-fidelity": _cmd_pert_fidelity,
-    "pert-allowed": _cmd_pert_allowed,
-    "pert-validate": _cmd_pert_validate,
-    "optctrl-optimize": _cmd_optctrl_optimize,
-    "optctrl-gradcheck": _cmd_optctrl_gradcheck,
-    "optctrl-robustness": _cmd_optctrl_robustness,
-    "optctrl-liedim": _cmd_optctrl_liedim,
-    "geophase-table": _cmd_geophase_table,
-    "geophase-dynamics": _cmd_geophase_dynamics,
-    "schwinger-check": _cmd_schwinger_check,
-    "hubbard-check": _cmd_hubbard_check,
-    "report": _cmd_report,
+_STATISTICS = {"choices": ("boson", "fermion", "both"), "default": "both"}
+
+#: name -> (handler, help, options). Each option is (flag, argparse kwargs);
+#: its params key is the argparse dest, the flag with "-" changed to "_"
+#: unless the kwargs give `dest`.
+COMMANDS = {
+    "spectrum": (_cmd_spectrum, "plaquette energy levels", (
+        ("--j", {"type": float, "default": 1.0}),
+        ("--dJ", {"type": float, "required": True, "help": "diagonal ratio d/J"}))),
+    "prepare-plus": (_cmd_prepare_plus, "logical |+> preparation fidelity", (
+        ("--mode", {"choices": ("two_step", "one_step"), "default": "two_step"}),
+        ("--angle-scale", {"type": float, "default": 1.0}))),
+    "pert-coeffs": (_cmd_pert_coeffs, "effective coupling coefficients at one d/J", (
+        ("--dJ", {"type": float, "required": True}),)),
+    "pert-fidelity": (_cmd_pert_fidelity, "echo-gate fidelity sweep over d/J", (
+        ("--dJ-min", {"type": float, "default": 0.05}),
+        ("--dJ-max", {"type": float, "default": 0.95}),
+        ("--dJ-step", {"type": float, "default": 0.01}),
+        ("--Jp", {"dest": "jp", "type": float, "required": True, "help": "coupling ratio J'/J"}),
+        ("--n", {"type": int, "default": 1}),
+        ("--m", {"type": int, "default": 1}),
+        ("--target", {"choices": ("effective", "corrected_cphase", "cphase_literal"),
+                      "default": "effective"}))),
+    "pert-allowed": (_cmd_pert_allowed, "allowed d/J ratios for phase matching", (
+        ("--n", {"type": int, "default": 1}),
+        ("--m", {"type": int, "default": 1}))),
+    "pert-validate": (_cmd_pert_validate, "full vs effective dynamics deviation", (
+        ("--dJ", {"type": float, "required": True}),
+        ("--Jp", {"dest": "jp", "type": float, "required": True}),
+        ("--horizon-tc", {"type": float, "default": 0.1, "help": "horizon as a fraction of t_c"}))),
+    "optctrl-optimize": (_cmd_optctrl_optimize, "pulse optimization for the 4-site gate", (
+        ("--L", {"dest": "l", "type": int, "default": 20}),
+        ("--t-horizon", {"type": float, "default": 1.0}),
+        ("--restarts", {"type": int, "default": 10}),
+        ("--max-iter", {"type": int, "default": 2000}),
+        ("--target-eps", {"type": float, "default": 1e-7}),
+        ("--steps", {"type": int, "default": 400}))),
+    "optctrl-gradcheck": (_cmd_optctrl_gradcheck, "analytic vs finite-difference gradient", (
+        ("--points", {"type": int, "default": 20}),
+        ("--steps", {"type": int, "default": 250}),
+        ("--fd-step", {"type": float, "default": 1e-6}))),
+    "optctrl-robustness": (_cmd_optctrl_robustness, "infidelity under scaled Hamiltonian", (
+        ("--result", {"required": True, "help": "result.json from optctrl-optimize"}),
+        ("--deltas", {"default": "0,1e-5,1e-4,1e-3,1e-2,3e-2,1e-1"}))),
+    "optctrl-liedim": (_cmd_optctrl_liedim, "dimension of the control Lie closure", ()),
+    "geophase-table": (_cmd_geophase_table, "tunneling energy ledger", (
+        ("--statistics", _STATISTICS),
+        ("--u-l-aa", {"type": float, "default": 77.3, "help": "in units of t"}),
+        ("--u-r-ab", {"type": float, "default": 50.0, "help": "in units of t"}),
+        ("--bias-surplus", {
+            "type": float, "default": None,
+            "help": "Delta - omega in units of t (default: resonant per statistics)"}))),
+    "geophase-dynamics": (_cmd_geophase_dynamics, "sector return phases", (
+        ("--statistics", _STATISTICS),
+        ("--sector", {"choices": ("SS", "ST", "TS", "TT", "all"), "default": "all"}),
+        ("--u", {"type": float, "default": 50.0, "help": "interaction scale in units of t"}),
+        ("--u-l-aa", {
+            "type": float, "default": None,
+            "help": "left repulsion in units of t (default 1.546 u, off accidental zeros)"}))),
+    "schwinger-check": (_cmd_schwinger_check, "two-band spin identity residual", ()),
+    "hubbard-check": (_cmd_hubbard_check, "superexchange gap vs 4t^2/U", (
+        ("--t-over-u", {"type": float, "default": 0.02}),
+        ("--statistics", _STATISTICS))),
+    "report": (_cmd_report, "figure-ready datasets", (
+        ("--figure", {"required": True, "choices": sorted(REPORT_FIGURES)}),)),
 }
+
+
+def _param_keys(command: str) -> list[str]:
+    """The params keys of a command, in the order its options are declared."""
+    return [kw.get("dest", flag[2:].replace("-", "_")) for flag, kw in COMMANDS[command][2]]
 
 
 @functools.lru_cache(maxsize=None)
@@ -495,133 +534,16 @@ def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="plaqgate", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
+    for name, (_, help_text, options) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--output-dir", default=None)  # resolved in run(), see OUTPUT_ENV
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--force", action="store_true", help="recompute even if complete")
         sp.add_argument("--workers", type=int, default=1)
-        return sp
-
-    sp = add("spectrum", help="plaquette energy levels")
-    sp.add_argument("--j", type=float, default=1.0)
-    sp.add_argument("--dJ", type=float, required=True, help="diagonal ratio d/J")
-
-    sp = add("prepare-plus", help="logical |+> preparation fidelity")
-    sp.add_argument("--mode", choices=("two_step", "one_step"), default="two_step")
-    sp.add_argument("--angle-scale", type=float, default=1.0)
-
-    sp = add("pert-coeffs", help="effective coupling coefficients at one d/J")
-    sp.add_argument("--dJ", type=float, required=True)
-
-    sp = add("pert-fidelity", help="echo-gate fidelity sweep over d/J")
-    sp.add_argument("--dJ-min", type=float, default=0.05)
-    sp.add_argument("--dJ-max", type=float, default=0.95)
-    sp.add_argument("--dJ-step", type=float, default=0.01)
-    sp.add_argument("--Jp", type=float, required=True, help="coupling ratio J'/J")
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--m", type=int, default=1)
-    sp.add_argument("--target", choices=("effective", "corrected_cphase", "cphase_literal"),
-                    default="effective")
-
-    sp = add("pert-allowed", help="allowed d/J ratios for phase matching")
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--m", type=int, default=1)
-
-    sp = add("pert-validate", help="full vs effective dynamics deviation")
-    sp.add_argument("--dJ", type=float, required=True)
-    sp.add_argument("--Jp", type=float, required=True)
-    sp.add_argument("--horizon-tc", type=float, default=0.1, help="horizon as a fraction of t_c")
-
-    sp = add("optctrl-optimize", help="pulse optimization for the 4-site gate")
-    sp.add_argument("--L", type=int, default=20)
-    sp.add_argument("--t-horizon", type=float, default=1.0)
-    sp.add_argument("--restarts", type=int, default=10)
-    sp.add_argument("--max-iter", type=int, default=2000)
-    sp.add_argument("--target-eps", type=float, default=1e-7)
-    sp.add_argument("--steps", type=int, default=400)
-
-    sp = add("optctrl-gradcheck", help="analytic vs finite-difference gradient")
-    sp.add_argument("--points", type=int, default=20)
-    sp.add_argument("--steps", type=int, default=250)
-    sp.add_argument("--fd-step", type=float, default=1e-6)
-
-    sp = add("optctrl-robustness", help="infidelity under scaled Hamiltonian")
-    sp.add_argument("--result", required=True, help="result.json from optctrl-optimize")
-    sp.add_argument("--deltas", default="0,1e-5,1e-4,1e-3,1e-2,3e-2,1e-1")
-
-    add("optctrl-liedim", help="dimension of the control Lie closure")
-
-    sp = add("geophase-table", help="tunneling energy ledger")
-    sp.add_argument("--statistics", choices=("boson", "fermion", "both"), default="both")
-    sp.add_argument("--u-l-aa", type=float, default=77.3, help="in units of t")
-    sp.add_argument("--u-r-ab", type=float, default=50.0, help="in units of t")
-    sp.add_argument("--bias-surplus", type=float, default=None,
-                    help="Delta - omega in units of t (default: resonant per statistics)")
-
-    sp = add("geophase-dynamics", help="sector return phases")
-    sp.add_argument("--statistics", choices=("boson", "fermion", "both"), default="both")
-    sp.add_argument("--sector", choices=("SS", "ST", "TS", "TT", "all"), default="all")
-    sp.add_argument("--u", type=float, default=50.0, help="interaction scale in units of t")
-    sp.add_argument("--u-l-aa", type=float, default=None,
-                    help="left repulsion in units of t (default 1.546 u, off accidental zeros)")
-
-    add("schwinger-check", help="two-band spin identity residual")
-
-    sp = add("hubbard-check", help="superexchange gap vs 4t^2/U")
-    sp.add_argument("--t-over-u", type=float, default=0.02)
-    sp.add_argument("--statistics", choices=("boson", "fermion", "both"), default="both")
-
-    sp = add("report", help="figure-ready datasets")
-    sp.add_argument("--figure", required=True, choices=sorted(REPORT_FIGURES))
-
+        for flag, kwargs in options:
+            sp.add_argument(flag, **kwargs)
     return parser
-
-
-_ARG_KEYS = {
-    "spectrum": {"j": "j", "dJ": "dJ"},
-    "prepare-plus": {"mode": "mode", "angle_scale": "angle_scale"},
-    "pert-coeffs": {"dJ": "dJ"},
-    "pert-fidelity": {
-        "dJ_min": "dJ_min",
-        "dJ_max": "dJ_max",
-        "dJ_step": "dJ_step",
-        "jp": "Jp",
-        "n": "n",
-        "m": "m",
-        "target": "target",
-    },
-    "pert-allowed": {"n": "n", "m": "m"},
-    "pert-validate": {"dJ": "dJ", "jp": "Jp", "horizon_tc": "horizon_tc"},
-    "optctrl-optimize": {
-        "l": "L",
-        "t_horizon": "t_horizon",
-        "restarts": "restarts",
-        "max_iter": "max_iter",
-        "target_eps": "target_eps",
-        "steps": "steps",
-    },
-    "optctrl-gradcheck": {"points": "points", "steps": "steps", "fd_step": "fd_step"},
-    "optctrl-robustness": {"result": "result", "deltas": "deltas"},
-    "optctrl-liedim": {},
-    "geophase-table": {
-        "statistics": "statistics",
-        "u_l_aa": "u_l_aa",
-        "u_r_ab": "u_r_ab",
-        "bias_surplus": "bias_surplus",
-    },
-    "geophase-dynamics": {
-        "statistics": "statistics",
-        "sector": "sector",
-        "u": "u",
-        "u_l_aa": "u_l_aa",
-    },
-    "schwinger-check": {},
-    "hubbard-check": {"t_over_u": "t_over_u", "statistics": "statistics"},
-    "report": {"figure": "figure"},
-}
 
 
 def run(argv) -> int:
@@ -630,10 +552,7 @@ def run(argv) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    params = {
-        key: getattr(args, attr)
-        for key, attr in _ARG_KEYS[args.command].items()
-    }
+    params = {key: getattr(args, key) for key in _param_keys(args.command)}
     try:
         config = RunConfig(
             command=args.command,
@@ -650,7 +569,7 @@ def run(argv) -> int:
             return 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fields, rows, extra = HANDLERS[args.command](config, args)
+            fields, rows, extra = COMMANDS[args.command][0](config, args)
         run_dir = write_dataset(config, fields, rows, extra)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .plaquette import PlaquetteCouplings, heisenberg_plaquette, logical_basis
+from .plaquette import PlaquetteCouplings, _rotation_pulse, heisenberg_plaquette, logical_basis
 from .spincore import (
     PAULI_X,
     PAULI_Y,
@@ -167,8 +167,6 @@ def _two_qubit(op1: np.ndarray, op2: np.ndarray) -> np.ndarray:
     return np.kron(op2, op1)
 
 
-IDENTITY_4 = np.eye(4, dtype=complex)
-
 # s.s' and sz sz' of the two logical qubits
 _HEIS_4 = read_only(sum(_two_qubit(s, s) for s in (PAULI_X, PAULI_Y, PAULI_Z)))
 _ZZ_4 = read_only(_two_qubit(PAULI_Z, PAULI_Z))
@@ -249,38 +247,13 @@ def _echo_pulse_single_physical() -> np.ndarray:
     """16x16 echo pulse composed of three physical exchange pulses (read-only).
 
     In the {|0>,|1>} basis the required pi rotation has axis
-    (1/2, 0, -sqrt3/2); three alternating rotations about AXIS_V and AXIS_H
-    realize it (angles solved numerically once, residual < 1e-10).
+    (1/2, 0, -sqrt3/2). The rotations V(a), H(pi - a), V(a) about AXIS_V and
+    AXIS_H with a = arcsin(1/sqrt3) realize it exactly, up to a global phase.
     """
-    from scipy.optimize import minimize
-
-    from .plaquette import AXIS_H, AXIS_V, _rotation_pulse
-
-    target = 0.5 * PAULI_X - (np.sqrt(3.0) / 2.0) * PAULI_Z
-
-    def rot(axis, theta: float) -> np.ndarray:
-        n = axis.as_array()
-        gen = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
-        return (
-            np.cos(theta) * np.eye(2, dtype=complex) - 1j * np.sin(theta) * gen
-        )
-
-    def infid(angles: np.ndarray) -> float:
-        u = rot(AXIS_V, angles[2]) @ rot(AXIS_H, angles[1]) @ rot(AXIS_V, angles[0])
-        return 1.0 - abs(np.trace(u.conj().T @ target)) / 2.0
-
-    best = None
-    for start in ([0.5, 1.0, 0.5], [1.0, 2.0, 1.0], [-0.5, 1.5, 2.0], [2.0, 0.7, -1.0]):
-        res = minimize(infid, np.array(start), method="Nelder-Mead",
-                       options={"xatol": 1e-13, "fatol": 1e-14, "maxiter": 4000})
-        if best is None or res.fun < best.fun:
-            best = res
-    if best.fun > 1e-9:
-        raise RuntimeError(f"echo pulse decomposition failed, residual {best.fun:.2e}")
-    a, b, c = best.x
+    a = np.arcsin(1.0 / np.sqrt(3.0))
     return read_only(
-        _rotation_pulse(0.0, 1.0, c)
-        @ _rotation_pulse(1.0, 0.0, b)
+        _rotation_pulse(0.0, 1.0, a)
+        @ _rotation_pulse(1.0, 0.0, np.pi - a)
         @ _rotation_pulse(0.0, 1.0, a)
     )
 
@@ -405,22 +378,18 @@ def _sector_gate(p: PertParams, t_c: float, physical_x: bool) -> tuple[np.ndarra
     return u_logical, leakage
 
 
-def _target_corrected_cphase(n: int) -> np.ndarray:
-    """Controlled-phase target with its local z corrections, 4x4.
+def _target_cphase(n: "int | None" = None) -> np.ndarray:
+    """Controlled-phase target, 4x4 diagonal in the (|box>,|cross>)^(x2) basis.
 
-    exp[-i pi/4 (1 - sz)(1 - sz')] puts the conditional phase on |box,box>;
-    the echoed Ising evolution additionally applies the single-qubit phases
-    undone here by R_z(-(2n-1) pi/4) on each qubit.
+    exp[-i pi/4 (1 - sz)(1 - sz')] = diag(-1, 1, 1, 1) puts the conditional
+    phase on |box,box>. Given n, the echoed Ising evolution additionally
+    applies single-qubit phases, undone here by R_z(-(2n-1) pi/4) on each
+    qubit: a factor exp[-i (2n-1)(pi/4) diag(2, 0, 0, -2)].
     """
-    sz = np.diag([-1.0, 1.0]).astype(complex)  # (|box>, |cross>) ordering
-    zz = _two_qubit(sz, sz)
-    z1, z2 = _two_qubit(sz, np.eye(2)), _two_qubit(np.eye(2), sz)
-    phase = (np.pi / 4.0) * (IDENTITY_4 - z1 - z2 + zz)
-    cphase = unitary_evolve(phase, 1.0)
-    # R_z(beta) = exp(-i beta sz), beta = -(2n-1) pi/4 on each qubit
-    angle = -(2 * n - 1) * np.pi / 4.0
-    local = unitary_evolve(angle * (z1 + z2), 1.0)
-    return local @ cphase
+    phases = np.array([-1.0, 1.0, 1.0, 1.0], dtype=complex)
+    if n is not None:
+        phases *= np.exp(-1j * (2 * n - 1) * (np.pi / 4.0) * np.array([2.0, 0.0, 0.0, -2.0]))
+    return np.diag(phases)
 
 
 def _effective_echoed_evolution(p: PertParams, t_c: float) -> np.ndarray:
@@ -434,14 +403,9 @@ def _effective_echoed_evolution(p: PertParams, t_c: float) -> np.ndarray:
 def _gate_target(p: PertParams, target: str, t_c: float) -> np.ndarray:
     """The 4x4 target that gate_fidelity scores against (see its docstring)."""
     if target == "corrected_cphase":
-        return _target_corrected_cphase(p.n)
+        return _target_cphase(p.n)
     if target == "cphase_literal":
-        t = _target_corrected_cphase(p.n)
-        # strip the local corrections again: bare controlled-phase only
-        sz = np.diag([-1.0, 1.0]).astype(complex)
-        z1z2 = _two_qubit(sz, np.eye(2)) + _two_qubit(np.eye(2), sz)
-        angle = -(2 * p.n - 1) * np.pi / 4.0
-        return unitary_evolve(angle * z1z2, -1.0) @ t
+        return _target_cphase()
     if target == "effective":
         return _effective_echoed_evolution(p, t_c)
     raise ValueError(f"unknown target {target!r}")
@@ -489,47 +453,26 @@ def gate_fidelity(
 # Allowed coupling ratios and validation
 # ---------------------------------------------------------------------------
 
-def allowed_ratios(
-    n: int,
-    m: int,
-    scan_step: float = 1e-4,
-    tol: float = 1e-10,
-) -> list[float]:
+def allowed_ratios(n: int, m: int) -> list[float]:
     """Roots of lambda_z(r) = 1/8 + (2n-1)/(16 m) for r = d/J in (0, 1).
 
     At such a ratio the controlled-phase condition and the 2 pi m winding of
-    phi_T - phi_S hold at the same t_c. Bisection on sign changes over a
-    uniform scan grid, refined to `tol`.
+    phi_T - phi_S hold at the same t_c. Multiplying lambda_z(r) - tau by
+    48 r (r-3)(r+1)(2-r) clears every denominator and leaves the quartic
+
+        (48 tau - 2) r^4 + (32 - 192 tau) r^3 + (48 tau - 96) r^2
+            + (288 tau + 104) r - 54 = 0,   tau = 1/8 + (2n-1)/(16 m);
+
+    its real roots in (0, 1), ascending, are returned.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive integers")
-    target = 0.125 + (2 * n - 1) / (16.0 * m)
-
-    def g(r: float) -> float:
-        return effective_coeffs(1.0, r).lambda_z - target
-
-    grid = np.arange(scan_step, 1.0, scan_step)
-    values = np.array([g(r) for r in grid])
-    roots: list[float] = []
-    for k in np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0):
-        lo, hi = float(grid[k]), float(grid[k + 1])
-        flo = values[k]
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            fmid = g(mid)
-            if fmid == 0.0:
-                lo = hi = mid
-                break
-            if np.sign(fmid) == np.sign(flo):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-        roots.append(0.5 * (lo + hi))
-    exact_hits = [float(r) for r, v in zip(grid, values) if v == 0.0]
-    roots = sorted(set(roots) | set(exact_hits))
-    if not roots:
+    tau = 0.125 + (2 * n - 1) / (16.0 * m)
+    roots = np.roots([48 * tau - 2, 32 - 192 * tau, 48 * tau - 96, 288 * tau + 104, -54])
+    ratios = sorted(float(x.real) for x in roots if x.imag == 0 and 0 < x.real < 1)
+    if not ratios:
         raise ValueError(f"no allowed ratio in (0,1) for (n,m)=({n},{m})")
-    return roots
+    return ratios
 
 
 def validate_effective(p: PertParams, horizon: float, samples: int = 48) -> float:

@@ -22,11 +22,11 @@ the corresponding axis (the offsets only contribute global phase).
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .geophase import L_DN, L_UP, RA_DN, RA_UP, RB_DN, RB_UP, TwoBandFockSpace
 from .spincore import (
     SpinRegister,
     eig_hermitian,
@@ -322,62 +322,24 @@ def rotation_step_bound(axis1: BlochAxis, axis2: BlochAxis) -> int:
 # ---------------------------------------------------------------------------
 
 def _two_site_hubbard(t: float, u: float, statistics: str) -> tuple[float, float]:
-    """Ground singlet and triplet energies of the two-site, two-particle model."""
-    cap = 1 if statistics == "fermion" else 2
-    # modes: (site0,up),(site0,dn),(site1,up),(site1,dn)
-    states = [s for s in itertools.product(range(cap + 1), repeat=4) if sum(s) == 2]
-    index = {s: i for i, s in enumerate(states)}
-    dim = len(states)
+    """Ground singlet and triplet energies of the two-site, two-particle model.
 
-    def hop_sign(state: tuple, mode: int) -> float:
-        if statistics == "boson":
-            return 1.0
-        return -1.0 if sum(state[:mode]) % 2 else 1.0
-
-    def transfer(matrix: np.ndarray, src_mode: int, dst_mode: int, amp: float) -> None:
-        for s in states:
-            if s[src_mode] > 0 and s[dst_mode] < cap:
-                mid = list(s)
-                mid[src_mode] -= 1
-                sgn = hop_sign(s, src_mode)
-                sgn *= hop_sign(tuple(mid), dst_mode)
-                mid[dst_mode] += 1
-                scale = np.sqrt(s[src_mode] * (s[dst_mode] + 1)) if statistics == "boson" else 1.0
-                matrix[index[tuple(mid)], index[s]] += amp * scale * sgn
-
-    h = np.zeros((dim, dim))
-    for s in states:
-        n0, n1 = s[0] + s[1], s[2] + s[3]
-        if statistics == "boson":
-            h[index[s], index[s]] = 0.5 * u * (n0 * (n0 - 1) + n1 * (n1 - 1))
-        else:
-            h[index[s], index[s]] = u * (s[0] * s[1] + s[2] * s[3])
-    for spin in (0, 1):
-        transfer(h, 2 + spin, 0 + spin, -t)
-        transfer(h, 0 + spin, 2 + spin, -t)
-
-    # classify eigenstates by total spin via S- S+ + Sz^2 + Sz
-    splus = np.zeros((dim, dim))
-    for s in states:
-        for site in (0, 1):
-            upm, dnm = 2 * site, 2 * site + 1
-            if s[dnm] > 0 and s[upm] < cap:
-                mid = list(s)
-                mid[dnm] -= 1
-                sgn = hop_sign(s, dnm)
-                sgn *= hop_sign(tuple(mid), upm)
-                mid[upm] += 1
-                scale = np.sqrt(s[dnm] * (s[upm] + 1)) if statistics == "boson" else 1.0
-                splus[index[tuple(mid)], index[s]] += scale * sgn
-    sz = np.diag([(s[0] - s[1] + s[2] - s[3]) / 2.0 for s in states])
-    s2 = splus.T @ splus + sz @ sz + sz
+    The two sites are the L_a and R_a orbitals of the two-particle link
+    space; the states with R_b empty span the model. The on-site energy
+    (U/2) n(n-1) counts doubly occupied orbitals for fermions too.
+    """
+    space = TwoBandFockSpace(statistics, total_number=2)
+    keep = np.flatnonzero(space.occupation(RB_UP, RB_DN) == 0)
+    n0, n1 = space.occupation(L_UP, L_DN)[keep], space.occupation(RA_UP, RA_DN)[keep]
+    onsite = 0.5 * u * (n0 * (n0 - 1) + n1 * (n1 - 1))
+    hop = space.operator([(-t, [(L_UP, +1), (RA_UP, -1)]), (-t, [(L_DN, +1), (RA_DN, -1)])])
+    hop = hop[np.ix_(keep, keep)].real
+    h = np.diag(onsite) + hop + hop.T
+    s2 = space.total_spin_squared(((L_UP, L_DN), (RA_UP, RA_DN)))[np.ix_(keep, keep)]
 
     w, v = np.linalg.eigh(h)
-    singlet_energies, triplet_energies = [], []
-    for kcol in range(dim):
-        s2val = float(v[:, kcol] @ s2 @ v[:, kcol])
-        (singlet_energies if s2val < 1.0 else triplet_energies).append(w[kcol])
-    return min(singlet_energies), min(triplet_energies)
+    s2vals = np.einsum("ik,ij,jk->k", v, s2, v).real
+    return float(w[s2vals < 1.0].min()), float(w[s2vals >= 1.0].min())
 
 
 def superexchange_hubbard_check(t: float, u: float, statistics: str) -> tuple[float, float]:

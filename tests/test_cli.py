@@ -1,12 +1,13 @@
 """Run configs, dataset writing, resumable runs, and subcommand exit codes."""
 from __future__ import annotations
 
+import argparse
 import json
 import os
 
 import pytest
 
-from plaqgate.cli import RunConfig, run, sweep
+from plaqgate.cli import COMMANDS, RunConfig, _build_parser, run, sweep
 
 
 def _run(tmp_path, *argv) -> int:
@@ -184,6 +185,49 @@ def test_report_writes_plot_script(tmp_path):
     assert manifest["figure"] == "coeffs"
     assert "plot.gp" in manifest["artifacts"]
     assert manifest["fields"] == ["d_over_J", "lambda_z", "gamma_z"]
+
+
+# ---------------------------------------------------------------------------
+# The command table
+# ---------------------------------------------------------------------------
+
+COMMON_FLAGS = {"-h", "--help", "--seed", "--output-dir", "--format", "--force", "--workers"}
+
+# A default (or minimal-required) invocation of each command and the config
+# hash it has always had; a changed key, default or hash shows here.
+PINNED_CONFIGS = {
+    "spectrum": (["--dJ", "0.2"], "855fa84c"),
+    "prepare-plus": ([], "5eb1c49e"),
+    "pert-coeffs": (["--dJ", "0.3"], "5bb7042d"),
+    "pert-fidelity": (["--Jp", "0.1"], "4cda0529"),
+    "pert-allowed": ([], "39571778"),
+    "pert-validate": (["--dJ", "0.3", "--Jp", "0.05"], "ccab6e45"),
+    "optctrl-optimize": ([], "7f92cf94"),
+    "optctrl-gradcheck": ([], "5e07602f"),
+    "optctrl-robustness": (["--result", "result.json"], "953037b6"),
+    "optctrl-liedim": ([], "0b83db49"),
+    "geophase-table": ([], "052fe2a6"),
+    "geophase-dynamics": ([], "6ffbe106"),
+    "schwinger-check": ([], "0610cb34"),
+    "hubbard-check": ([], "716fd6cf"),
+    "report": (["--figure", "pertfid"], "64462497"),
+}
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_command_table_pins_flags_and_config_hash(name, tmp_path, monkeypatch):
+    _, help_text, options = COMMANDS[name]
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed_flags = {flag for action in sub.choices[name]._actions for flag in action.option_strings}
+    assert parsed_flags == COMMON_FLAGS | {flag for flag, _ in options}
+
+    def stub(config, args):
+        return ["x"], [{"x": 1}], None
+
+    monkeypatch.setitem(COMMANDS, name, (stub, help_text, options))
+    argv, config_hash = PINNED_CONFIGS[name]
+    assert _run(tmp_path, name, *argv) == 0
+    assert os.path.basename(_only_run_dir(tmp_path)) == f"{name}-{config_hash}"
 
 
 # ---------------------------------------------------------------------------

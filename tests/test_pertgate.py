@@ -1,7 +1,9 @@
 """Second-order coefficients, echoed gate fidelity, and phase matching."""
 from __future__ import annotations
 
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +34,8 @@ from plaqgate.pertgate import (
     sweep,
     validate_effective,
 )
-from plaqgate.spincore import eig_hermitian
+from plaqgate.plaquette import logical_basis
+from plaqgate.spincore import PAULI_X, PAULI_Z, eig_hermitian
 
 TARGETS = ("corrected_cphase", "cphase_literal", "effective")
 
@@ -131,6 +134,15 @@ def test_echo_pulse_is_unitary_involution_on_logical_space():
     assert np.linalg.norm(x @ x - np.eye(256)) < 1e-10
 
 
+def test_physical_echo_is_the_exact_pi_rotation():
+    cols = logical_basis().logical_columns()
+    block = cols.conj().T @ _echo_pulse_single_physical() @ cols
+    target = 0.5 * PAULI_X - (np.sqrt(3.0) / 2.0) * PAULI_Z
+    phase = np.trace(target.conj().T @ block) / 2.0
+    assert abs(abs(phase) - 1.0) < 1e-14
+    assert np.abs(block - phase * target).max() < 1e-14
+
+
 def test_physical_echo_matches_ideal_on_logical_subspace():
     iso = _logical_isometry()
     ideal = iso.conj().T @ echo_pulse(physical=False) @ iso
@@ -188,6 +200,24 @@ def test_allowed_ratio_1_1():
 def test_allowed_ratio_3_4():
     ratios = allowed_ratios(3, 4)
     assert any(abs(r - 0.43420855078697207) < 1e-10 for r in ratios)
+
+
+def _lambda_z_exact(r: Fraction) -> Fraction:
+    return (9 / r - 8 / (r - 3) + 2 - 24 / (r + 1) + 1 / (2 - r)) / 48
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (3, 4), (4, 1)])
+def test_allowed_ratios_bracket_exact_roots(n, m):
+    # lambda_z - tau, evaluated in exact rationals, changes sign within
+    # 16 ulp of every returned ratio
+    tau = Fraction(1, 8) + Fraction(2 * n - 1, 16 * m)
+    ratios = allowed_ratios(n, m)
+    assert ratios
+    for r in ratios:
+        step = 16 * math.ulp(r)
+        below = _lambda_z_exact(Fraction(r - step)) - tau
+        above = _lambda_z_exact(Fraction(r + step)) - tau
+        assert below * above < 0
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (3, 4)])

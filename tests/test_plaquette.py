@@ -192,6 +192,14 @@ def test_hubbard_gap_matches_superexchange(statistics, t_over_u):
     assert abs(gap - ref) <= 5.0 * t_over_u**2
 
 
+@pytest.mark.parametrize("statistics", ["fermion", "boson"])
+@pytest.mark.parametrize("t_over_u", [0.005, 0.02, 0.1])
+def test_hubbard_gap_is_exact(statistics, t_over_u):
+    # the two-site singlet-triplet gap in closed form, (sqrt(U^2 + 16 t^2) - U)/2
+    gap, _ = superexchange_hubbard_check(t_over_u, 1.0, statistics)
+    assert abs(gap - (np.sqrt(1.0 + 16.0 * t_over_u**2) - 1.0) / 2.0) < 1e-12
+
+
 def test_hubbard_rejects_unknown_statistics():
     with pytest.raises(ValueError):
         superexchange_hubbard_check(0.02, 1.0, "anyon")
