@@ -202,18 +202,15 @@ def _cmd_prepare_plus(config: RunConfig, args):
     return ["mode", "angle_scale", "fidelity"], rows, None
 
 
+def _coeff_row(r: float) -> dict:
+    """lambda_z, gamma_z and the logical splitting at d/J = r (J = 1)."""
+    c = pertgate.effective_coeffs(1.0, r)
+    return {"d_over_J": r, "lambda_z": c.lambda_z, "gamma_z": c.gamma_z, "delta_e": c.delta_e}
+
+
 def _cmd_pert_coeffs(config: RunConfig, args):
-    r = config.params["dJ"]
-    coeffs = pertgate.effective_coeffs(1.0, r)
-    rows = [
-        {
-            "d_over_J": r,
-            "lambda_z": coeffs.lambda_z,
-            "gamma_z": coeffs.gamma_z,
-            "delta_e": coeffs.delta_e,
-        }
-    ]
-    return ["d_over_J", "lambda_z", "gamma_z", "delta_e"], rows, None
+    rows = [_coeff_row(config.params["dJ"])]
+    return list(rows[0]), rows, None
 
 
 def _cmd_pert_fidelity(config: RunConfig, args):
@@ -225,20 +222,18 @@ def _cmd_pert_fidelity(config: RunConfig, args):
     return list(pertgate.SWEEP_FIELDS), rows, None
 
 
-def _cmd_pert_allowed(config: RunConfig, args):
-    n, m = config.params["n"], config.params["m"]
-    ratios = pertgate.allowed_ratios(n, m)
+def _allowed_rows(n: int, m: int) -> list[dict]:
+    """The allowed ratios of (n, m) with lambda_z and its distance from the level."""
     level = 0.125 + (2 * n - 1) / (16.0 * m)
-    rows = [
-        {
-            "n": n,
-            "m": m,
-            "ratio": r,
-            "lambda_z": pertgate.effective_coeffs(1.0, r).lambda_z,
-            "residual": abs(pertgate.effective_coeffs(1.0, r).lambda_z - level),
-        }
-        for r in ratios
-    ]
+    rows = []
+    for r in pertgate.allowed_ratios(n, m):
+        lam = pertgate.effective_coeffs(1.0, r).lambda_z
+        rows.append({"n": n, "m": m, "ratio": r, "lambda_z": lam, "residual": abs(lam - level)})
+    return rows
+
+
+def _cmd_pert_allowed(config: RunConfig, args):
+    rows = _allowed_rows(config.params["n"], config.params["m"])
     return ["n", "m", "ratio", "lambda_z", "residual"], rows, None
 
 
@@ -247,15 +242,8 @@ def _cmd_pert_validate(config: RunConfig, args):
     params = pertgate.PertParams(j=1.0, d=p["dJ"], jp=p["jp"])
     horizon = p["horizon_tc"] * pertgate.gate_time(params)
     dev = pertgate.validate_effective(params, horizon)
-    rows = [
-        {
-            "d_over_J": p["dJ"],
-            "Jp_over_J": p["jp"],
-            "horizon": horizon,
-            "max_deviation": dev,
-        }
-    ]
-    return ["d_over_J", "Jp_over_J", "horizon", "max_deviation"], rows, None
+    rows = [{"d_over_J": p["dJ"], "Jp_over_J": p["jp"], "horizon": horizon, "max_deviation": dev}]
+    return list(rows[0]), rows, None
 
 
 def _cmd_optctrl_optimize(config: RunConfig, args):
@@ -326,7 +314,15 @@ def _statistics(choice: str) -> tuple[str, ...]:
     return ("boson", "fermion") if choice == "both" else (choice,)
 
 
-def _geophase_params(u_l_aa: float, u_r_ab: float, bias_surplus: float) -> geophase.OnsiteParams:
+def _geophase_params(
+    statistics: str, u_l_aa: float, u_r_ab: float, bias_surplus: "float | None" = None
+) -> geophase.OnsiteParams:
+    """Link energies at omega = max(20 U_R^ab, 1), t = 1 and Delta - omega = bias_surplus.
+
+    The default bias is resonant: Delta - omega is 0 for bosons, U_R^ab for fermions.
+    """
+    if bias_surplus is None:
+        bias_surplus = 0.0 if statistics == "boson" else u_r_ab
     omega = max(20.0 * u_r_ab, 1.0)
     return geophase.OnsiteParams(
         mu_l=omega + bias_surplus,
@@ -345,10 +341,7 @@ def _cmd_geophase_table(config: RunConfig, args):
     fields = ["statistics", "n_L", "n_R_a", "j_R", "c0", "c1", "c2", "resonant"]
     rows = []
     for stat in _statistics(p["statistics"]):
-        surplus = p["bias_surplus"]
-        if surplus is None:
-            surplus = 0.0 if stat == "boson" else p["u_r_ab"]
-        params = _geophase_params(p["u_l_aa"], p["u_r_ab"], surplus)
+        params = _geophase_params(stat, p["u_l_aa"], p["u_r_ab"], p["bias_surplus"])
         for e in geophase.resonance_table(params, stat):
             rows.append(
                 {
@@ -374,8 +367,7 @@ def _cmd_geophase_dynamics(config: RunConfig, args):
             for s in _statistics(p["statistics"]) for sec in sectors]
 
     def point(statistics: str, sector: str) -> dict:
-        surplus = 0.0 if statistics == "boson" else u
-        params = _geophase_params(u_l_aa, u, surplus)
+        params = _geophase_params(statistics, u_l_aa, u)
         t_ret, phase, leak = geophase.tunneling_phase(sector, params, statistics)
         return {"return_time": t_ret, "phase": phase, "leakage": leak}
 
@@ -395,65 +387,50 @@ def _cmd_hubbard_check(config: RunConfig, args):
     rows = []
     for stat in _statistics(p["statistics"]):
         gap, ref = plaquette.superexchange_hubbard_check(p["t_over_u"], 1.0, stat)
-        rows.append(
-            {
-                "statistics": stat,
-                "t_over_u": p["t_over_u"],
-                "gap": gap,
-                "four_t2_over_u": ref,
-                "rel_error": abs(gap - ref) / ref,
-            }
-        )
+        rows.append({"statistics": stat, "t_over_u": p["t_over_u"], "gap": gap,
+                     "four_t2_over_u": ref, "rel_error": abs(gap - ref) / ref})
     return ["statistics", "t_over_u", "gap", "four_t2_over_u", "rel_error"], rows, None
 
 
+#: figure -> (schema, fields, rows, gnuplot). `rows()` computes the dataset
+#: with the rows of the command that owns the figure; `fields` picks the
+#: columns the figure shows.
 REPORT_FIGURES = {
-    "pertfid": "Gate fidelity vs d/J at J'/J in {0.05, 0.1, 0.2} (columns: "
-    + ", ".join(pertgate.SWEEP_FIELDS)
-    + ")",
-    "coeffs": "Effective coupling coefficients vs d/J (columns: d_over_J, lambda_z, gamma_z)",
-    "allowed": "Allowed d/J ratios for small (n, m) (columns: n, m, ratio, lambda_z)",
+    "pertfid": (
+        "Gate fidelity vs d/J at J'/J in {0.05, 0.1, 0.2} (columns: "
+        + ", ".join(pertgate.SWEEP_FIELDS) + ")",
+        list(pertgate.SWEEP_FIELDS),
+        lambda: pertgate.sweep(pertgate.default_sweep_grid(), [0.05, 0.1, 0.2]),
+        'set xlabel "d/J"\nset ylabel "F"\nset key bottom\n'
+        "plot for [jp in \"0.05 0.1 0.2\"] 'data.csv' "
+        'using 1:($2 == jp + 0 ? $6 : 1/0) every ::1 with lines title "J\'/J = ".jp\n',
+    ),
+    "coeffs": (
+        "Effective coupling coefficients vs d/J (columns: d_over_J, lambda_z, gamma_z)",
+        ["d_over_J", "lambda_z", "gamma_z"],
+        lambda: [_coeff_row(float(r)) for r in pertgate.default_sweep_grid()],
+        'set xlabel "d/J"\n'
+        "plot 'data.csv' using 1:2 every ::1 with lines title \"lambda_z\", "
+        "'data.csv' using 1:3 every ::1 with lines title \"gamma_z\"\n",
+    ),
+    "allowed": (
+        "Allowed d/J ratios for small (n, m) (columns: n, m, ratio, lambda_z)",
+        ["n", "m", "ratio", "lambda_z"],
+        lambda: [row for nm in ((1, 1), (1, 2), (2, 1), (3, 4)) for row in _allowed_rows(*nm)],
+        "plot 'data.csv' using 3:4 every ::1 with points title \"allowed ratios\"\n",
+    ),
 }
 
 
 def _cmd_report(config: RunConfig, args):
     figure = config.params["figure"]
-    if figure == "pertfid":
-        d_values = pertgate.default_sweep_grid()
-        rows = pertgate.sweep(d_values, [0.05, 0.1, 0.2])
-        fields = list(pertgate.SWEEP_FIELDS)
-        gnuplot = (
-            'set xlabel "d/J"\nset ylabel "F"\nset key bottom\n'
-            "plot for [jp in \"0.05 0.1 0.2\"] 'data.csv' "
-            'using 1:($2 == jp + 0 ? $6 : 1/0) every ::1 with lines title "J\'/J = ".jp\n'
-        )
-    elif figure == "coeffs":
-        rows = []
-        for r in pertgate.default_sweep_grid():
-            c = pertgate.effective_coeffs(1.0, float(r))
-            rows.append({"d_over_J": float(r), "lambda_z": c.lambda_z, "gamma_z": c.gamma_z})
-        fields = ["d_over_J", "lambda_z", "gamma_z"]
-        gnuplot = (
-            'set xlabel "d/J"\n'
-            "plot 'data.csv' using 1:2 every ::1 with lines title \"lambda_z\", "
-            "'data.csv' using 1:3 every ::1 with lines title \"gamma_z\"\n"
-        )
-    elif figure == "allowed":
-        rows = []
-        for n, m in ((1, 1), (1, 2), (2, 1), (3, 4)):
-            for r in pertgate.allowed_ratios(n, m):
-                rows.append(
-                    {"n": n, "m": m, "ratio": r, "lambda_z": pertgate.effective_coeffs(1.0, r).lambda_z}
-                )
-        fields = ["n", "m", "ratio", "lambda_z"]
-        gnuplot = "plot 'data.csv' using 3:4 every ::1 with points title \"allowed ratios\"\n"
-    else:
-        raise ValueError(f"unknown figure {figure!r}; choose from {sorted(REPORT_FIGURES)}")
+    schema, fields, compute_rows, gnuplot = REPORT_FIGURES[figure]
+    rows = compute_rows()
     run_dir = config.run_dir()
     os.makedirs(run_dir, exist_ok=True)
     with open(os.path.join(run_dir, "plot.gp"), "w") as fh:
         fh.write(gnuplot)
-    return fields, rows, {"figure": figure, "schema": REPORT_FIGURES[figure], "artifacts": ["plot.gp"]}
+    return fields, rows, {"figure": figure, "schema": schema, "artifacts": ["plot.gp"]}
 
 
 _STATISTICS = {"choices": ("boson", "fermion", "both"), "default": "both"}

@@ -23,8 +23,8 @@ Conventions adopted here (fixed by the ledger rows):
   * the right-site inter-band coupling is U_R^ab (n^a n^b + spin exchange)
     for bosons and U_R^ab (n^a n^b - spin exchange) for fermions, where the
     exchange sum is sum_{s,s'} a^dag_s b^dag_s' b_s a_s';
-  * the band-changing pair transfer sum b^dag b^dag a a is dropped by
-    default (energy non-conserving at omega >> U; a flag restores it).
+  * the band-changing pair transfer sum b^dag b^dag a a is dropped
+    (energy non-conserving at omega >> U).
 
 Sector dynamics: after the adiabatic tilt that begins the gate, singlet
 pairs of one plaquette edge distribute one boson per site while triplet
@@ -417,41 +417,24 @@ class TwoBandFockSpace:
         worst = 0.0
         swap_sign = 1.0 if self.statistics == "fermion" else -1.0
 
-        def accumulate(occ, chains):
-            acc: dict = {}
+        def defect(occ, chains, identity: float = 0.0) -> float:
+            """Largest amplitude of sum(chains) |occ> + identity |occ>."""
+            acc = {occ: identity}
             for coef, ops in chains:
                 out = self.apply_string(occ, ops)
                 if out is not None:
                     acc[out[0]] = acc.get(out[0], 0.0) + coef * out[1]
-            return max((abs(v) for v in acc.values()), default=0.0)
+            return max(abs(v) for v in acc.values())
 
-        for i in range(len(MODE_LABELS)):
-            for j in range(len(MODE_LABELS)):
-                for occ in self.occupations:
-                    # a_i a_j -/+ a_j a_i = 0 never touches the cap
-                    worst = max(
-                        worst,
-                        accumulate(
-                            occ,
-                            [
-                                (1.0, [(i, -1), (j, -1)]),
-                                (swap_sign, [(j, -1), (i, -1)]),
-                            ],
-                        ),
-                    )
-                    if self.statistics == "boson" and (
-                        occ[i] >= self.cap or occ[j] >= self.cap
-                    ):
-                        continue
-                    acc: dict = {occ: -1.0 if i == j else 0.0}
-                    for coef, ops in (
-                        (1.0, [(i, -1), (j, +1)]),
-                        (swap_sign, [(j, +1), (i, -1)]),
-                    ):
-                        out = self.apply_string(occ, ops)
-                        if out is not None:
-                            acc[out[0]] = acc.get(out[0], 0.0) + coef * out[1]
-                    worst = max(worst, max(abs(v) for v in acc.values()))
+        for i, j in itertools.product(range(len(MODE_LABELS)), repeat=2):
+            for occ in self.occupations:
+                # a_i a_j -/+ a_j a_i = 0 never touches the cap
+                anti = [(1.0, [(i, -1), (j, -1)]), (swap_sign, [(j, -1), (i, -1)])]
+                worst = max(worst, defect(occ, anti))
+                if self.statistics == "boson" and (occ[i] >= self.cap or occ[j] >= self.cap):
+                    continue
+                mixed = [(1.0, [(i, -1), (j, +1)]), (swap_sign, [(j, +1), (i, -1)])]
+                worst = max(worst, defect(occ, mixed, -1.0 if i == j else 0.0))
         return worst
 
 
@@ -469,27 +452,13 @@ def _exchange_strings(sign: float):
     return strings
 
 
-def _pair_transfer_strings():
-    """Band-changing sum_{s,s'} b^dag_s b^dag_s' a_s a_s' (plus h.c. added later)."""
-    spins = ((RA_UP, RB_UP), (RA_DN, RB_DN))
-    strings = []
-    for a_s, b_s in spins:
-        for a_sp, b_sp in spins:
-            strings.append((1.0, [(b_s, +1), (b_sp, +1), (a_s, -1), (a_sp, -1)]))
-    return strings
-
-
 def onsite_hamiltonian(
-    params: OnsiteParams,
-    statistics: str,
-    space: TwoBandFockSpace,
-    include_band_changing: bool = False,
+    params: OnsiteParams, statistics: str, space: TwoBandFockSpace
 ) -> np.ndarray:
     """Second-quantized on-site energy of the link (no tunneling term).
 
     Conserves the total particle number and the total spin; the
-    energy-non-conserving pair transfer between bands is excluded unless
-    `include_band_changing` (bosons only).
+    energy-non-conserving pair transfer between bands is excluded.
     """
     if statistics != space.statistics:
         raise ValueError("statistics of params call and Fock space disagree")
@@ -510,9 +479,6 @@ def onsite_hamiltonian(
         band -= space.operator(_exchange_strings(+1.0))
     h = np.diag(diag).astype(complex)
     h += params.u_r_ab * band
-    if statistics == "boson" and include_band_changing:
-        pair = space.operator(_pair_transfer_strings())
-        h += params.u_r_ab * (pair + pair.conj().T)
     return h
 
 

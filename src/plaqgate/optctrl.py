@@ -209,6 +209,11 @@ def _slice_unitaries(lam: np.ndarray, vecs: np.ndarray, dt: float) -> np.ndarray
     return np.einsum("spq,sq,srq->spr", vecs, phases, vecs.conj())
 
 
+def _gate_overlap(u: np.ndarray) -> float:
+    """F = |Tr(U_g^dag U)/16|^2 against the controlled-phase target."""
+    return float(abs(np.trace(target_gate().conj().T @ u) / FULL_DIM) ** 2)
+
+
 def _product_of_slices(pulse: PulseParams, steps: int, ops: np.ndarray) -> np.ndarray:
     dt, _, lam, vecs = _slice_eigs(pulse, steps, ops)
     slices = _slice_unitaries(lam, vecs, dt)
@@ -232,15 +237,10 @@ def propagate(pulse: PulseParams, steps: int = 2000, check: bool = False) -> np.
     u = _product_of_slices(pulse, steps, ops)
     if not check:
         return u
-    u_g = target_gate()
-
-    def fid(mat: np.ndarray) -> float:
-        return float(abs(np.trace(u_g.conj().T @ mat) / FULL_DIM) ** 2)
-
     for _ in range(10):
         steps *= 2
         u_fine = _product_of_slices(pulse, steps, ops)
-        err = abs(fid(u_fine) - fid(u))
+        err = abs(_gate_overlap(u_fine) - _gate_overlap(u))
         u = u_fine
         if err <= 1e-9:
             return u
@@ -284,9 +284,7 @@ def fidelity_and_gradient(
 
     gamma = _phi_matrix(lam, dt)
     g_mat = u_g.conj().T @ u_tot
-    m_all = np.empty((steps, FULL_DIM, FULL_DIM), dtype=complex)
-    for s in range(steps):
-        m_all[s] = prefixes[s] @ g_mat @ prefixes[s + 1].conj().T
+    m_all = prefixes[:-1] @ g_mat @ prefixes[1:].conj().transpose(0, 2, 1)
     m_til = np.einsum("sqp,sqr,srt->spt", vecs.conj(), m_all, vecs, optimize=True)
     o_til = np.einsum("sqp,kqr,srt->skpt", vecs.conj(), ops, vecs, optimize=True)
     weight = m_til.transpose(0, 2, 1) * gamma
@@ -305,12 +303,9 @@ def gradient_check(pulse: PulseParams, steps: int = 250, fd_step: float = 1e-6) 
     gradient is nearly flat.
     """
     _, grad = fidelity_and_gradient(pulse, steps)
-    ops = _ops_stack()
-    u_g = target_gate()
 
     def f_only(x: np.ndarray) -> float:
-        u = _product_of_slices(PulseParams(x, pulse.t_horizon), steps, ops)
-        return float(abs(np.trace(u_g.conj().T @ u) / FULL_DIM) ** 2)
+        return _gate_overlap(propagate(PulseParams(x, pulse.t_horizon), steps))
 
     fd = np.zeros_like(grad)
     for idx in np.ndindex(*pulse.x.shape):
@@ -432,14 +427,12 @@ def robustness_sweep(
     """Infidelity under the globally scaled Hamiltonian (1 - delta) H.
 
     Scaling H is identical to scaling every coefficient in x, so each point
-    is one fidelity evaluation at (1 - delta) x.
+    is one propagation at (1 - delta) x.
     """
-    out = []
-    for delta in deviations:
-        scaled = PulseParams((1.0 - delta) * pulse.x, pulse.t_horizon)
-        fval, _ = fidelity_and_gradient(scaled, steps=steps)
-        out.append(float(1.0 - fval))
-    return out
+    return [
+        1.0 - _gate_overlap(propagate(PulseParams((1.0 - d) * pulse.x, pulse.t_horizon), steps))
+        for d in deviations
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -185,24 +185,20 @@ def effective_hamiltonian(p: PertParams, form: str = "rwa") -> np.ndarray:
     g = p.jp**2 / p.j
     z1, z2 = _two_qubit(PAULI_Z, np.eye(2)), _two_qubit(np.eye(2), PAULI_Z)
     x1, x2 = _two_qubit(PAULI_X, np.eye(2)), _two_qubit(np.eye(2), PAULI_X)
-    xx = _two_qubit(PAULI_X, PAULI_X)
-    yy = _two_qubit(PAULI_Y, PAULI_Y)
-    zz = _two_qubit(PAULI_Z, PAULI_Z)
     if form == "full":
         h = (c.delta_e / 2.0 - g * c.gamma_z) * (z1 + z2)
-        h = h - g * (0.25 * xx + c.lambda_z * zz)
+        h = h - g * (0.25 * _two_qubit(PAULI_X, PAULI_X) + c.lambda_z * _ZZ_4)
         cross = _two_qubit(PAULI_X, PAULI_Z) + _two_qubit(PAULI_Z, PAULI_X)
         h = h - g * (-(cross) / (4.0 * np.sqrt(3.0)) + (x1 + x2) / (4.0 * np.sqrt(3.0)))
         return h
     if form == "rwa":
-        heis = xx + yy + zz
         return (c.delta_e / 2.0 - g * c.gamma_z) * (z1 + z2) - g * (
-            heis / 8.0 + (c.lambda_z - 0.125) * zz
+            _HEIS_4 / 8.0 + (c.lambda_z - 0.125) * _ZZ_4
         )
     if form == "ising_dJ":
         if abs(p.d - p.j) > 1e-12 * abs(p.j):
             raise ValueError("ising_dJ form requires d = J")
-        return -(p.jp**2 / (3.0 * p.j)) * (zz - (z1 + z2) / 2.0)
+        return -(p.jp**2 / (3.0 * p.j)) * (_ZZ_4 - (z1 + z2) / 2.0)
     raise ValueError(f"unknown form {form!r}; expected 'full', 'rwa' or 'ising_dJ'")
 
 

@@ -209,49 +209,27 @@ class PlaquetteSpectrum:
     quintet: float
     offset: float  # quoted = bare + offset
 
-    @property
-    def bare_singlets(self) -> np.ndarray:
-        return self.singlets - self.offset
-
-    @property
-    def bare_triplets(self) -> np.ndarray:
-        return self.triplets - self.offset
-
-    @property
-    def bare_quintet(self) -> float:
-        return self.quintet - self.offset
-
-    def level_count(self) -> int:
-        return len(self.singlets) + 3 * len(self.triplets) + 5
-
 
 def plaquette_spectrum(j: float, d: float) -> PlaquetteSpectrum:
     """Diagonalize heisenberg_plaquette(diag(j, d)) and group by total spin."""
     h = heisenberg_plaquette(PlaquetteCouplings.diag(j, d))
     s2 = total_spin_squared(plaquette_register())
     spec = eig_hermitian(h)
-    labels = []
-    for col in range(16):
-        v = spec.eigenvectors[:, col]
-        s2val = float(np.real(np.vdot(v, s2 @ v)))  # 4S(S+1)
-        s = round((-1.0 + np.sqrt(1.0 + s2val)) / 2.0)
-        labels.append(s)
+    v = spec.eigenvectors
+    s2vals = np.einsum("ik,ij,jk->k", v.conj(), s2, v).real  # 4S(S+1)
+    spins = np.rint((np.sqrt(1.0 + s2vals) - 1.0) / 2.0)
     offset = 4.0 * j + 2.0 * d
-    by_spin: dict[int, list[float]] = {0: [], 1: [], 2: []}
-    for e, s in zip(spec.eigenvalues, labels):
-        by_spin[s].append(float(e) + offset)
-    singlets = np.sort(by_spin[0])
-    # each S=1 multiplet appears three times in the raw list
-    triplet_levels = np.sort(by_spin[1])[::3]
-    quintets = by_spin[2]
-    if len(singlets) != 2 or len(by_spin[1]) != 9 or len(quintets) != 5:
+    levels = spec.eigenvalues + offset
+    singlets, triplet_states, quintets = (levels[spins == s] for s in (0, 1, 2))
+    if len(singlets) != 2 or len(triplet_states) != 9 or len(quintets) != 5:
         raise RuntimeError(
             f"unexpected multiplet structure: {len(singlets)} singlets, "
-            f"{len(by_spin[1])} triplet states, {len(quintets)} quintet states"
+            f"{len(triplet_states)} triplet states, {len(quintets)} quintet states"
         )
     return PlaquetteSpectrum(
-        singlets=singlets,
-        triplets=np.asarray(triplet_levels),
+        singlets=np.sort(singlets),
+        # each S=1 multiplet appears three times among the states
+        triplets=np.sort(triplet_states)[::3],
         quintet=float(np.mean(quintets)),
         offset=offset,
     )
@@ -347,17 +325,21 @@ def superexchange_hubbard_check(t: float, u: float, statistics: str) -> tuple[fl
 
     For fermions the singlet lies below the triplet; for bosons the ordering
     flips. The returned gap is positive in both cases and approaches 4t^2/U
-    with a relative error of order (t/U)^2.
+    with a relative error of order (t/U)^2. The sign of t is a gauge choice
+    (R_a -> -R_a), so the check runs at |t| and t, -t give the same result.
 
     Returns:
         (exact_gap, 4t^2/U)
+
+    Raises:
+        ValueError: unless 0 < |t|/U <= 0.1 (at t = 0 there is no gap to compare).
     """
     if statistics not in ("boson", "fermion"):
         raise ValueError(f"statistics must be 'boson' or 'fermion', got {statistics!r}")
     if u <= 0:
         raise ValueError("U must be positive")
-    if t != 0 and t / u > 0.1:
-        raise ValueError(f"t/U = {t / u:.3f} is too large for the superexchange regime (need <= 0.1)")
-    e_singlet, e_triplet = _two_site_hubbard(t, u, statistics)
+    if t == 0 or abs(t) / u > 0.1:
+        raise ValueError(f"t/U = {t / u:.3g} is outside the superexchange regime 0 < |t/U| <= 0.1")
+    e_singlet, e_triplet = _two_site_hubbard(abs(t), u, statistics)
     gap = (e_triplet - e_singlet) if statistics == "fermion" else (e_singlet - e_triplet)
     return float(gap), 4.0 * t * t / u

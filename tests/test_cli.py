@@ -7,7 +7,8 @@ import os
 
 import pytest
 
-from plaqgate.cli import COMMANDS, RunConfig, _build_parser, run, sweep
+from plaqgate.cli import COMMANDS, REPORT_FIGURES, RunConfig, _build_parser, run, sweep
+from plaqgate.pertgate import default_sweep_grid
 
 
 def _run(tmp_path, *argv) -> int:
@@ -18,6 +19,12 @@ def _only_run_dir(tmp_path) -> str:
     entries = [p for p in tmp_path.iterdir() if p.is_dir()]
     assert len(entries) == 1
     return str(entries[0])
+
+
+def _json_rows(out_dir, *argv) -> list[dict]:
+    """Run one command into a fresh `out_dir` and read back its JSON dataset."""
+    assert _run(out_dir, *argv, "--format", "json") == 0
+    return json.load(open(os.path.join(_only_run_dir(out_dir), "data.json")))
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +194,30 @@ def test_report_writes_plot_script(tmp_path):
     assert manifest["fields"] == ["d_over_J", "lambda_z", "gamma_z"]
 
 
+def test_report_coeffs_rows_are_pert_coeffs_rows(tmp_path):
+    report = _json_rows(tmp_path / "report", "report", "--figure", "coeffs")
+    assert [row["d_over_J"] for row in report] == [float(r) for r in default_sweep_grid()]
+    for k, row in enumerate(report):
+        (single,) = _json_rows(tmp_path / str(k), "pert-coeffs", "--dJ", repr(row["d_over_J"]))
+        del single["delta_e"]
+        assert row == single
+
+
+def test_report_allowed_rows_are_pert_allowed_rows(tmp_path):
+    expected = []
+    for n, m in ((1, 1), (1, 2), (2, 1), (3, 4)):
+        for row in _json_rows(tmp_path / f"{n}-{m}", "pert-allowed", "--n", str(n), "--m", str(m)):
+            del row["residual"]
+            expected.append(row)
+    assert _json_rows(tmp_path / "report", "report", "--figure", "allowed") == expected
+
+
+def test_report_figure_choices_are_the_figure_table():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    figure = next(a for a in sub.choices["report"]._actions if a.dest == "figure")
+    assert sorted(figure.choices) == sorted(REPORT_FIGURES)
+
+
 # ---------------------------------------------------------------------------
 # The command table
 # ---------------------------------------------------------------------------
@@ -254,3 +285,8 @@ def test_exit_3_nonconverged_gradcheck(tmp_path):
         "--fd-step", "0.5",
     )
     assert code == 3
+
+
+def test_exit_2_hubbard_check_outside_superexchange_regime(tmp_path, capsys):
+    assert _run(tmp_path, "hubbard-check", "--t-over-u", "0") == 2
+    assert "t/U = 0 is outside the superexchange regime" in capsys.readouterr().err

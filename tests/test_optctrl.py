@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from plaqgate.optctrl import (
     FULL_DIM,
@@ -249,6 +252,31 @@ def test_robustness_sweep_baseline():
     f, _ = fidelity_and_gradient(pulse, steps=300)
     assert abs(infs[0] - (1.0 - f)) < 1e-12
     assert len(infs) == 2
+
+
+_PULSES = st.integers(1, 6).flatmap(
+    lambda n_harmonics: arrays(np.float64, (5, n_harmonics), elements=st.floats(-2.0, 2.0))
+)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(x=_PULSES, steps=st.integers(1, 300), t_horizon=st.floats(0.1, 3.0))
+def test_propagate_is_unitary_on_drawn_pulses(x, steps, t_horizon):
+    # each slice is unitary to a few times 16 eps (the orthonormality of eigh's
+    # eigenvectors; at most 2.9 in 400 drawn pulses). When every slice has the
+    # same eigenvectors, as for a one-harmonic pulse of 1e-244 that LAPACK
+    # rescales, the slice errors add linearly in the step count.
+    u = propagate(PulseParams(x, t_horizon), steps=steps)
+    bound = steps * 8 * FULL_DIM * np.finfo(float).eps
+    assert np.linalg.norm(u.conj().T @ u - np.eye(FULL_DIM)) <= bound
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(x=_PULSES, delta=st.floats(-0.5, 0.5), steps=st.integers(1, 200))
+def test_robustness_sweep_is_infidelity_of_scaled_pulse(x, delta, steps):
+    pulse = PulseParams(x, 1.0)
+    f, _ = fidelity_and_gradient(PulseParams((1.0 - delta) * x, 1.0), steps=steps)
+    assert abs(robustness_sweep(pulse, [delta], steps=steps)[0] - (1.0 - f)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

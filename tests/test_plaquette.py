@@ -205,6 +205,21 @@ def test_hubbard_rejects_unknown_statistics():
         superexchange_hubbard_check(0.02, 1.0, "anyon")
 
 
+@pytest.mark.parametrize("statistics", ["fermion", "boson"])
+@pytest.mark.parametrize("t", [0.0, -0.5])
+def test_hubbard_rejects_t_outside_superexchange_regime(statistics, t):
+    # t = 0 has no gap to compare; |t|/U = 0.5 is far from superexchange
+    with pytest.raises(ValueError, match="t/U"):
+        superexchange_hubbard_check(t, 1.0, statistics)
+
+
+@pytest.mark.parametrize("statistics", ["fermion", "boson"])
+def test_hubbard_check_is_even_in_t(statistics):
+    assert superexchange_hubbard_check(-0.02, 1.0, statistics) == superexchange_hubbard_check(
+        0.02, 1.0, statistics
+    )
+
+
 def test_exchange_pulse_leaves_total_spin_invariant():
     # exchange generators commute with every total-spin component
     reg = plaquette_register()
