@@ -262,18 +262,10 @@ def _cmd_optctrl_optimize(config: RunConfig, args):
     os.makedirs(run_dir, exist_ok=True)
     optctrl.export_result_json(result, p["t_horizon"], os.path.join(run_dir, "result.json"))
     optctrl.export_pulse_csv(pulse, os.path.join(run_dir, "pulse.csv"))
-    max_amp = pulse.max_amplitudes()
-    rows = [
-        {
-            "seed": config.seed,
-            "infidelity": result.infidelity,
-            "iterations": result.iterations,
-            "restarts_used": result.restarts_used,
-            "gradient_norm": result.gradient_norm,
-            "max_amplitude": float(max_amp.max()),
-        }
-    ]
     fields = ["seed", "infidelity", "iterations", "restarts_used", "gradient_norm", "max_amplitude"]
+    rows = [dict(zip(fields, (config.seed, result.infidelity, result.iterations,
+                              result.restarts_used, result.gradient_norm,
+                              float(pulse.max_amplitudes().max()))))]
     return fields, rows, {"artifacts": ["result.json", "pulse.csv"]}
 
 
@@ -324,16 +316,8 @@ def _geophase_params(
     if bias_surplus is None:
         bias_surplus = 0.0 if statistics == "boson" else u_r_ab
     omega = max(20.0 * u_r_ab, 1.0)
-    return geophase.OnsiteParams(
-        mu_l=omega + bias_surplus,
-        mu_r=0.0,
-        omega=omega,
-        u_l_aa=u_l_aa,
-        u_r_aa=u_r_ab,
-        u_r_bb=u_r_ab,
-        u_r_ab=u_r_ab,
-        t=1.0,
-    )
+    return geophase.OnsiteParams(mu_l=omega + bias_surplus, mu_r=0.0, omega=omega, u_l_aa=u_l_aa,
+                                 u_r_aa=u_r_ab, u_r_bb=u_r_ab, u_r_ab=u_r_ab, t=1.0)
 
 
 def _cmd_geophase_table(config: RunConfig, args):
@@ -343,18 +327,8 @@ def _cmd_geophase_table(config: RunConfig, args):
     for stat in _statistics(p["statistics"]):
         params = _geophase_params(stat, p["u_l_aa"], p["u_r_ab"], p["bias_surplus"])
         for e in geophase.resonance_table(params, stat):
-            rows.append(
-                {
-                    "statistics": stat,
-                    "n_L": e.config.n_l,
-                    "n_R_a": e.config.n_r_a,
-                    "j_R": e.config.j_r,
-                    "c0": e.c0,
-                    "c1": e.c1,
-                    "c2": e.c2,
-                    "resonant": e.resonant_at_bias,
-                }
-            )
+            rows.append(dict(zip(fields, (stat, e.config.n_l, e.config.n_r_a, e.config.j_r,
+                                          e.c0, e.c1, e.c2, e.resonant_at_bias))))
     return fields, rows, None
 
 

@@ -39,11 +39,14 @@ from __future__ import annotations
 import csv
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize_scalar
+
+from .spincore import read_only
 
 MODE_LABELS = ("L_a_up", "L_a_dn", "R_a_up", "R_a_dn", "R_b_up", "R_b_dn")
 L_UP, L_DN, RA_UP, RA_DN, RB_UP, RB_DN = range(6)
@@ -193,60 +196,32 @@ def delta_e1(
     else:
         c1 = Fraction(1 if config.n_l == 2 else 0)
         c2 = -Fraction(config.n_r_a + fermion_eta(config.n_r_a, 1, config.j_r), 2)
-    value = (
-        float(c0) * (params.delta - params.omega)
-        + float(c1) * params.u_l_aa
-        + float(c2) * params.u_r_ab
-    )
-    entry = EnergyLedgerEntry(
-        config=config,
-        statistics=statistics,
-        c0=c0,
-        c1=c1,
-        c2=c2,
-        resonant_at_bias=abs(value) <= threshold * abs(params.t),
-    )
-    return value, entry
+    entry = EnergyLedgerEntry(config, statistics, c0, c1, c2, resonant_at_bias=False)
+    value = entry.evaluate(params)
+    return value, replace(entry, resonant_at_bias=abs(value) <= threshold * abs(params.t))
 
 
 def table_configs(statistics: str) -> list[NumberConfig]:
-    """The ledger row set: every (n_L, n_R_a, j_R) reachable by the protocol."""
-    if statistics == "boson":
-        triples = [
-            (1, 0, Fraction(1, 2)),
-            (1, 1, Fraction(0)),
-            (1, 1, Fraction(1)),
-            (1, 2, Fraction(1, 2)),
-            (1, 2, Fraction(3, 2)),
-            (2, 1, Fraction(0)),
-            (2, 1, Fraction(1)),
-            (2, 2, Fraction(1, 2)),
-            (2, 2, Fraction(3, 2)),
-        ]
-    elif statistics == "fermion":
-        triples = [
-            (1, 0, Fraction(1, 2)),
-            (1, 1, Fraction(0)),
-            (1, 1, Fraction(1)),
-            (1, 2, Fraction(1, 2)),
-            (2, 1, Fraction(0)),
-            (2, 1, Fraction(1)),
-            (2, 2, Fraction(1, 2)),
-        ]
-    else:
+    """The ledger row set: every (n_L, n_R_a, j_R) reachable by the protocol.
+
+    Fermions reach the boson rows except j_R = 3/2: a filled fermion band is a singlet.
+    """
+    if statistics not in ("boson", "fermion"):
         raise ValueError(f"statistics must be 'boson' or 'fermion', got {statistics!r}")
-    return [NumberConfig(n_l, n_a, 1, j) for n_l, n_a, j in triples]
+    half, three_halves = Fraction(1, 2), Fraction(3, 2)
+    triples = [(1, 0, half), (1, 1, Fraction(0)), (1, 1, Fraction(1)), (1, 2, half),
+               (1, 2, three_halves), (2, 1, Fraction(0)), (2, 1, Fraction(1)), (2, 2, half),
+               (2, 2, three_halves)]
+    return [NumberConfig(n_l, n_a, 1, j) for n_l, n_a, j in triples
+            if statistics == "boson" or j != three_halves]
 
 
 def resonance_table(
     params: OnsiteParams, statistics: str, threshold: float = 0.1
 ) -> list[EnergyLedgerEntry]:
     """All ledger rows with resonance flags at the given bias, in table order."""
-    entries = []
-    for config in table_configs(statistics):
-        _, entry = delta_e1(config, params, statistics, threshold=threshold)
-        entries.append(entry)
-    return entries
+    return [delta_e1(config, params, statistics, threshold=threshold)[1]
+            for config in table_configs(statistics)]
 
 
 def export_ledger_csv(entries, path) -> None:
@@ -255,18 +230,9 @@ def export_ledger_csv(entries, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["statistics", "n_L", "n_R_a", "j_R", "c0", "c1", "c2", "resonant"])
         for e in entries:
-            writer.writerow(
-                [
-                    e.statistics,
-                    e.config.n_l,
-                    e.config.n_r_a,
-                    str(e.config.j_r),
-                    str(e.c0),
-                    str(e.c1),
-                    str(e.c2),
-                    "true" if e.resonant_at_bias else "false",
-                ]
-            )
+            writer.writerow([e.statistics, e.config.n_l, e.config.n_r_a, str(e.config.j_r),
+                             str(e.c0), str(e.c1), str(e.c2),
+                             "true" if e.resonant_at_bias else "false"])
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +418,18 @@ def _exchange_strings(sign: float):
     return strings
 
 
+@lru_cache(maxsize=None)
+def _fock_setup(statistics: str, total_number: "int | None"):
+    """(space, S^2, band exchange) of the (statistics, N) space, built once.
+
+    These are the parameter-free parts of every link Hamiltonian and initial
+    state. The arrays are read-only, and the shared space must not be modified.
+    """
+    space = TwoBandFockSpace(statistics, total_number=total_number)
+    return (space, read_only(space.total_spin_squared()),
+            read_only(space.operator(_exchange_strings(+1.0))))
+
+
 def onsite_hamiltonian(
     params: OnsiteParams, statistics: str, space: TwoBandFockSpace
 ) -> np.ndarray:
@@ -472,11 +450,11 @@ def onsite_hamiltonian(
         diag += params.u_l_aa * (n_l * (n_l - 1.0))
         diag += 0.5 * params.u_r_aa * (n_ra * (n_ra - 1.0))
         diag += 0.5 * params.u_r_bb * (n_rb * (n_rb - 1.0))
-        band += space.operator(_exchange_strings(+1.0))
+        band += _fock_setup(statistics, space.total_number)[2]
     else:
         for (up, dn), u in zip(ORBITAL_PAIRS, (params.u_l_aa, params.u_r_aa, params.u_r_bb)):
             diag += u * (space.occupation(up) * space.occupation(dn))
-        band -= space.operator(_exchange_strings(+1.0))
+        band -= _fock_setup(statistics, space.total_number)[2]
     h = np.diag(diag).astype(complex)
     h += params.u_r_ab * band
     return h
@@ -559,7 +537,7 @@ def _initial_channel_state(
     sub = [i for i in pattern if abs(s_z[i] - m_target) < 1e-9]
     if not sub:
         raise ValueError(f"no m = {channel_spin} state for occupations ({n_l}, {n_r_a})")
-    block = space.total_spin_squared()[np.ix_(sub, sub)]
+    block = _fock_setup(space.statistics, space.total_number)[1][np.ix_(sub, sub)]
     evals, evecs = np.linalg.eigh(block)
     target = float(channel_spin * (channel_spin + 1))
     hits = np.flatnonzero(np.abs(evals - target) < 1e-8)
@@ -578,9 +556,11 @@ def _link_spectrum(
     """Eigenvalues of one link and the weights |<k|psi0>|^2 of its initial state.
 
     The Hamiltonian conserves the particle number, so it is built and
-    diagonalized on the (n_l + n_r_a)-particle basis only.
+    diagonalized on the (n_l + n_r_a)-particle basis only. That space, its
+    S^2 and its band exchange do not depend on the parameters and are built
+    once per (statistics, N).
     """
-    space = TwoBandFockSpace(statistics, total_number=n_l + n_r_a)
+    space = _fock_setup(statistics, n_l + n_r_a)[0]
     psi0 = _initial_channel_state(space, n_l, n_r_a, _as_half_integer(channel_spin))
     h = onsite_hamiltonian(params, statistics, space) + tunneling_hamiltonian(params, space)
     evals, evecs = np.linalg.eigh(h)

@@ -436,13 +436,8 @@ def gate_fidelity(
     f = np.trace(t.conj().T @ u_logical) / 4.0
     phi_t = p.jp**2 * t_c / (8.0 * p.j)
     phi_s = -3.0 * p.jp**2 * t_c / (8.0 * p.j)
-    return GateReport(
-        t_c=t_c,
-        phi_t=float(phi_t),
-        phi_s=float(phi_s),
-        fidelity=float(abs(f) ** 2),
-        leakage=leakage,
-    )
+    return GateReport(t_c=t_c, phi_t=float(phi_t), phi_s=float(phi_s),
+                      fidelity=float(abs(f) ** 2), leakage=leakage)
 
 
 # ---------------------------------------------------------------------------
@@ -533,17 +528,8 @@ def sweep(
                     continue
                 p = PertParams(j=j, d=r * j, jp=jp_ratio * j, n=n, m=m)
                 report = gate_fidelity(p, target=target)
-                rows.append(
-                    {
-                        "d_over_J": float(r),
-                        "Jp_over_J": float(jp_ratio),
-                        "n": n,
-                        "m": m,
-                        "t_c": report.t_c,
-                        "F": report.fidelity,
-                        "leakage": report.leakage,
-                    }
-                )
+                rows.append(dict(zip(SWEEP_FIELDS, (float(r), float(jp_ratio), n, m, report.t_c,
+                                                    report.fidelity, report.leakage))))
     return rows
 
 

@@ -84,9 +84,9 @@ class PlaquetteCouplings:
     j24: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("j12", "j23", "j34", "j41", "j13", "j24"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"coupling {name} must be finite")
+        for i, j, c in self.pairs():
+            if not np.isfinite(c):
+                raise ValueError(f"coupling j{i}{j} must be finite")
 
     @classmethod
     def rect(cls, j_h: float, j_v: float) -> "PlaquetteCouplings":
@@ -99,14 +99,8 @@ class PlaquetteCouplings:
         return cls(j12=j, j23=j, j34=j, j41=j, j13=d, j24=d)
 
     def pairs(self) -> list[tuple[str, str, float]]:
-        return [
-            ("1", "2", self.j12),
-            ("2", "3", self.j23),
-            ("3", "4", self.j34),
-            ("4", "1", self.j41),
-            ("1", "3", self.j13),
-            ("2", "4", self.j24),
-        ]
+        """(i, j, J_ij) over the edges 12, 23, 34, 41, then the diagonals 13, 24."""
+        return [(i, j, getattr(self, f"j{i}{j}")) for i, j in ("12", "23", "34", "41", "13", "24")]
 
 
 @dataclass

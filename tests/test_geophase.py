@@ -244,6 +244,19 @@ def _reference_return_figures(evals, weights, t_hop, scan_points=8000):
     return res.x, np.angle(a_ret), max(0.0, 1.0 - abs(a_ret) ** 2), peak
 
 
+@pytest.mark.parametrize("statistics", ["boson", "fermion"])
+def test_link_setup_is_cached_read_only(statistics):
+    setup = gp._fock_setup(statistics, 4)
+    assert gp._fock_setup(statistics, 4) is setup
+    space, spin_squared, exchange = setup
+    assert space.occupations == gp.TwoBandFockSpace(statistics, total_number=4).occupations
+    np.testing.assert_array_equal(spin_squared, space.total_spin_squared())
+    np.testing.assert_array_equal(exchange, space.operator(gp._exchange_strings(+1.0)))
+    for arr in (spin_squared, exchange):
+        with pytest.raises(ValueError, match="read-only"):
+            arr += 0
+
+
 @pytest.fixture(scope="module")
 def full_spaces():
     return {stat: gp.TwoBandFockSpace(stat) for stat in ("boson", "fermion")}

@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import full_space_fidelity_and_gradient, full_space_propagate
 from plaqgate.optctrl import (
+    BLOCK_LABELS,
     FULL_DIM,
     PulseParams,
     _ops_stack,
+    control_blocks,
     control_operators,
     control_register,
     export_pulse_csv,
@@ -75,7 +78,18 @@ def test_target_gate_properties():
     assert np.sum(vals < 0) == 9  # triplet (x) triplet block picks up the sign
 
 
-@pytest.mark.parametrize("cached", [target_gate, _ops_stack])
+_BLOCK_ARRAYS = {
+    f"block{b}_{field}": (lambda b=b, field=field: getattr(control_blocks()[b], field))
+    for b in range(len(BLOCK_LABELS))
+    for field in ("basis", "controls", "target")
+}
+
+
+@pytest.mark.parametrize(
+    "cached",
+    [target_gate, _ops_stack, *_BLOCK_ARRAYS.values()],
+    ids=["target_gate", "_ops_stack", *_BLOCK_ARRAYS],
+)
 def test_cached_operators_are_read_only(cached):
     arr = cached()
     assert cached() is arr
@@ -119,6 +133,88 @@ def test_lie_closure_contains_product_term():
 def test_single_operator_closure():
     o1 = control_operators().operators[0]
     assert lie_closure_dimension([o1]) == 2
+
+
+# ---------------------------------------------------------------------------
+# The real 7 + 3 + 6 blocks
+# ---------------------------------------------------------------------------
+
+def _block_matrix() -> np.ndarray:
+    return np.hstack([b.basis for b in control_blocks()])
+
+
+def test_block_basis_is_orthonormal():
+    basis = _block_matrix()
+    assert basis.shape == (FULL_DIM, FULL_DIM)
+    assert np.abs(basis.conj().T @ basis - np.eye(FULL_DIM)).max() <= 1e-14
+
+
+def test_controls_and_target_are_real_and_block_diagonal():
+    basis = _block_matrix()
+    dims = [b.target.shape[0] for b in control_blocks()]
+    ends = np.cumsum(dims)
+    mask = np.zeros((FULL_DIM, FULL_DIM), dtype=bool)
+    for end, d in zip(ends, dims):
+        mask[end - d:end, end - d:end] = True
+    for k, op in enumerate([*control_operators().operators, target_gate()]):
+        rotated = basis.conj().T @ op @ basis
+        assert np.abs(rotated[~mask]).max() <= 1e-14
+        assert np.abs(rotated.imag).max() <= 1e-14
+        for block, end, d in zip(control_blocks(), ends, dims):
+            own = block.controls[k] if k < 5 else block.target
+            assert np.abs(rotated[end - d:end, end - d:end] - own).max() <= 1e-14
+
+
+def _joint_swap() -> np.ndarray:
+    # SWAP(2,3) SWAP(1',4') permutes the bits (0 1)(2 3) of the register index
+    swap = np.zeros((FULL_DIM, FULL_DIM))
+    for n in range(FULL_DIM):
+        bits = [(n >> i) & 1 for i in range(4)]
+        image = bits[1] | bits[0] << 1 | bits[3] << 2 | bits[2] << 3
+        swap[image, n] = 1.0
+    return swap
+
+
+def _spin_parity() -> np.ndarray:
+    reg = control_register()
+    spin = [sum(pauli_site(reg, s, a) for s in reg.site_labels) / 2.0 for a in "xyz"]
+    lam, vecs = np.linalg.eigh(sum(s @ s for s in spin))
+    total = np.rint((np.sqrt(1.0 + 4.0 * lam) - 1.0) / 2.0)  # S(S+1) -> S
+    return (vecs * (-1.0) ** total) @ vecs.conj().T
+
+
+def test_blocks_carry_their_invariants():
+    assert [b.target.shape[0] for b in control_blocks()] == [7, 3, 6]
+    swap, parity = _joint_swap(), _spin_parity()
+    for block, (j, p) in zip(control_blocks(), BLOCK_LABELS):
+        assert (block.swap, block.spin_parity) == (j, p)
+        assert np.abs(swap @ block.basis - j * block.basis).max() <= 1e-14
+        assert np.abs(parity @ block.basis - p * block.basis).max() <= 1e-13
+
+
+def test_block_lie_closures_sum_to_80():
+    dims = [lie_closure_dimension(list(b.controls)) for b in control_blocks()]
+    assert dims == [49, 9, 22]
+    assert sum(dims) == 80
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    x=st.integers(1, 20).flatmap(
+        lambda n_harmonics: arrays(np.float64, (5, n_harmonics), elements=st.floats(-2.0, 2.0))
+    ),
+    steps=st.integers(1, 300),
+    t_horizon=st.floats(0.1, 3.0),
+)
+def test_block_path_matches_full_space_oracle(x, steps, t_horizon):
+    # gradient_check compares two blockwise computations, so a wrong block
+    # basis would cancel out there; only the full-space oracle catches it
+    pulse = PulseParams(x, t_horizon)
+    f, grad = fidelity_and_gradient(pulse, steps=steps)
+    f_ref, grad_ref = full_space_fidelity_and_gradient(pulse, steps)
+    assert abs(f - f_ref) <= 1e-12
+    assert np.abs(grad - grad_ref).max() <= 1e-12
+    assert np.abs(propagate(pulse, steps=steps) - full_space_propagate(pulse, steps)).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
