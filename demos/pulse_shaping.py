@@ -26,7 +26,7 @@ from plaqgate.optctrl import (
 )
 
 # controllability: the closure saturates at 80 = dim of the reachable algebra
-ops = control_operators().operators
+ops = control_operators()
 print(f"Lie closure of all five controls: {lie_closure_dimension(ops)}")
 print(f"Lie closure of one exchange alone: {lie_closure_dimension([ops[0]])}")
 

@@ -35,7 +35,6 @@ import json
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,17 +64,18 @@ class RunConfig:
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
 
+    def identity(self) -> dict:
+        """Everything that determines the run's output; output_dir is not part of it."""
+        return {
+            "artifact_version": ARTIFACT_VERSION,
+            "command": self.command,
+            "params": {k: _jsonable(v) for k, v in sorted(self.params.items())},
+            "seed": self.seed,
+            "format": self.format,
+        }
+
     def config_hash(self) -> str:
-        payload = json.dumps(
-            {
-                "artifact_version": ARTIFACT_VERSION,
-                "command": self.command,
-                "params": {k: _jsonable(v) for k, v in sorted(self.params.items())},
-                "seed": self.seed,
-                "format": self.format,
-            },
-            sort_keys=True,
-        )
+        payload = json.dumps(self.identity(), sort_keys=True)
         return hashlib.sha1(payload.encode()).hexdigest()[:8]
 
     def run_dir(self) -> str:
@@ -98,12 +98,12 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def sweep(point_fn, grid, workers: int = 1) -> list[dict]:
+def sweep(point_fn, grid) -> list[dict]:
     """Evaluate point_fn over grid points; failures become flagged rows.
 
-    Row order follows the grid regardless of worker count; each row merges
-    the grid point with the function's result dict, or carries
-    status="error: ..." when the point raised.
+    Row order follows the grid; each row merges the grid point with the
+    function's result dict, or carries status="error: ..." when the point
+    raised.
     """
     if not grid:
         raise ValueError("grid must be nonempty")
@@ -117,10 +117,7 @@ def sweep(point_fn, grid, workers: int = 1) -> list[dict]:
             row["status"] = f"error: {type(exc).__name__}: {exc}"
         return row
 
-    if workers <= 1:
-        return [one(p) for p in grid]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, grid))
+    return [one(p) for p in grid]
 
 
 def write_dataset(config: RunConfig, fieldnames, rows, extra=None) -> str:
@@ -141,11 +138,7 @@ def write_dataset(config: RunConfig, fieldnames, rows, extra=None) -> str:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     manifest = {
-        "artifact_version": ARTIFACT_VERSION,
-        "command": config.command,
-        "params": {k: _jsonable(v) for k, v in sorted(config.params.items())},
-        "seed": config.seed,
-        "format": config.format,
+        **config.identity(),
         "config_hash": config.config_hash(),
         "dataset": os.path.basename(data_path),
         "fields": list(fieldnames),
@@ -175,10 +168,10 @@ def _is_complete(config: RunConfig) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns (fieldnames, rows, extra_manifest or None)
+# Command handlers: each takes its RunConfig, returns (fieldnames, rows, extra or None)
 # ---------------------------------------------------------------------------
 
-def _cmd_spectrum(config: RunConfig, args):
+def _cmd_spectrum(config: RunConfig):
     j = config.params["j"]
     spec = plaquette.plaquette_spectrum(j, config.params["dJ"] * j)
     rows = [
@@ -192,7 +185,7 @@ def _cmd_spectrum(config: RunConfig, args):
     return ["label", "energy", "multiplicity"], rows, None
 
 
-def _cmd_prepare_plus(config: RunConfig, args):
+def _cmd_prepare_plus(config: RunConfig):
     mode = config.params["mode"]
     state = plaquette.prepare_plus(mode=mode, angle_scale=config.params["angle_scale"])
     basis = plaquette.logical_basis()
@@ -208,12 +201,12 @@ def _coeff_row(r: float) -> dict:
     return {"d_over_J": r, "lambda_z": c.lambda_z, "gamma_z": c.gamma_z, "delta_e": c.delta_e}
 
 
-def _cmd_pert_coeffs(config: RunConfig, args):
+def _cmd_pert_coeffs(config: RunConfig):
     rows = [_coeff_row(config.params["dJ"])]
     return list(rows[0]), rows, None
 
 
-def _cmd_pert_fidelity(config: RunConfig, args):
+def _cmd_pert_fidelity(config: RunConfig):
     p = config.params
     d_values = np.round(
         np.arange(p["dJ_min"], p["dJ_max"] + 1e-12, p["dJ_step"]), 10
@@ -232,12 +225,12 @@ def _allowed_rows(n: int, m: int) -> list[dict]:
     return rows
 
 
-def _cmd_pert_allowed(config: RunConfig, args):
+def _cmd_pert_allowed(config: RunConfig):
     rows = _allowed_rows(config.params["n"], config.params["m"])
     return ["n", "m", "ratio", "lambda_z", "residual"], rows, None
 
 
-def _cmd_pert_validate(config: RunConfig, args):
+def _cmd_pert_validate(config: RunConfig):
     p = config.params
     params = pertgate.PertParams(j=1.0, d=p["dJ"], jp=p["jp"])
     horizon = p["horizon_tc"] * pertgate.gate_time(params)
@@ -246,7 +239,7 @@ def _cmd_pert_validate(config: RunConfig, args):
     return list(rows[0]), rows, None
 
 
-def _cmd_optctrl_optimize(config: RunConfig, args):
+def _cmd_optctrl_optimize(config: RunConfig):
     p = config.params
     result = optctrl.optimize(
         config.seed,
@@ -269,7 +262,7 @@ def _cmd_optctrl_optimize(config: RunConfig, args):
     return fields, rows, {"artifacts": ["result.json", "pulse.csv"]}
 
 
-def _cmd_optctrl_gradcheck(config: RunConfig, args):
+def _cmd_optctrl_gradcheck(config: RunConfig):
     p = config.params
     rng = np.random.default_rng(config.seed)
     rows = []
@@ -286,7 +279,7 @@ def _cmd_optctrl_gradcheck(config: RunConfig, args):
     return ["point", "max_rel_error"], rows, None
 
 
-def _cmd_optctrl_robustness(config: RunConfig, args):
+def _cmd_optctrl_robustness(config: RunConfig):
     p = config.params
     pulse, infid, seed = optctrl.load_result_json(p["result"])
     deltas = [float(d) for d in p["deltas"].split(",")]
@@ -295,8 +288,8 @@ def _cmd_optctrl_robustness(config: RunConfig, args):
     return ["delta", "infidelity"], rows, {"source_infidelity": infid, "source_seed": seed}
 
 
-def _cmd_optctrl_liedim(config: RunConfig, args):
-    dim = optctrl.lie_closure_dimension(optctrl.control_operators().operators)
+def _cmd_optctrl_liedim(config: RunConfig):
+    dim = optctrl.lie_closure_dimension(optctrl.control_operators())
     print(dim)
     return ["dimension"], [{"dimension": dim}], None
 
@@ -320,19 +313,17 @@ def _geophase_params(
                                  u_r_aa=u_r_ab, u_r_bb=u_r_ab, u_r_ab=u_r_ab, t=1.0)
 
 
-def _cmd_geophase_table(config: RunConfig, args):
+def _cmd_geophase_table(config: RunConfig):
     p = config.params
-    fields = ["statistics", "n_L", "n_R_a", "j_R", "c0", "c1", "c2", "resonant"]
     rows = []
     for stat in _statistics(p["statistics"]):
         params = _geophase_params(stat, p["u_l_aa"], p["u_r_ab"], p["bias_surplus"])
-        for e in geophase.resonance_table(params, stat):
-            rows.append(dict(zip(fields, (stat, e.config.n_l, e.config.n_r_a, e.config.j_r,
-                                          e.c0, e.c1, e.c2, e.resonant_at_bias))))
-    return fields, rows, None
+        rows += [dict(zip(geophase.LEDGER_FIELDS, e.row()))
+                 for e in geophase.resonance_table(params, stat)]
+    return list(geophase.LEDGER_FIELDS), rows, None
 
 
-def _cmd_geophase_dynamics(config: RunConfig, args):
+def _cmd_geophase_dynamics(config: RunConfig):
     p = config.params
     sectors = list(geophase.SECTORS) if p["sector"] == "all" else [p["sector"]]
     u = p["u"]
@@ -345,18 +336,18 @@ def _cmd_geophase_dynamics(config: RunConfig, args):
         t_ret, phase, leak = geophase.tunneling_phase(sector, params, statistics)
         return {"return_time": t_ret, "phase": phase, "leakage": leak}
 
-    rows = sweep(point, grid, workers=getattr(args, "workers", 1))
+    rows = sweep(point, grid)
     fields = ["statistics", "sector", "return_time", "phase", "leakage", "status"]
     return fields, rows, None
 
 
-def _cmd_schwinger_check(config: RunConfig, args):
+def _cmd_schwinger_check(config: RunConfig):
     residual = geophase.schwinger_identity_check(geophase.TwoBandFockSpace("boson"))
     print(residual)
     return ["residual"], [{"residual": residual}], None
 
 
-def _cmd_hubbard_check(config: RunConfig, args):
+def _cmd_hubbard_check(config: RunConfig):
     p = config.params
     rows = []
     for stat in _statistics(p["statistics"]):
@@ -396,7 +387,7 @@ REPORT_FIGURES = {
 }
 
 
-def _cmd_report(config: RunConfig, args):
+def _cmd_report(config: RunConfig):
     figure = config.params["figure"]
     schema, fields, compute_rows, gnuplot = REPORT_FIGURES[figure]
     rows = compute_rows()
@@ -491,7 +482,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output-dir", default=None)  # resolved in run(), see OUTPUT_ENV
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
         sp.add_argument("--force", action="store_true", help="recompute even if complete")
-        sp.add_argument("--workers", type=int, default=1)
         for flag, kwargs in options:
             sp.add_argument(flag, **kwargs)
     return parser
@@ -520,7 +510,7 @@ def run(argv) -> int:
             return 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fields, rows, extra = COMMANDS[args.command][0](config, args)
+            fields, rows, extra = COMMANDS[args.command][0](config)
         run_dir = write_dataset(config, fields, rows, extra)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

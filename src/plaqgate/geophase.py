@@ -54,6 +54,15 @@ ORBITAL_PAIRS = ((L_UP, L_DN), (RA_UP, RA_DN), (RB_UP, RB_DN))
 RIGHT_ORBITAL_PAIRS = ((RA_UP, RA_DN), (RB_UP, RB_DN))
 
 
+#: Points of the |a(t)| scan that brackets a link's return time
+SCAN_POINTS = 8000
+
+
+def check_statistics(statistics: str) -> None:
+    if statistics not in ("boson", "fermion"):
+        raise ValueError(f"statistics must be 'boson' or 'fermion', got {statistics!r}")
+
+
 class RWAValidityWarning(UserWarning):
     """omega is not large against U_R^ab; dropping band-changing terms is unsafe."""
 
@@ -128,6 +137,11 @@ class EnergyLedgerEntry:
     c2: Fraction
     resonant_at_bias: bool
 
+    def row(self) -> tuple:
+        """The entry's cells in LEDGER_FIELDS order; fractions stay exact."""
+        return (self.statistics, self.config.n_l, self.config.n_r_a, self.config.j_r,
+                self.c0, self.c1, self.c2, self.resonant_at_bias)
+
     def evaluate(self, params: OnsiteParams) -> float:
         return (
             float(self.c0) * (params.delta - params.omega)
@@ -163,8 +177,7 @@ def fermion_eta(n_a: int, n_b: int, j) -> Fraction:
 
 
 def _validate_for_statistics(config: NumberConfig, statistics: str) -> None:
-    if statistics not in ("boson", "fermion"):
-        raise ValueError(f"statistics must be 'boson' or 'fermion', got {statistics!r}")
+    check_statistics(statistics)
     if config.n_l < 1:
         raise ValueError("the ledger describes a tunneling event; need n_L >= 1")
     if config.n_r_b != 1:
@@ -174,10 +187,7 @@ def _validate_for_statistics(config: NumberConfig, statistics: str) -> None:
 
 
 def delta_e1(
-    config: NumberConfig,
-    params: OnsiteParams,
-    statistics: str,
-    threshold: float = 0.1,
+    config: NumberConfig, params: OnsiteParams, statistics: str
 ) -> tuple[float, EnergyLedgerEntry]:
     """Energy mismatch of one L-ground -> R-excited tunneling event, plus its ledger row.
 
@@ -186,7 +196,7 @@ def delta_e1(
     Coefficients are exact rationals: c0 = 1;
     bosons   c1 = 2(n_L - 1),        c2 = -f[n_R_a, 1, j_R];
     fermions c1 = [n_L = 2],         c2 = -(n_R_a + eta)/2.
-    The entry is marked resonant when |dE1| <= threshold * t at `params`.
+    The entry is marked resonant when |dE1| <= 0.1 |t| at `params`.
     """
     _validate_for_statistics(config, statistics)
     c0 = Fraction(1)
@@ -198,7 +208,7 @@ def delta_e1(
         c2 = -Fraction(config.n_r_a + fermion_eta(config.n_r_a, 1, config.j_r), 2)
     entry = EnergyLedgerEntry(config, statistics, c0, c1, c2, resonant_at_bias=False)
     value = entry.evaluate(params)
-    return value, replace(entry, resonant_at_bias=abs(value) <= threshold * abs(params.t))
+    return value, replace(entry, resonant_at_bias=abs(value) <= 0.1 * abs(params.t))
 
 
 def table_configs(statistics: str) -> list[NumberConfig]:
@@ -206,8 +216,7 @@ def table_configs(statistics: str) -> list[NumberConfig]:
 
     Fermions reach the boson rows except j_R = 3/2: a filled fermion band is a singlet.
     """
-    if statistics not in ("boson", "fermion"):
-        raise ValueError(f"statistics must be 'boson' or 'fermion', got {statistics!r}")
+    check_statistics(statistics)
     half, three_halves = Fraction(1, 2), Fraction(3, 2)
     triples = [(1, 0, half), (1, 1, Fraction(0)), (1, 1, Fraction(1)), (1, 2, half),
                (1, 2, three_halves), (2, 1, Fraction(0)), (2, 1, Fraction(1)), (2, 2, half),
@@ -216,23 +225,22 @@ def table_configs(statistics: str) -> list[NumberConfig]:
             if statistics == "boson" or j != three_halves]
 
 
-def resonance_table(
-    params: OnsiteParams, statistics: str, threshold: float = 0.1
-) -> list[EnergyLedgerEntry]:
+def resonance_table(params: OnsiteParams, statistics: str) -> list[EnergyLedgerEntry]:
     """All ledger rows with resonance flags at the given bias, in table order."""
-    return [delta_e1(config, params, statistics, threshold=threshold)[1]
-            for config in table_configs(statistics)]
+    return [delta_e1(config, params, statistics)[1] for config in table_configs(statistics)]
+
+
+#: Columns of a ledger row, in the order of EnergyLedgerEntry.row
+LEDGER_FIELDS = ("statistics", "n_L", "n_R_a", "j_R", "c0", "c1", "c2", "resonant")
 
 
 def export_ledger_csv(entries, path) -> None:
-    """CSV columns: statistics, n_L, n_R_a, j_R, c0, c1, c2, resonant."""
+    """CSV with the LEDGER_FIELDS columns; `resonant` is true or false."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["statistics", "n_L", "n_R_a", "j_R", "c0", "c1", "c2", "resonant"])
+        writer.writerow(LEDGER_FIELDS)
         for e in entries:
-            writer.writerow([e.statistics, e.config.n_l, e.config.n_r_a, str(e.config.j_r),
-                             str(e.c0), str(e.c1), str(e.c2),
-                             "true" if e.resonant_at_bias else "false"])
+            writer.writerow([*e.row()[:-1], "true" if e.resonant_at_bias else "false"])
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +269,7 @@ class TwoBandFockSpace:
     counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.statistics not in ("boson", "fermion"):
-            raise ValueError(f"statistics must be 'boson' or 'fermion', got {self.statistics!r}")
+        check_statistics(self.statistics)
         self.occupations = [
             occ
             for occ in itertools.product(range(self.cap + 1), repeat=len(MODE_LABELS))
@@ -568,11 +575,11 @@ def _link_spectrum(
 
 
 def _return_scan(
-    evals: np.ndarray, weights: np.ndarray, params: OnsiteParams, scan_points: int
+    evals: np.ndarray, weights: np.ndarray, params: OnsiteParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Grid t_k = k t_max / scan_points up to t_max = 1.25 pi / |t|, and |a(t_k)|."""
+    """Grid t_k = k t_max / SCAN_POINTS up to t_max = 1.25 pi / |t|, and |a(t_k)|."""
     t_max = 1.25 * np.pi / abs(params.t)
-    ts = np.linspace(t_max / scan_points, t_max, scan_points)
+    ts = np.linspace(t_max / SCAN_POINTS, t_max, SCAN_POINTS)
     return ts, np.abs(np.exp(-1j * np.outer(ts, evals)) @ weights)
 
 
@@ -582,7 +589,6 @@ def link_tunneling_phase(
     channel_spin,
     params: OnsiteParams,
     statistics: str,
-    scan_points: int = 8000,
 ) -> tuple[float, float, float]:
     """Exact return dynamics of one link: (return_time, phase, leakage).
 
@@ -606,7 +612,7 @@ def link_tunneling_phase(
     # the bracketing scan skips eigencomponents that psi0 does not overlap
     # (weights below 1e-20 are rounding residue from other spin sectors)
     kept = weights >= 1e-20
-    ts, mags = _return_scan(evals[kept], weights[kept], params, scan_points)
+    ts, mags = _return_scan(evals[kept], weights[kept], params)
     # first local minimum, then the next local maximum
     minima = np.flatnonzero((mags[1:-1] <= mags[:-2]) & (mags[1:-1] <= mags[2:])) + 1
     if len(minima) == 0:
@@ -644,7 +650,6 @@ def link_peak_leakage(
     channel_spin,
     params: OnsiteParams,
     statistics: str,
-    scan_points: int = 8000,
 ) -> float:
     """Worst transient depletion 1 - |a(t)|^2 of one link over a return cycle.
 
@@ -655,7 +660,7 @@ def link_peak_leakage(
     if n_l < 1:
         return 0.0
     evals, weights = _link_spectrum(n_l, n_r_a, channel_spin, params, statistics)
-    _, mags = _return_scan(evals, weights, params, scan_points)
+    _, mags = _return_scan(evals, weights, params)
     return float(max(0.0, 1.0 - mags.min() ** 2))
 
 
@@ -677,8 +682,7 @@ def tunneling_phase(
     """
     if sector not in SECTORS:
         raise ValueError(f"sector must be one of {SECTORS}, got {sector!r}")
-    if statistics not in SECTOR_LINKS:
-        raise ValueError(f"statistics must be 'boson' or 'fermion', got {statistics!r}")
+    check_statistics(statistics)
     links = SECTOR_LINKS[statistics][sector]
     total_phase = 0.0
     t_ret = 0.0

@@ -56,15 +56,8 @@ CONTROL_SITES = ("2", "3", "1'", "4'")
 N_CONTROLS = 5
 FULL_DIM = 16
 
-
-@dataclass(frozen=True)
-class ControlSet:
-    """The five control operators on the 16-dim edge register."""
-
-    operators: tuple
-
-    def stack(self) -> np.ndarray:
-        return np.stack(self.operators)
+#: Uniform times at which a pulse is sampled for export and for its peak amplitudes
+PULSE_SAMPLES = 1000
 
 
 @dataclass
@@ -91,9 +84,9 @@ class PulseParams:
         """alpha_k(t) for each control, shape (5, len(times))."""
         return self.x @ _sine_basis(self.n_harmonics, times, self.t_horizon)
 
-    def max_amplitudes(self, samples: int = 1000) -> np.ndarray:
-        """max_t |alpha_k(t)| per control, for rescaling to physical units."""
-        times = np.linspace(0.0, self.t_horizon, samples)
+    def max_amplitudes(self) -> np.ndarray:
+        """max_t |alpha_k(t)| per control at PULSE_SAMPLES times, for physical units."""
+        times = np.linspace(0.0, self.t_horizon, PULSE_SAMPLES)
         return np.abs(self.amplitudes(times)).max(axis=1)
 
 
@@ -118,12 +111,11 @@ def control_register() -> SpinRegister:
 
 
 @lru_cache(maxsize=1)
-def _ops_stack() -> np.ndarray:
-    return read_only(control_operators().stack())
+def control_operators() -> np.ndarray:
+    """O1..O5 as quoted above, on the (2, 3, 1', 4') register, stacked 5 x 16 x 16.
 
-
-def control_operators() -> ControlSet:
-    """O1..O5 as quoted above, on the (2, 3, 1', 4') register."""
+    Cached; the returned array is read-only.
+    """
     reg = control_register()
     o1 = pauli_dot(reg, "2", "3")
     o2 = pauli_dot(reg, "1'", "4'")
@@ -132,7 +124,7 @@ def control_operators() -> ControlSet:
     ) @ pauli_site(reg, "4'", "z")
     o4 = sum(pauli_site(reg, s, "x") for s in CONTROL_SITES)
     o5 = sum(pauli_site(reg, s, "y") for s in CONTROL_SITES)
-    return ControlSet(operators=(o1, o2, o3, o4, o5))
+    return read_only(np.stack((o1, o2, o3, o4, o5)))
 
 
 @lru_cache(maxsize=1)
@@ -161,24 +153,19 @@ def _from_real_vector(vec: np.ndarray, dim: int) -> np.ndarray:
     return (vec[:half] + 1j * vec[half:]).reshape(dim, dim)
 
 
-def lie_closure_dimension(
-    operators,
-    tol: float = 1e-9,
-    max_rounds: int = 12,
-    return_span: bool = False,
-):
+def lie_closure_dimension(operators, return_span: bool = False):
     """Real dimension of the Lie closure of Hermitian generators plus identity.
 
     Each round adds i[A, B] for all pairs of the current span and recomputes
-    the numerical rank (singular values above tol x largest). Stops when a
-    round adds nothing; raises if the cap is hit first.
+    the numerical rank (singular values above 1e-9 x largest). Stops when a
+    round adds nothing; raises if 12 rounds do not saturate it.
     """
     dim = operators[0].shape[0]
     seed = [np.eye(dim, dtype=complex)] + [np.asarray(o, dtype=complex) for o in operators]
     candidates, rows = _to_real_vectors(np.stack(seed)), None
-    for _ in range(max_rounds + 1):
+    for _ in range(12 + 1):
         _, svals, vt = np.linalg.svd(candidates, full_matrices=False)
-        keep = svals > tol * svals[0]
+        keep = svals > 1e-9 * svals[0]
         if rows is not None and int(keep.sum()) == len(rows):
             return (len(rows), rows) if return_span else len(rows)
         rows = vt[keep]
@@ -186,14 +173,14 @@ def lie_closure_dimension(
         comms = [1j * (mats[a] @ mats[b] - mats[b] @ mats[a])
                  for a in range(len(mats)) for b in range(a + 1, len(mats))]
         candidates = np.vstack([rows, _to_real_vectors(np.stack(comms))])
-    raise RuntimeError(f"Lie closure did not saturate within {max_rounds} rounds")
+    raise RuntimeError("Lie closure did not saturate within 12 rounds")
 
 
-def span_contains(rows: np.ndarray, op: np.ndarray, tol: float = 1e-8) -> bool:
-    """Whether a Hermitian operator lies in the (orthonormal-row) real span."""
+def span_contains(rows: np.ndarray, op: np.ndarray) -> bool:
+    """Whether a Hermitian operator lies in the (orthonormal-row) real span, to 1e-8 relative."""
     vec = _to_real_vectors(op[None, :, :])[0]
     residual = vec - rows.T @ (rows @ vec)
-    return float(np.linalg.norm(residual)) <= tol * max(1.0, float(np.linalg.norm(vec)))
+    return float(np.linalg.norm(residual)) <= 1e-8 * max(1.0, float(np.linalg.norm(vec)))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +214,7 @@ def control_blocks() -> tuple[ControlBlock, ...]:
     eigh of W^dag (J + 2 (-1)^S) W, whose eigenvalue j + 2p names the block,
     gives each block real orthonormal columns.
     """
-    ops, eye = _ops_stack(), np.eye(FULL_DIM)
+    ops, eye = control_operators(), np.eye(FULL_DIM)
     flip = eye[::-1]  # P maps basis state n to 15 - n
     half = FULL_DIM // 2
     w = np.sqrt(0.5) * np.hstack([(eye + flip)[:, :half], 1j * (eye - flip)[:, :half]])
@@ -496,9 +483,9 @@ def robustness_sweep(
 # Export
 # ---------------------------------------------------------------------------
 
-def export_pulse_csv(pulse: PulseParams, path, samples: int = 1000) -> None:
-    """CSV with columns t, alpha_1..alpha_5 at `samples` uniform times."""
-    times = np.linspace(0.0, pulse.t_horizon, samples)
+def export_pulse_csv(pulse: PulseParams, path) -> None:
+    """CSV with columns t, alpha_1..alpha_5 at PULSE_SAMPLES uniform times."""
+    times = np.linspace(0.0, pulse.t_horizon, PULSE_SAMPLES)
     values = pulse.amplitudes(times)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -29,10 +29,11 @@ lambda_z(d/J) = 1/8 + (2n-1)/(16 m) ("allowed ratios"). The full-model gate
 fidelity is evaluated against the controlled-phase target with its
 analytically fixed local z corrections, F = |Tr(U_target^dag U_logical)/4|^2.
 
-Note on the rotating-wave step: dropping the non-energy-preserving terms of
-the second-order Hamiltonian removes, besides the sx sz + sz sx + sx single
-lines, also a double-(de)excitation piece (J'^2/8J)(sx sx' - sy sy'); the
-`full` and `rwa` forms returned by effective_hamiltonian differ by both.
+Note on the rotating-wave step: H_rwa keeps only the energy-preserving terms
+of the second-order Hamiltonian. It drops the single flips sx, sx' and the
+cross terms sx sz', sz sx', which change the logical energy by dE, and a
+double-(de)excitation piece (J'^2/8J)(sx sx' - sy sy'), which changes it by
+2 dE; each is suppressed by J'^2/(J dE).
 
 Exact numerics: the Hamiltonian and both echo pulses conserve total spin,
 and the logical states are total singlets, so gate_fidelity and
@@ -172,34 +173,14 @@ _HEIS_4 = read_only(sum(_two_qubit(s, s) for s in (PAULI_X, PAULI_Y, PAULI_Z)))
 _ZZ_4 = read_only(_two_qubit(PAULI_Z, PAULI_Z))
 
 
-def effective_hamiltonian(p: PertParams, form: str = "rwa") -> np.ndarray:
-    """4x4 effective two-qubit Hamiltonian in the {|box>,|cross>}^(x2) basis.
-
-    Args:
-        p: gate parameters.
-        form: "full" keeps every second-order term; "rwa" drops the
-            non-energy-preserving ones; "ising_dJ" is the pure Ising form
-            valid at d = J (raises otherwise).
-    """
+def effective_hamiltonian(p: PertParams) -> np.ndarray:
+    """H_rwa of the module docstring, 4x4 in the {|box>,|cross>}^(x2) basis."""
     c = effective_coeffs(p.j, p.d)
     g = p.jp**2 / p.j
     z1, z2 = _two_qubit(PAULI_Z, np.eye(2)), _two_qubit(np.eye(2), PAULI_Z)
-    x1, x2 = _two_qubit(PAULI_X, np.eye(2)), _two_qubit(np.eye(2), PAULI_X)
-    if form == "full":
-        h = (c.delta_e / 2.0 - g * c.gamma_z) * (z1 + z2)
-        h = h - g * (0.25 * _two_qubit(PAULI_X, PAULI_X) + c.lambda_z * _ZZ_4)
-        cross = _two_qubit(PAULI_X, PAULI_Z) + _two_qubit(PAULI_Z, PAULI_X)
-        h = h - g * (-(cross) / (4.0 * np.sqrt(3.0)) + (x1 + x2) / (4.0 * np.sqrt(3.0)))
-        return h
-    if form == "rwa":
-        return (c.delta_e / 2.0 - g * c.gamma_z) * (z1 + z2) - g * (
-            _HEIS_4 / 8.0 + (c.lambda_z - 0.125) * _ZZ_4
-        )
-    if form == "ising_dJ":
-        if abs(p.d - p.j) > 1e-12 * abs(p.j):
-            raise ValueError("ising_dJ form requires d = J")
-        return -(p.jp**2 / (3.0 * p.j)) * (_ZZ_4 - (z1 + z2) / 2.0)
-    raise ValueError(f"unknown form {form!r}; expected 'full', 'rwa' or 'ising_dJ'")
+    return (c.delta_e / 2.0 - g * c.gamma_z) * (z1 + z2) - g * (
+        _HEIS_4 / 8.0 + (c.lambda_z - 0.125) * _ZZ_4
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -466,21 +447,21 @@ def allowed_ratios(n: int, m: int) -> list[float]:
     return ratios
 
 
-def validate_effective(p: PertParams, horizon: float, samples: int = 48) -> float:
+def validate_effective(p: PertParams, horizon: float) -> float:
     """Max infidelity of the effective (rwa) vs exact evolution up to `horizon`.
 
     Each of the four {|box>,|cross>} product states is evolved under the exact
     Hamiltonian and under the 4x4 effective one; the deviation is
-    1 - |<psi_eff| P |psi_full>|^2 maximized over states and sampled times
+    1 - |<psi_eff| P |psi_full>|^2 maximized over states and 48 evenly spaced times
     (leakage counts as deviation). Scales as a few times (J'/J)^2 in the
     perturbative regime. The exact evolution runs in the 14-dim
     total-singlet sector, which holds all four states at every time.
     """
     iso = _singlet_sector().isometry
     full = eig_hermitian(_sector_hamiltonian(p))
-    eff = eig_hermitian(effective_hamiltonian(p, form="rwa"))
+    eff = eig_hermitian(effective_hamiltonian(p))
     worst = 0.0
-    times = np.linspace(0.0, horizon, samples + 1)[1:]
+    times = np.linspace(0.0, horizon, 48 + 1)[1:]
     full_modes = full.eigenvectors.conj().T @ iso  # overlap of each mode with each start
     eff_modes = eff.eigenvectors.conj().T @ np.eye(4)
     for t in times:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geophase import L_DN, L_UP, RA_DN, RA_UP, RB_DN, RB_UP, TwoBandFockSpace
+from .geophase import L_DN, L_UP, RA_DN, RA_UP, RB_DN, RB_UP, TwoBandFockSpace, check_statistics
 from .spincore import (
     SpinRegister,
     eig_hermitian,
@@ -328,8 +328,7 @@ def superexchange_hubbard_check(t: float, u: float, statistics: str) -> tuple[fl
     Raises:
         ValueError: unless 0 < |t|/U <= 0.1 (at t = 0 there is no gap to compare).
     """
-    if statistics not in ("boson", "fermion"):
-        raise ValueError(f"statistics must be 'boson' or 'fermion', got {statistics!r}")
+    check_statistics(statistics)
     if u <= 0:
         raise ValueError("U must be positive")
     if t == 0 or abs(t) / u > 0.1:

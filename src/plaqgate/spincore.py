@@ -77,9 +77,9 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-def assert_hermitian(op: np.ndarray, tol: float = HERMITIAN_TOL) -> None:
+def assert_hermitian(op: np.ndarray) -> None:
     dev = np.abs(op - op.conj().T).max()
-    if dev > tol:
+    if dev > HERMITIAN_TOL:
         raise ValueError(f"operator is not Hermitian (max |A - A^dag| = {dev:.3e})")
 
 

@@ -43,7 +43,7 @@ def _phi_matrix(lam: np.ndarray, dt: float) -> np.ndarray:
 
 def full_space_propagate(pulse: PulseParams, steps: int) -> np.ndarray:
     """U(T; x) as the ordered product of the 16-dim slice exponentials."""
-    ops = control_operators().stack()
+    ops = control_operators()
     dt, _, lam, vecs = _slice_eigs(pulse, steps, ops)
     slices = _slice_unitaries(lam, vecs, dt)
     u = np.eye(FULL_DIM, dtype=complex)
@@ -61,7 +61,7 @@ def full_space_fidelity_and_gradient(
     M_s = P_s U_g^dag U_tot P_{s+1}^dag and the divided-difference kernel of
     each slice's eigensystem.
     """
-    ops = control_operators().stack()
+    ops = control_operators()
     dt, sin_basis, lam, vecs = _slice_eigs(pulse, steps, ops)
     slices = _slice_unitaries(lam, vecs, dt)
     prefixes = np.empty((steps + 1, FULL_DIM, FULL_DIM), dtype=complex)

@@ -35,7 +35,7 @@ from plaqgate.pertgate import (
     validate_effective,
 )
 from plaqgate.plaquette import logical_basis
-from plaqgate.spincore import PAULI_X, PAULI_Z, eig_hermitian
+from plaqgate.spincore import PAULI_X, PAULI_Y, PAULI_Z, eig_hermitian
 
 TARGETS = ("corrected_cphase", "cphase_literal", "effective")
 
@@ -93,6 +93,23 @@ def test_lambda_eighth_root_location():
     lo = effective_coeffs(1.0, LAMBDA_EIGHTH_ROOT - 1e-4).lambda_z - 0.125
     hi = effective_coeffs(1.0, LAMBDA_EIGHTH_ROOT + 1e-4).lambda_z - 0.125
     assert lo * hi < 0
+
+
+@pytest.mark.parametrize("j, d, jp", [(1.0, 0.1, 0.02), (1.0, 0.3, 0.05), (1.0, 0.45, 0.1),
+                                       (1.3, 0.9, 0.05), (2.5, 2.2, 0.3)])
+def test_effective_hamiltonian_is_h_rwa(j, d, jp):
+    # H_rwa of the module docstring, with (1/8) s.s' + (lambda_z - 1/8) sz sz'
+    # expanded to (sx sx' + sy sy') / 8 + lambda_z sz sz'; qubit 1 is the low bit
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WeakCouplingWarning)
+        p = PertParams(j=j, d=d, jp=jp)
+    c = effective_coeffs(j, d)
+    g = jp**2 / j
+    eye = np.eye(2)
+    h = (c.delta_e / 2.0 - g * c.gamma_z) * (np.kron(eye, PAULI_Z) + np.kron(PAULI_Z, eye))
+    h -= g * ((np.kron(PAULI_X, PAULI_X) + np.kron(PAULI_Y, PAULI_Y)) / 8.0
+              + c.lambda_z * np.kron(PAULI_Z, PAULI_Z))
+    assert np.abs(effective_hamiltonian(p) - h).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +321,7 @@ def _full_space_validate(p: PertParams, horizon: float, samples: int = 48) -> fl
     """validate_effective with the exact evolution on all 256 dimensions."""
     iso = _logical_isometry()
     full = eig_hermitian(superplaquette_hamiltonian(p))
-    eff = eig_hermitian(effective_hamiltonian(p, form="rwa"))
+    eff = eig_hermitian(effective_hamiltonian(p))
     full_modes = full.eigenvectors.conj().T @ iso
     worst = 0.0
     for t in np.linspace(0.0, horizon, samples + 1)[1:]:
