@@ -31,6 +31,7 @@ import argparse
 import csv
 import functools
 import hashlib
+import io
 import json
 import os
 import sys
@@ -120,23 +121,43 @@ def sweep(point_fn, grid) -> list[dict]:
     return [one(p) for p in grid]
 
 
+def _replace_file(path: str, text: str) -> None:
+    """Write `text` to `path` via a temporary file and os.replace, so a failed write
+    leaves the old file whole; a file already holding these bytes is left as it is."""
+    data = text.encode()
+    if os.path.exists(path):
+        with open(path, "rb") as fh:
+            if fh.read() == data:
+                return
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def write_dataset(config: RunConfig, fieldnames, rows, extra=None) -> str:
-    """Write dataset + manifest into the config's run directory; returns the dir."""
+    """Atomically write the dataset, then the manifest, into the run directory; returns it."""
     run_dir = config.run_dir()
     os.makedirs(run_dir, exist_ok=True)
     if config.format == "csv":
         data_path = os.path.join(run_dir, "data.csv")
-        with open(data_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(fieldnames)
-            for row in rows:
-                writer.writerow([_fmt_cell(row.get(k, "")) for k in fieldnames])
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(fieldnames)
+        writer.writerows([_fmt_cell(row.get(k, "")) for k in fieldnames] for row in rows)
+        text = buf.getvalue()
     else:
         data_path = os.path.join(run_dir, "data.json")
-        payload = [{k: _jsonable(row.get(k)) for k in fieldnames} for row in rows]
-        with open(data_path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        text = _json_text([{k: _jsonable(row.get(k)) for k in fieldnames} for row in rows])
+    _replace_file(data_path, text)
     manifest = {
         **config.identity(),
         "config_hash": config.config_hash(),
@@ -146,9 +167,7 @@ def write_dataset(config: RunConfig, fieldnames, rows, extra=None) -> str:
     }
     if extra:
         manifest.update(extra)
-    with open(os.path.join(run_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _replace_file(os.path.join(run_dir, "manifest.json"), _json_text(manifest))
     return run_dir
 
 

@@ -43,7 +43,6 @@ operators on all 256 dimensions.
 """
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -55,6 +54,8 @@ from .spincore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _exchange,
+    _spin_squared,
     eig_hermitian,
     pauli_dot,
     read_only,
@@ -159,7 +160,11 @@ def effective_coeffs(j: float, d: float) -> EffectiveCoeffs:
     r = d / j
     _check_pole(r)
     lam = (9.0 / r - 8.0 / (r - 3.0) + 2.0 - 24.0 / (r + 1.0) + 1.0 / (2.0 - r)) / 48.0
-    gam = (9.0 / r + 8.0 / (r - 3.0) - 8.0 - 1.0 / (2.0 - r)) / 48.0
+    # gamma_z = (9/r + 8/(r-3) - 8 - 1/(2-r))/48 cancels near its root r = 0.7309 in
+    # floats; one quotient of exact integers (r = n/q) is correctly rounded
+    n, q = r.as_integer_ratio()
+    num = ((4 * n - 29 * q) * n + 56 * q * q) * n - 27 * q**3
+    gam = num / (24 * n * (n - 3 * q) * (2 * q - n))
     return EffectiveCoeffs(lambda_z=lam, gamma_z=gam, delta_e=8.0 * (j - d))
 
 
@@ -285,25 +290,13 @@ class _SingletSector:
 def _singlet_sector() -> _SingletSector:
     reg = superplaquette_register()
     states = np.array([k for k in range(reg.dim) if k.bit_count() == reg.site_count // 2])
-    rows = np.arange(len(states))
-
-    def dot(i: str, j: str) -> np.ndarray:
-        # s_i.s_j = 2 SWAP_ij - 1, and SWAP_ij maps the Sz = 0 block onto itself
-        a, b = reg.index(i), reg.index(j)
-        differ = ((states >> a) ^ (states >> b)) & 1
-        swapped = states ^ (differ * ((1 << a) | (1 << b)))
-        op = -np.eye(len(states))
-        op[np.searchsorted(states, swapped), rows] += 2.0
-        return op
 
     def intra(couplings: PlaquetteCouplings) -> np.ndarray:
-        return sum(c * (dot(i, j) + dot(i + "'", j + "'")) for i, j, c in couplings.pairs() if c)
+        return sum(c * (_exchange(reg, i, j, states) + _exchange(reg, i + "'", j + "'", states))
+                   for i, j, c in couplings.pairs() if c)
 
-    # (sum_i s_i)^2 = 3N + 2 sum_{i<j} s_i.s_j; its kernel is the S = 0 sector
-    spin_sq = 3.0 * reg.site_count * np.eye(len(states)) + 2.0 * sum(
-        dot(i, j) for i, j in itertools.combinations(reg.site_labels, 2)
-    )
-    w, v = np.linalg.eigh(spin_sq)
+    # the kernel of (sum_i s_i)^2 is the S = 0 sector
+    w, v = np.linalg.eigh(_spin_squared(reg, states))
     basis = v[:, w < 4.0]  # 4S(S+1): 0 on singlets, 8 on the next multiplet
 
     logical = logical_basis()
@@ -319,7 +312,7 @@ def _singlet_sector() -> _SingletSector:
         basis=read_only(basis),
         edge=restrict(intra(PlaquetteCouplings.diag(1.0, 0.0))),
         diagonal=restrict(intra(PlaquetteCouplings.diag(0.0, 1.0))),
-        coupling=restrict(dot("2", "1'") + dot("3", "4'")),
+        coupling=restrict(_exchange(reg, "2", "1'", states) + _exchange(reg, "3", "4'", states)),
         isometry=read_only(basis.T @ iso),
     )
 

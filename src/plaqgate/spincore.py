@@ -6,13 +6,18 @@ Conventions used throughout the package:
     * hbar = 1; energies and inverse times share units.
     * The first site label of a register is the least-significant bit of the
       amplitude index, so serialized states are portable between tools.
-All operators are dense complex arrays (max dimension 256 = 8 sites), and
-matrix exponentials go through a Hermitian eigendecomposition rather than a
-series expansion. Cached operators are returned as read-only arrays; copy
-one before writing into it.
+All operators are dense (max dimension 256 = 8 sites); `pauli_site` kron-embeds
+a Pauli matrix. Exchange comes from the basis-state bits by Dirac's identity
+s_i.s_j = 2 SWAP_ij - 1, and S^2 = 3N + 2 sum_{i<j} s_i.s_j: `_exchange` and
+`_spin_squared` are real on any ascending set of states that the swaps preserve
+(all states, or a fixed-Sz block); `pauli_dot` and `total_spin_squared` are
+their complex casts on all states. They equal the kron-built Pauli sums, except
+that the kron form's -0.0 entries come out as +0.0. exp(-iHt) goes through a
+Hermitian eigendecomposition. Cached operators are read-only; copy one to write.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -114,6 +119,24 @@ def read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _exchange(reg: SpinRegister, i: str, j: str, states: np.ndarray) -> np.ndarray:
+    """s_i . s_j = 2 SWAP_ij - 1, real, on ascending `states` that SWAP_ij maps onto itself."""
+    a, b = reg.index(i), reg.index(j)
+    differ = ((states >> a) ^ (states >> b)) & 1
+    swapped = states ^ (differ * ((1 << a) | (1 << b)))
+    op = -np.eye(len(states))
+    op[np.searchsorted(states, swapped), np.arange(len(states))] += 2.0
+    return op
+
+
+def _spin_squared(reg: SpinRegister, states: np.ndarray) -> np.ndarray:
+    """(sum_i s_i)^2 = 3N + 2 sum_{i<j} s_i . s_j on the ascending basis `states`, real."""
+    pairs = itertools.combinations(reg.site_labels, 2)
+    return 3.0 * reg.site_count * np.eye(len(states)) + 2.0 * sum(
+        _exchange(reg, i, j, states) for i, j in pairs
+    )
+
+
 @lru_cache(maxsize=128)
 def pauli_dot(reg: SpinRegister, i: str, j: str) -> np.ndarray:
     """Exchange dot product s_i . s_j (eigenvalues -3 on singlets, +1 on triplets).
@@ -122,10 +145,7 @@ def pauli_dot(reg: SpinRegister, i: str, j: str) -> np.ndarray:
     """
     if i == j:
         raise ValueError(f"pauli_dot needs two distinct sites, got {i!r} twice")
-    out = np.zeros((reg.dim, reg.dim), dtype=complex)
-    for ax in ("x", "y", "z"):
-        out += pauli_site(reg, i, ax) @ pauli_site(reg, j, ax)
-    return read_only(out)
+    return read_only(_exchange(reg, i, j, np.arange(reg.dim)).astype(complex))
 
 
 def total_spin(reg: SpinRegister) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -142,8 +162,7 @@ def total_spin_squared(reg: SpinRegister) -> np.ndarray:
 
     Cached per register; the returned array is read-only.
     """
-    sx, sy, sz = total_spin(reg)
-    return read_only(sx @ sx + sy @ sy + sz @ sz)
+    return read_only(_spin_squared(reg, np.arange(reg.dim)).astype(complex))
 
 
 def eig_hermitian(op: np.ndarray) -> Spectrum:
@@ -164,30 +183,3 @@ def unitary_evolve(hamiltonian: np.ndarray, t: float) -> np.ndarray:
     phases = np.exp(-1j * spec.eigenvalues * t)
     return (spec.eigenvectors * phases) @ spec.eigenvectors.conj().T
 
-
-# ---------------------------------------------------------------------------
-# JSON serialization: {dim, re[], im[]}, matrices row-major
-# ---------------------------------------------------------------------------
-
-def array_to_json(arr: np.ndarray) -> dict:
-    """Serialize a complex vector or square matrix to {dim, re, im}."""
-    a = np.asarray(arr, dtype=complex)
-    if a.ndim == 1:
-        dim = a.shape[0]
-    elif a.ndim == 2 and a.shape[0] == a.shape[1]:
-        dim = a.shape[0]
-    else:
-        raise ValueError(f"expected a vector or square matrix, got shape {a.shape}")
-    flat = a.reshape(-1)  # row-major
-    return {"dim": dim, "re": flat.real.tolist(), "im": flat.imag.tolist()}
-
-
-def array_from_json(payload: dict) -> np.ndarray:
-    """Inverse of array_to_json; shape is inferred from the element count."""
-    dim = int(payload["dim"])
-    flat = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float)
-    if flat.size == dim:
-        return flat
-    if flat.size == dim * dim:
-        return flat.reshape(dim, dim)
-    raise ValueError(f"payload has {flat.size} entries, expected {dim} or {dim * dim}")

@@ -140,6 +140,37 @@ def test_resume_and_force(tmp_path, capsys):
     assert "already complete" not in capsys.readouterr().out
 
 
+def test_force_rewrite_is_atomic(tmp_path, monkeypatch):
+    import plaqgate.cli as cli
+
+    assert _run(tmp_path, "spectrum", "--dJ", "0.2") == 0
+    run_dir = _only_run_dir(tmp_path)
+    data = os.path.join(run_dir, "data.csv")
+    inode = os.stat(data).st_ino
+    assert _run(tmp_path, "spectrum", "--dJ", "0.2", "--force") == 0
+    assert os.stat(data).st_ino == inode  # same bytes: the file is left as it is
+
+    with open(data, "ab") as fh:  # a dataset the rerun must replace
+        fh.write(b"stale\r\n")
+    before = {n: open(os.path.join(run_dir, n), "rb").read() for n in os.listdir(run_dir)}
+
+    def full_disk_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        real_write = fh.write
+
+        def write(chunk):
+            real_write(chunk[:20])
+            raise OSError(28, "No space left on device")
+
+        fh.write = write
+        return fh
+
+    monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
+    assert _run(tmp_path, "spectrum", "--dJ", "0.2", "--force") == 2
+    after = {n: open(os.path.join(run_dir, n), "rb").read() for n in os.listdir(run_dir)}
+    assert after == before
+
+
 def test_output_dir_env_default(tmp_path, monkeypatch):
     monkeypatch.setenv("PLAQGATE_OUTPUT_DIR", str(tmp_path))
     assert run(["pert-coeffs", "--dJ", "0.4"]) == 0

@@ -71,6 +71,23 @@ def test_coeffs_match_oracle(r):
     assert abs(c.delta_e - 8.0 * (1.0 - r)) < 1e-14
 
 
+def _gamma_z_exact(r: float) -> Fraction:
+    r = Fraction(r)
+    return (Fraction(9) / r + Fraction(8) / (r - 3) - 8 - Fraction(1) / (2 - r)) / 48
+
+
+def test_gamma_z_correctly_rounded_near_its_root():
+    # gamma_z = -2.9e-6 here; its four float terms cancel to 1e-17 absolute
+    r = 0.7309073057696104
+    assert effective_coeffs(1.0, r).gamma_z == float(_gamma_z_exact(r))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=1e-3, max_value=0.999))
+def test_gamma_z_is_the_rounded_exact_rational(r):
+    assert effective_coeffs(1.0, r).gamma_z == float(_gamma_z_exact(r))
+
+
 def test_coeffs_scale_with_j():
     # lambda_z and gamma_z depend only on the ratio d/J
     a = effective_coeffs(1.0, 0.3)

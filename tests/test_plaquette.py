@@ -42,6 +42,21 @@ def test_singlet_pair_antisymmetry():
     np.testing.assert_allclose(a, -b, atol=1e-14)
 
 
+@pytest.mark.parametrize("pair", [(i, j) for i in "1234" for j in "1234" if i != j])
+def test_singlet_pair_is_kron_of_two_site_singlets(pair):
+    reg = plaquette_register()
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)  # (|up dn> - |dn up>)/sqrt2
+    i, j = pair
+    rest = [s for s in reg.site_labels if s not in pair]
+    for k, l in (rest, rest[::-1]):
+        # axes of the kron product are (i, j, k, l), the first one most significant
+        tensor = np.kron(singlet, singlet).reshape(2, 2, 2, 2)
+        # the register's amplitude index puts its last site on the most significant axis
+        order = [(i, j, k, l).index(s) for s in reversed(reg.site_labels)]
+        want = tensor.transpose(order).reshape(-1)
+        np.testing.assert_allclose(singlet_pair(reg, i, j, rest_pair=(k, l)), want, atol=1e-15)
+
+
 def test_logical_basis_geometry():
     basis = logical_basis()
     for vec in (basis.ket0, basis.ket1, basis.ket_box):

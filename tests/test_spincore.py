@@ -4,13 +4,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from plaqgate.optctrl import control_register
 from plaqgate.spincore import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     SpinRegister,
-    array_from_json,
-    array_to_json,
     eig_hermitian,
     pauli_dot,
     pauli_site,
@@ -82,6 +81,26 @@ def test_cached_operators_are_read_only(cached):
         arr += 0
 
 
+REGISTERS = [SpinRegister(("1", "2")), plaquette_register(), superplaquette_register(),
+             control_register()]
+REGISTER_IDS = ["pair", "plaquette", "superplaquette", "control"]
+
+
+@pytest.mark.parametrize("reg", REGISTERS, ids=REGISTER_IDS)
+def test_pauli_dot_is_sum_of_pauli_products(reg):
+    # the textbook form sum_a s_i^a s_j^a, entry for entry
+    for i in reg.site_labels:
+        for j in reg.site_labels:
+            if i != j:
+                want = sum(pauli_site(reg, i, a) @ pauli_site(reg, j, a) for a in "xyz")
+                assert np.array_equal(pauli_dot(reg, i, j), want), (i, j)
+
+
+@pytest.mark.parametrize("reg", REGISTERS, ids=REGISTER_IDS)
+def test_total_spin_squared_is_sum_of_squared_components(reg):
+    assert np.array_equal(total_spin_squared(reg), sum(c @ c for c in total_spin(reg)))
+
+
 def test_total_spin_components_commute_with_s2():
     reg = plaquette_register()
     s2 = total_spin_squared(reg)
@@ -122,10 +141,3 @@ def test_unitary_evolve_is_unitary_and_correct():
 
 def test_unitary_evolve_zero_time():
     np.testing.assert_allclose(unitary_evolve(PAULI_Z, 0.0), np.eye(2), atol=1e-15)
-
-
-def test_array_json_round_trip():
-    rng = np.random.default_rng(3)
-    arr = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    back = array_from_json(array_to_json(arr))
-    np.testing.assert_array_equal(arr, back)
