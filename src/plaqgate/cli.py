@@ -272,8 +272,9 @@ def _cmd_optctrl_optimize(config: RunConfig):
     pulse = optctrl.PulseParams(result.x_final, p["t_horizon"])
     run_dir = config.run_dir()
     os.makedirs(run_dir, exist_ok=True)
-    optctrl.export_result_json(result, p["t_horizon"], os.path.join(run_dir, "result.json"))
-    optctrl.export_pulse_csv(pulse, os.path.join(run_dir, "pulse.csv"))
+    _replace_file(os.path.join(run_dir, "result.json"),
+                  optctrl.result_json_text(result, p["t_horizon"]))
+    _replace_file(os.path.join(run_dir, "pulse.csv"), optctrl.pulse_csv_text(pulse))
     fields = ["seed", "infidelity", "iterations", "restarts_used", "gradient_norm", "max_amplitude"]
     rows = [dict(zip(fields, (config.seed, result.infidelity, result.iterations,
                               result.restarts_used, result.gradient_norm,
@@ -412,8 +413,7 @@ def _cmd_report(config: RunConfig):
     rows = compute_rows()
     run_dir = config.run_dir()
     os.makedirs(run_dir, exist_ok=True)
-    with open(os.path.join(run_dir, "plot.gp"), "w") as fh:
-        fh.write(gnuplot)
+    _replace_file(os.path.join(run_dir, "plot.gp"), gnuplot)
     return fields, rows, {"figure": figure, "schema": schema, "artifacts": ["plot.gp"]}
 
 

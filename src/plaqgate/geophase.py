@@ -33,6 +33,8 @@ doubly-occupied orbital is the singlet). The resulting occupation of the
 two inter-plaquette links per logical sector is encoded in
 SECTOR_LINKS; tunneling_phase evolves each link exactly and combines the
 return phases.
+
+scipy.optimize is imported where it is used, off the CLI's cold-start path.
 """
 from __future__ import annotations
 
@@ -44,7 +46,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .spincore import read_only
 
@@ -631,6 +632,8 @@ def link_tunneling_phase(
     else:
         k = maxima[0]
         lo, hi = ts[k - 1], ts[k + 1]
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(
         lambda t: -abs(amplitude(t)),
         bounds=(lo, hi),

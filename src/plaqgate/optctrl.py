@@ -39,16 +39,18 @@ than an independent ODE approximation.
 Controllability is checked by closing the real Lie algebra generated by the
 O_k (plus the identity): the span saturates at dimension 80, the sum of the
 block closures 49 + 9 + 22.
+
+scipy.optimize is imported where it is used, off the CLI's cold-start path.
 """
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .spincore import SpinRegister, pauli_dot, pauli_site, read_only, total_spin_squared
 
@@ -423,6 +425,8 @@ def optimize(
     infidelity is quoted at that resolution. `bound`, if given,
     box-constrains every coefficient to [-bound, bound].
     """
+    from scipy.optimize import minimize
+
     rng = np.random.default_rng(seed)
 
     def run(x0: np.ndarray, n_steps: int, iters: int):
@@ -483,18 +487,20 @@ def robustness_sweep(
 # Export
 # ---------------------------------------------------------------------------
 
-def export_pulse_csv(pulse: PulseParams, path) -> None:
+def pulse_csv_text(pulse: PulseParams) -> str:
     """CSV with columns t, alpha_1..alpha_5 at PULSE_SAMPLES uniform times."""
     times = np.linspace(0.0, pulse.t_horizon, PULSE_SAMPLES)
     values = pulse.amplitudes(times)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"alpha_{k + 1}" for k in range(N_CONTROLS)])
-        for i, t in enumerate(times):
-            writer.writerow([f"{t:.17g}"] + [f"{values[k, i]:.17g}" for k in range(N_CONTROLS)])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["t"] + [f"alpha_{k + 1}" for k in range(N_CONTROLS)])
+    for i, t in enumerate(times):
+        writer.writerow([f"{t:.17g}"] + [f"{values[k, i]:.17g}" for k in range(N_CONTROLS)])
+    return buf.getvalue()
 
 
-def export_result_json(result: OptimizationResult, t_horizon: float, path) -> None:
+def result_json_text(result: OptimizationResult, t_horizon: float) -> str:
+    """The exported result, as load_result_json reads it back."""
     payload = {
         "x": [[float(v) for v in row] for row in result.x_final],
         "T": float(t_horizon),
@@ -502,9 +508,7 @@ def export_result_json(result: OptimizationResult, t_horizon: float, path) -> No
         "infidelity": float(result.infidelity),
         "seed": int(result.seed),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def load_result_json(path) -> tuple[PulseParams, float, int]:

@@ -248,8 +248,11 @@ def echo_pulse(physical: bool = False) -> np.ndarray:
 
 def gate_time(p: PertParams) -> float:
     """t_c = (2n-1) pi J / (4 J'^2 |lambda_z - 1/8|); diverges at lambda_z = 1/8."""
-    c = effective_coeffs(p.j, p.d)
-    detune = abs(c.lambda_z - 0.125)
+    return _gate_time(p, effective_coeffs(p.j, p.d).lambda_z)
+
+
+def _gate_time(p: PertParams, lambda_z: float) -> float:
+    detune = abs(lambda_z - 0.125)
     if detune < 1e-14:
         raise ValueError("lambda_z = 1/8: the Ising term vanishes and no gate time exists")
     return (2 * p.n - 1) * np.pi * p.j / (4.0 * p.jp**2 * detune)
@@ -362,22 +365,21 @@ def _target_cphase(n: "int | None" = None) -> np.ndarray:
     return np.diag(phases)
 
 
-def _effective_echoed_evolution(p: PertParams, t_c: float) -> np.ndarray:
+def _effective_echoed_evolution(p: PertParams, t_c: float, lambda_z: float) -> np.ndarray:
     """exp[-i t_c (b s.s' + c sz sz')], the echoed second-order prediction."""
-    c = effective_coeffs(p.j, p.d)
     b_coef = -p.jp**2 / (8.0 * p.j)
-    c_coef = -(p.jp**2 / p.j) * (c.lambda_z - 0.125)
+    c_coef = -(p.jp**2 / p.j) * (lambda_z - 0.125)
     return unitary_evolve(b_coef * _HEIS_4 + c_coef * _ZZ_4, t_c)
 
 
-def _gate_target(p: PertParams, target: str, t_c: float) -> np.ndarray:
+def _gate_target(p: PertParams, target: str, t_c: float, lambda_z: float) -> np.ndarray:
     """The 4x4 target that gate_fidelity scores against (see its docstring)."""
     if target == "corrected_cphase":
         return _target_cphase(p.n)
     if target == "cphase_literal":
         return _target_cphase()
     if target == "effective":
-        return _effective_echoed_evolution(p, t_c)
+        return _effective_echoed_evolution(p, t_c, lambda_z)
     raise ValueError(f"unknown target {target!r}")
 
 
@@ -404,9 +406,10 @@ def gate_fidelity(
     The gate is computed exactly in the 14-dim total-singlet sector, which
     holds U P; echo_gate gives the same U on the full 256-dim space.
     """
-    t_c = gate_time(p)
+    lambda_z = effective_coeffs(p.j, p.d).lambda_z
+    t_c = _gate_time(p, lambda_z)
     u_logical, leakage = _sector_gate(p, t_c, physical_x)
-    t = _gate_target(p, target, t_c)
+    t = _gate_target(p, target, t_c, lambda_z)
     f = np.trace(t.conj().T @ u_logical) / 4.0
     phi_t = p.jp**2 * t_c / (8.0 * p.j)
     phi_s = -3.0 * p.jp**2 * t_c / (8.0 * p.j)

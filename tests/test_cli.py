@@ -4,9 +4,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import plaqgate
 from plaqgate.cli import COMMANDS, REPORT_FIGURES, RunConfig, _build_parser, run, sweep
 from plaqgate.pertgate import default_sweep_grid
 
@@ -169,6 +172,36 @@ def test_force_rewrite_is_atomic(tmp_path, monkeypatch):
     assert _run(tmp_path, "spectrum", "--dJ", "0.2", "--force") == 2
     after = {n: open(os.path.join(run_dir, n), "rb").read() for n in os.listdir(run_dir)}
     assert after == before
+
+
+def test_force_rewrite_of_plot_script_is_atomic(tmp_path, monkeypatch):
+    assert _run(tmp_path, "report", "--figure", "allowed") == 0
+    run_dir = _only_run_dir(tmp_path)
+    with open(os.path.join(run_dir, "plot.gp"), "ab") as fh:  # a script the rerun must replace
+        fh.write(b"stale\n")
+    before = {n: open(os.path.join(run_dir, n), "rb").read() for n in os.listdir(run_dir)}
+
+    def failing_replace(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert _run(tmp_path, "report", "--figure", "allowed", "--force") == 2
+    after = {n: open(os.path.join(run_dir, n), "rb").read() for n in os.listdir(run_dir)}
+    assert after == before  # the old plot.gp is whole and no *.tmp is left
+
+
+def test_import_path_is_free_of_scipy():
+    # scipy.optimize is imported inside the two functions that call it; at
+    # module level it would be most of the start-up of every CLI process
+    modules = ["plaqgate", "plaqgate.cli"] + [
+        f"plaqgate.{m}" for m in ("spincore", "plaquette", "pertgate", "geophase", "optctrl")]
+    code = (f"import sys, {', '.join(modules)}\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(plaqgate.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_output_dir_env_default(tmp_path, monkeypatch):

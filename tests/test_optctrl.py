@@ -15,14 +15,14 @@ from plaqgate.optctrl import (
     control_blocks,
     control_operators,
     control_register,
-    export_pulse_csv,
-    export_result_json,
     fidelity_and_gradient,
     gradient_check,
     lie_closure_dimension,
     load_result_json,
     optimize,
     propagate,
+    pulse_csv_text,
+    result_json_text,
     robustness_sweep,
     span_contains,
     target_gate,
@@ -378,10 +378,8 @@ def test_robustness_sweep_is_infidelity_of_scaled_pulse(x, delta, steps):
 # Export round trips
 # ---------------------------------------------------------------------------
 
-def test_pulse_csv_export(tmp_path):
-    path = tmp_path / "pulse.csv"
-    export_pulse_csv(_random_pulse(6), path)
-    lines = path.read_text().strip().splitlines()
+def test_pulse_csv_export():
+    lines = pulse_csv_text(_random_pulse(6)).strip().splitlines()
     assert lines[0] == "t,alpha_1,alpha_2,alpha_3,alpha_4,alpha_5"
     assert len(lines) == 1001
     first = [float(v) for v in lines[1].split(",")]
@@ -401,7 +399,7 @@ def test_result_json_round_trip(tmp_path):
         restarts_used=2, seed=8,
     )
     path = tmp_path / "result.json"
-    export_result_json(result, 1.0, path)
+    path.write_text(result_json_text(result, 1.0))
     pulse, infid, seed = load_result_json(path)
     np.testing.assert_array_equal(pulse.x, x)
     assert pulse.t_horizon == 1.0

@@ -330,7 +330,7 @@ def _full_space_gate_columns(p: PertParams) -> tuple[np.ndarray, float]:
 
 
 def _full_space_fidelity(p: PertParams, u_logical: np.ndarray, target: str) -> float:
-    t = _gate_target(p, target, gate_time(p))
+    t = _gate_target(p, target, gate_time(p), effective_coeffs(p.j, p.d).lambda_z)
     return float(abs(np.trace(t.conj().T @ u_logical) / 4.0) ** 2)
 
 
