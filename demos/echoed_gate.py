@@ -13,7 +13,6 @@ gate reduces to a controlled phase with known local corrections.
 import warnings
 
 import numpy as np
-from scipy.optimize import brentq
 
 from plaqgate.pertgate import (
     PertParams,
@@ -27,11 +26,12 @@ from plaqgate.pertgate import (
 
 # the coefficients depend only on the ratio r = d/J; lambda_z crosses 1/8
 # at r ~ 0.6035, where the induced sigma_z sigma_z coupling changes sign and
-# the gate time diverges
+# the gate time diverges. That ratio is the root in (0, 1) of the quartic of
+# allowed_ratios at tau = 1/8: 4r^4 + 8r^3 - 90r^2 + 140r - 54 = 0
 for r in (0.3, 0.5, 1.0):
     c = effective_coeffs(1.0, r)
     print(f"r = {r:4.2f}: lambda_z = {c.lambda_z:+.6f}, gamma_z = {c.gamma_z:+.6f}, delta_e = {c.delta_e:g}")
-root = brentq(lambda r: effective_coeffs(1.0, r).lambda_z - 0.125, 0.55, 0.65)
+root = next(x.real for x in np.roots([4, 8, -90, 140, -54]) if x.imag == 0 and 0 < x.real < 1)
 print(f"lambda_z = 1/8 at r = {root:.6f} (gate time diverges here)")
 
 # phase matching: the (n, m) conditions select d/J where the echoed
