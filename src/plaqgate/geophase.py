@@ -38,7 +38,6 @@ scipy.optimize is imported where it is used, off the CLI's cold-start path.
 """
 from __future__ import annotations
 
-import csv
 import itertools
 import warnings
 from dataclasses import dataclass, field, replace
@@ -235,15 +234,6 @@ def resonance_table(params: OnsiteParams, statistics: str) -> list[EnergyLedgerE
 LEDGER_FIELDS = ("statistics", "n_L", "n_R_a", "j_R", "c0", "c1", "c2", "resonant")
 
 
-def export_ledger_csv(entries, path) -> None:
-    """CSV with the LEDGER_FIELDS columns; `resonant` is true or false."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LEDGER_FIELDS)
-        for e in entries:
-            writer.writerow([*e.row()[:-1], "true" if e.resonant_at_bias else "false"])
-
-
 # ---------------------------------------------------------------------------
 # Truncated Fock space
 # ---------------------------------------------------------------------------
@@ -257,27 +247,28 @@ class TwoBandFockSpace:
     spans only the patterns with N particles, in the same order: 21/50/90
     states for bosons at N = 2/3/4 and 15/20/15 for fermions. That is all a
     number-conserving Hamiltonian needs, and every operator built on such a
-    basis must conserve the particle number. Operator matrices are built
-    state-by-state, so bosonic ladder algebra is exact except where a matrix
+    basis must conserve the particle number. Operators act on all basis
+    states at once; bosonic ladder algebra is exact except where a matrix
     element would leave the truncated space (occupation at the cap).
     """
 
     statistics: str
     total_number: "int | None" = None
-    occupations: list = field(init=False)
-    index: dict = field(init=False)
-    #: (dim, 6) float array of the mode occupations, row i for basis state i
+    #: (dim, 6) int array of the mode occupations, row i for basis state i,
+    #: in ascending order of the mixed-radix key sum_m counts[:, m] (cap+1)^(5-m)
     counts: np.ndarray = field(init=False, repr=False, compare=False)
+    _radix: np.ndarray = field(init=False, repr=False, compare=False)
+    _keys: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_statistics(self.statistics)
-        self.occupations = [
-            occ
-            for occ in itertools.product(range(self.cap + 1), repeat=len(MODE_LABELS))
-            if self.total_number is None or sum(occ) == self.total_number
-        ]
-        self.index = {occ: i for i, occ in enumerate(self.occupations)}
-        self.counts = np.array(self.occupations, dtype=float).reshape(-1, len(MODE_LABELS))
+        modes = len(MODE_LABELS)
+        counts = np.indices((self.cap + 1,) * modes).reshape(modes, -1).T
+        if self.total_number is not None:
+            counts = counts[counts.sum(axis=1) == self.total_number]
+        self.counts = counts
+        self._radix = (self.cap + 1) ** np.arange(modes - 1, -1, -1)
+        self._keys = counts @ self._radix
 
     @property
     def cap(self) -> int:
@@ -285,7 +276,7 @@ class TwoBandFockSpace:
 
     @property
     def dim(self) -> int:
-        return len(self.occupations)
+        return len(self.counts)
 
     def occupation(self, *modes: int) -> np.ndarray:
         """Diagonal of the number operator summed over `modes`, as a vector."""
@@ -295,7 +286,7 @@ class TwoBandFockSpace:
         n = self.total_number if total is None else total
         if n is None:
             raise ValueError("no total particle number fixed")
-        return np.array([i for i, occ in enumerate(self.occupations) if sum(occ) == n])
+        return np.flatnonzero(self.counts.sum(axis=1) == n)
 
     def physical_indices(self) -> np.ndarray:
         """States whose per-orbital occupancy stays within the cap.
@@ -304,65 +295,44 @@ class TwoBandFockSpace:
         this subspace, so symmetry checks are truncation-free on it; it also
         contains every state the tunneling dynamics visits.
         """
-        return np.array(
-            [
-                i
-                for i, occ in enumerate(self.occupations)
-                if all(occ[up] + occ[dn] <= self.cap for up, dn in ORBITAL_PAIRS)
-            ]
-        )
+        return np.flatnonzero(np.logical_and.reduce(
+            [self.occupation(up, dn) <= self.cap for up, dn in ORBITAL_PAIRS]))
 
     # -- operator construction ------------------------------------------------
 
-    def apply_string(self, occ: tuple, ops) -> "tuple[tuple, float] | None":
-        """Apply a normal-ordered operator string (given left-to-right) to a ket.
+    def apply_string(self, ops) -> np.ndarray:
+        """Amplitudes of a normal-ordered operator string (given left-to-right) on every ket.
 
         ops is a sequence of (mode, kind) with kind +1 for creation, -1 for
-        annihilation; returns (new_occupation, amplitude) or None.
+        annihilation. Entry i is 0 where the string annihilates basis state i;
+        otherwise state i maps to itself shifted by the string's net occupation
+        change. A state moves only where a step fires, so occupations stay in 0..cap.
         """
-        state = list(occ)
-        amp = 1.0
+        state = self.counts.copy()
+        amp = np.ones(self.dim)
         for mode, kind in reversed(ops):
-            n = state[mode]
+            n = state[:, mode]
+            fires = (n > 0) if kind < 0 else (n < self.cap)
             if self.statistics == "fermion":
-                sign = -1.0 if sum(state[:mode]) % 2 else 1.0
-                if kind == -1:
-                    if n == 0:
-                        return None
-                    state[mode] = 0
-                else:
-                    if n == 1:
-                        return None
-                    state[mode] = 1
-                amp *= sign
+                factor = 1 - 2 * (state[:, :mode].sum(axis=1) & 1)
             else:
-                if kind == -1:
-                    if n == 0:
-                        return None
-                    amp *= np.sqrt(n)
-                    state[mode] = n - 1
-                else:
-                    if n == self.cap:
-                        return None
-                    amp *= np.sqrt(n + 1)
-                    state[mode] = n + 1
-        return tuple(state), amp
+                factor = np.sqrt(n if kind < 0 else n + 1)
+            amp = amp * factor * fires
+            state[:, mode] += kind * fires
+        return amp
 
     def operator(self, strings) -> np.ndarray:
         """Dense matrix of sum_i coef_i * string_i on this basis."""
         mat = np.zeros((self.dim, self.dim), dtype=complex)
         for coef, ops in strings:
-            for occ in self.occupations:
-                out = self.apply_string(occ, ops)
-                if out is None:
-                    continue
-                if out[0] not in self.index:
-                    raise ValueError(f"operator leaves the {self.total_number}-particle basis")
-                mat[self.index[out[0]], self.index[occ]] += coef * out[1]
+            amp = self.apply_string(ops)
+            cols = np.flatnonzero(amp)
+            keys = self._keys[cols] + sum(kind * self._radix[mode] for mode, kind in ops)
+            rows = np.searchsorted(self._keys, keys)
+            if (self._keys.take(rows, mode="clip") != keys).any():
+                raise ValueError(f"operator leaves the {self.total_number}-particle basis")
+            mat[rows, cols] += coef * amp[cols]
         return mat
-
-    def number_op(self, mode: int) -> np.ndarray:
-        return np.diag(self.occupation(mode)).astype(complex)
 
     def spin_operators(self, orbital_pairs=ORBITAL_PAIRS):
         """(Sx, Sy, Sz) summed over the given orbitals, spin-1/2 per particle."""
@@ -386,30 +356,23 @@ class TwoBandFockSpace:
 
         Fermionic relations hold exactly. Bosonic [a_i, a_j^dag] = delta_ij
         is checked on states that keep both modes strictly below the cap,
-        where truncation is immaterial. Works state-by-state, no matmuls.
+        where truncation is immaterial. Both strings of a relation map a
+        state to the same image, so the defect of each state is the sum of
+        its two amplitudes and the identity term; no matrix is built.
         """
         worst = 0.0
         swap_sign = 1.0 if self.statistics == "fermion" else -1.0
-
-        def defect(occ, chains, identity: float = 0.0) -> float:
-            """Largest amplitude of sum(chains) |occ> + identity |occ>."""
-            acc = {occ: identity}
-            for coef, ops in chains:
-                out = self.apply_string(occ, ops)
-                if out is not None:
-                    acc[out[0]] = acc.get(out[0], 0.0) + coef * out[1]
-            return max(abs(v) for v in acc.values())
-
+        amp = self.apply_string
         for i, j in itertools.product(range(len(MODE_LABELS)), repeat=2):
-            for occ in self.occupations:
-                # a_i a_j -/+ a_j a_i = 0 never touches the cap
-                anti = [(1.0, [(i, -1), (j, -1)]), (swap_sign, [(j, -1), (i, -1)])]
-                worst = max(worst, defect(occ, anti))
-                if self.statistics == "boson" and (occ[i] >= self.cap or occ[j] >= self.cap):
-                    continue
-                mixed = [(1.0, [(i, -1), (j, +1)]), (swap_sign, [(j, +1), (i, -1)])]
-                worst = max(worst, defect(occ, mixed, -1.0 if i == j else 0.0))
-        return worst
+            # a_i a_j -/+ a_j a_i = 0 never touches the cap
+            anti = amp([(i, -1), (j, -1)]) + swap_sign * amp([(j, -1), (i, -1)])
+            worst = max(worst, np.abs(anti).max(initial=0.0))
+            mixed = ((-1.0 if i == j else 0.0) + amp([(i, -1), (j, +1)])
+                     + swap_sign * amp([(j, +1), (i, -1)]))
+            if self.statistics == "boson":
+                mixed = mixed[(self.counts[:, i] < self.cap) & (self.counts[:, j] < self.cap)]
+            worst = max(worst, np.abs(mixed).max(initial=0.0))
+        return float(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -488,18 +451,16 @@ def schwinger_identity_check(space: TwoBandFockSpace) -> float:
     if space.statistics != "boson":
         raise ValueError("the spin-ladder identity applies to the bosonic space")
     lhs = space.operator(_exchange_strings(+1.0))
-    n_ra = space.number_op(RA_UP) + space.number_op(RA_DN)
-    n_rb = space.number_op(RB_UP) + space.number_op(RB_DN)
-    j2 = space.total_spin_squared(RIGHT_ORBITAL_PAIRS)
+    n_ra = space.occupation(RA_UP, RA_DN)
+    n_rb = space.occupation(RB_UP, RB_DN)
     half = (n_ra + n_rb) / 2.0
-    rhs = n_ra @ n_rb + j2 - half @ (half + np.eye(space.dim))
-    safe = [
-        i
-        for i, occ in enumerate(space.occupations)
-        if occ[RA_UP] + occ[RA_DN] + occ[RB_UP] + occ[RB_DN] <= space.cap
-    ]
-    diff = (lhs - rhs)[np.ix_(safe, safe)]
-    return float(np.abs(diff).max())
+    # the number terms are diagonal: add them to the diagonal of J^2
+    rhs = space.total_spin_squared(RIGHT_ORBITAL_PAIRS)
+    diagonal = np.diag_indices(space.dim)
+    rhs[diagonal] += n_ra * n_rb
+    rhs[diagonal] -= half * (half + 1.0)
+    safe = np.flatnonzero(n_ra + n_rb <= space.cap)
+    return float(np.abs((lhs - rhs)[np.ix_(safe, safe)]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -531,19 +492,13 @@ def _initial_channel_state(
     space: TwoBandFockSpace, n_l: int, n_r_a: int, channel_spin: Fraction
 ) -> np.ndarray:
     """Highest-weight state with the given occupations and total link spin."""
-    pattern = [
-        i
-        for i, occ in enumerate(space.occupations)
-        if occ[L_UP] + occ[L_DN] == n_l
-        and occ[RA_UP] + occ[RA_DN] == n_r_a
-        and occ[RB_UP] + occ[RB_DN] == 0
-    ]
-    if not pattern:
+    pattern = ((space.occupation(L_UP, L_DN) == n_l)
+               & (space.occupation(RA_UP, RA_DN) == n_r_a)
+               & (space.occupation(RB_UP, RB_DN) == 0))
+    if not pattern.any():
         raise ValueError(f"occupations ({n_l}, {n_r_a}) not representable")
-    s_z = space.spin_z()
-    m_target = float(channel_spin)
-    sub = [i for i in pattern if abs(s_z[i] - m_target) < 1e-9]
-    if not sub:
+    sub = np.flatnonzero(pattern & (np.abs(space.spin_z() - float(channel_spin)) < 1e-9))
+    if not len(sub):
         raise ValueError(f"no m = {channel_spin} state for occupations ({n_l}, {n_r_a})")
     block = _fock_setup(space.statistics, space.total_number)[1][np.ix_(sub, sub)]
     evals, evecs = np.linalg.eigh(block)

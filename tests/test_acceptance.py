@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from plaqgate import geophase, optctrl, pertgate, plaquette
+from plaqgate import cli, geophase, optctrl, pertgate, plaquette
 from plaqgate.spincore import pauli_vector, plaquette_register
 
 # frozen reference values, derived once and pinned
@@ -253,11 +253,12 @@ def test_08_ledger_golden_files_and_resonant_sets(tmp_path):
     import pathlib
 
     golden_dir = pathlib.Path(__file__).parent / "golden"
-    for stat, surplus in (("boson", 0.0), ("fermion", U0)):
-        entries = geophase.resonance_table(_geo_params(surplus), stat)
-        path = tmp_path / f"{stat}_ledger.csv"
-        geophase.export_ledger_csv(entries, path)
-        assert path.read_bytes() == (golden_dir / f"{stat}_ledger.csv").read_bytes()
+    for stat in ("boson", "fermion"):
+        out = tmp_path / stat
+        assert cli.run(["geophase-table", "--statistics", stat, "--output-dir", str(out)]) == 0
+        (run_dir,) = out.iterdir()
+        data = (run_dir / "data.csv").read_bytes()
+        assert data == (golden_dir / f"{stat}_ledger.csv").read_bytes()
 
     boson = geophase.resonance_table(_geo_params(0.0), "boson")
     resonant = {

@@ -1,6 +1,7 @@
 """Two-band ladder: energy ledgers, Fock-space algebra, and return phases."""
 from __future__ import annotations
 
+import itertools
 import warnings
 from fractions import Fraction as Fr
 
@@ -109,28 +110,20 @@ def test_ledger_matches_exact_eigenvalue_differences(statistics, params):
     """First-order formula vs exact block eigenvalues of the onsite model."""
     space = gp.TwoBandFockSpace(statistics)
     h = gp.onsite_hamiltonian(params, statistics, space)
+    j2r_full = space.total_spin_squared(gp.RIGHT_ORBITAL_PAIRS)
+    n_l, n_ra, n_rb = (space.occupation(up, dn) for up, dn in gp.ORBITAL_PAIRS)
 
     for cfg in gp.table_configs(statistics):
         # initial block: (n_L, n_R_a, 0), spin-independent energy
-        before = [
-            i for i, occ in enumerate(space.occupations)
-            if occ[0] + occ[1] == cfg.n_l
-            and occ[2] + occ[3] == cfg.n_r_a
-            and occ[4] + occ[5] == 0
-        ]
+        before = np.flatnonzero((n_l == cfg.n_l) & (n_ra == cfg.n_r_a) & (n_rb == 0))
         eb = np.linalg.eigvalsh(h[np.ix_(before, before)])
         assert np.ptp(eb) < 1e-9
 
         # final block: one particle moved into the upper right orbital,
         # classified by the right-site channel spin
-        after = [
-            i for i, occ in enumerate(space.occupations)
-            if occ[0] + occ[1] == cfg.n_l - 1
-            and occ[2] + occ[3] == cfg.n_r_a
-            and occ[4] + occ[5] == 1
-        ]
+        after = np.flatnonzero((n_l == cfg.n_l - 1) & (n_ra == cfg.n_r_a) & (n_rb == 1))
         ha = h[np.ix_(after, after)]
-        j2r = space.total_spin_squared(gp.RIGHT_ORBITAL_PAIRS)[np.ix_(after, after)]
+        j2r = j2r_full[np.ix_(after, after)]
         w, v = np.linalg.eigh(ha)
         target = float(cfg.j_r * (cfg.j_r + 1))
         hits = [
@@ -143,13 +136,6 @@ def test_ledger_matches_exact_eigenvalue_differences(statistics, params):
 
         val, _ = gp.delta_e1(cfg, params, statistics)
         assert abs(val - (eb[0] - w[hits[0]])) < 1e-10
-
-
-def test_ledger_csv_is_deterministic(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    gp.export_ledger_csv(gp.resonance_table(PB_TAB, "boson"), a)
-    gp.export_ledger_csv(gp.resonance_table(PB_TAB, "boson"), b)
-    assert a.read_bytes() == b.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +168,7 @@ def test_schwinger_check_is_boson_only():
 def test_onsite_hamiltonian_conservation_laws(statistics, params):
     space = gp.TwoBandFockSpace(statistics)
     h = gp.onsite_hamiltonian(params, statistics, space)
-    n_total = sum(space.number_op(m) for m in range(6))
+    n_total = np.diag(space.occupation(*range(6)))
     assert np.abs(h @ n_total - n_total @ h).max() < 1e-9
     # spin conservation holds on the truncation-free block
     phys = space.physical_indices()
@@ -198,6 +184,54 @@ def test_single_particle_ground_state(statistics, params):
     one = space.sector_indices(1)
     evals = np.linalg.eigvalsh(h[np.ix_(one, one)])
     assert abs(evals.min() - min(params.mu_l, params.mu_r)) < 1e-10
+
+
+def _reference_operator(space, strings):
+    """Per-ket matrix of sum_i coef_i * string_i: one basis state and one factor at a time."""
+    index = {tuple(occ): i for i, occ in enumerate(space.counts.tolist())}
+    mat = np.zeros((space.dim, space.dim), dtype=complex)
+    for coef, ops in strings:
+        for occ, col in index.items():
+            state, amp = list(occ), 1.0
+            for mode, kind in reversed(ops):
+                n = state[mode]
+                if n == (0 if kind < 0 else space.cap):
+                    break
+                if space.statistics == "fermion":
+                    amp *= -1.0 if sum(state[:mode]) % 2 else 1.0
+                else:
+                    amp *= np.sqrt(n if kind < 0 else n + 1)
+                state[mode] = n + kind
+            else:
+                if tuple(state) not in index:
+                    raise ValueError("operator leaves the basis")
+                mat[index[tuple(state)], col] += coef * amp
+    return mat
+
+
+REFERENCE_STRINGS = {
+    "exchange+": gp._exchange_strings(+1.0),
+    "exchange-": gp._exchange_strings(-1.0),
+    "spin_raising": [(1.0, [(up, +1), (dn, -1)]) for up, dn in gp.ORBITAL_PAIRS],
+    "right_spin_raising": [(1.0, [(up, +1), (dn, -1)]) for up, dn in gp.RIGHT_ORBITAL_PAIRS],
+    "hop": [(-0.7, [(gp.L_UP, +1), (gp.RB_UP, -1)]), (-0.7, [(gp.L_DN, +1), (gp.RB_DN, -1)])],
+}
+
+
+@pytest.mark.parametrize("statistics", ["boson", "fermion"])
+def test_operator_is_bit_identical_to_per_ket_reference(statistics):
+    cap = 1 if statistics == "fermion" else 2
+    for total in [None, *range(6 * cap + 1)]:
+        space = gp.TwoBandFockSpace(statistics, total_number=total)
+        for strings in REFERENCE_STRINGS.values():
+            assert np.array_equal(space.operator(strings), _reference_operator(space, strings))
+    # a second ladder step on a mode the first one already emptied or filled
+    # to the cap: annihilated states must not reach occupations outside 0..cap
+    full = gp.TwoBandFockSpace(statistics)
+    for mode, kind in itertools.product(range(6), (+1, -1)):
+        twice = [(1.0, [(mode, kind), (mode, kind)])]
+        with np.errstate(all="raise"):
+            assert np.array_equal(full.operator(twice), _reference_operator(full, twice))
 
 
 def test_fixed_number_operator_must_conserve_number():
@@ -249,7 +283,7 @@ def test_link_setup_is_cached_read_only(statistics):
     setup = gp._fock_setup(statistics, 4)
     assert gp._fock_setup(statistics, 4) is setup
     space, spin_squared, exchange = setup
-    assert space.occupations == gp.TwoBandFockSpace(statistics, total_number=4).occupations
+    assert np.array_equal(space.counts, gp.TwoBandFockSpace(statistics, total_number=4).counts)
     np.testing.assert_array_equal(spin_squared, space.total_spin_squared())
     np.testing.assert_array_equal(exchange, space.operator(gp._exchange_strings(+1.0)))
     for arr in (spin_squared, exchange):
@@ -272,7 +306,7 @@ def test_link_sector_matches_full_space(statistics, n_l, n_r_a, j, full_spaces):
     full = full_spaces[statistics]
     space = gp.TwoBandFockSpace(statistics, total_number=n_l + n_r_a)
     sector = full.sector_indices(n_l + n_r_a)
-    assert [full.occupations[i] for i in sector] == space.occupations
+    assert np.array_equal(full.counts[sector], space.counts)
 
     psi_full = gp._initial_channel_state(full, n_l, n_r_a, j)
     assert np.abs(np.delete(psi_full, sector)).max() == 0.0

@@ -396,6 +396,25 @@ def test_sector_matches_full_space(d, jp, target, physical_x, horizon):
     assert abs(validate_effective(p, horizon) - _full_space_validate(p, horizon)) <= 1e-9
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    d=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+    jp=st.floats(0.01, 0.2, exclude_min=True, exclude_max=True),
+    physical_x=st.booleans(),
+)
+def test_sector_gate_is_unitary(d, jp, physical_x):
+    # U P is an isometry: the logical block and the leaked part share the
+    # norm of the four logical inputs, ||U_L||_F^2 + leakage = 4
+    assume(abs(effective_coeffs(1.0, d).lambda_z - 0.125) > 1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", WeakCouplingWarning)
+        p = PertParams(j=1.0, d=d, jp=jp)
+    t_c = gate_time(p)
+    u_logical, leakage = _sector_gate(p, t_c, physical_x)
+    norm = np.linalg.norm(u_logical) ** 2
+    assert abs(norm + leakage - 4.0) <= 1e-13 * max(1.0, t_c)
+
+
 def test_sweep_matches_full_space_on_pertfid_grid():
     # every (d/J, J'/J) point of report --figure pertfid
     for jp in (0.05, 0.1, 0.2):
