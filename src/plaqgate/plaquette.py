@@ -23,6 +23,7 @@ the corresponding axis (the offsets only contribute global phase).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .spincore import (
     eig_hermitian,
     pauli_dot,
     plaquette_register,
+    read_only,
     total_spin_squared,
     unitary_evolve,
 )
@@ -286,6 +288,18 @@ def rotation_step_bound(axis1: BlochAxis, axis2: BlochAxis) -> int:
 # Two-site Hubbard oracle for the superexchange scale J = t^2/U
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=2)
+def _two_site_setup(statistics: str):
+    """Read-only (n0, n1, hop at t = -1, S^2) of the two-site model; -t * hop is the hop at t."""
+    space = TwoBandFockSpace(statistics, total_number=2)
+    keep = np.flatnonzero(space.occupation(RB_UP, RB_DN) == 0)
+    hop = space.operator([(1.0, [(L_UP, +1), (RA_UP, -1)]), (1.0, [(L_DN, +1), (RA_DN, -1)])])
+    s2 = space.total_spin_squared(((L_UP, L_DN), (RA_UP, RA_DN)))
+    return tuple(read_only(a) for a in (space.occupation(L_UP, L_DN)[keep],
+                 space.occupation(RA_UP, RA_DN)[keep], hop[np.ix_(keep, keep)].real,
+                 s2[np.ix_(keep, keep)]))
+
+
 def _two_site_hubbard(t: float, u: float, statistics: str) -> tuple[float, float]:
     """Ground singlet and triplet energies of the two-site, two-particle model.
 
@@ -293,14 +307,10 @@ def _two_site_hubbard(t: float, u: float, statistics: str) -> tuple[float, float
     space; the states with R_b empty span the model. The on-site energy
     (U/2) n(n-1) counts doubly occupied orbitals for fermions too.
     """
-    space = TwoBandFockSpace(statistics, total_number=2)
-    keep = np.flatnonzero(space.occupation(RB_UP, RB_DN) == 0)
-    n0, n1 = space.occupation(L_UP, L_DN)[keep], space.occupation(RA_UP, RA_DN)[keep]
+    n0, n1, unit_hop, s2 = _two_site_setup(statistics)
     onsite = 0.5 * u * (n0 * (n0 - 1) + n1 * (n1 - 1))
-    hop = space.operator([(-t, [(L_UP, +1), (RA_UP, -1)]), (-t, [(L_DN, +1), (RA_DN, -1)])])
-    hop = hop[np.ix_(keep, keep)].real
+    hop = -t * unit_hop
     h = np.diag(onsite) + hop + hop.T
-    s2 = space.total_spin_squared(((L_UP, L_DN), (RA_UP, RA_DN)))[np.ix_(keep, keep)]
 
     w, v = np.linalg.eigh(h)
     s2vals = np.einsum("ik,ij,jk->k", v, s2, v).real

@@ -2,13 +2,17 @@
 from __future__ import annotations
 
 import itertools
+import pathlib
 import warnings
 from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from plaqgate import cli
 from plaqgate import geophase as gp
 
 U0, T = 50.0, 1.0
@@ -103,6 +107,22 @@ def test_coefficients_are_exact_rationals():
         for e in gp.resonance_table(PB_TAB if stat == "boson" else PF_TAB, stat):
             for c in (e.c0, e.c1, e.c2):
                 assert isinstance(c, Fr)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    statistics=st.sampled_from(["boson", "fermion"]),
+    values=st.tuples(*[st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)] * 8),
+)
+def test_ledger_is_exact_rational_for_any_positive_params(statistics, values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", gp.RWAValidityWarning)
+        params = gp.OnsiteParams(*values)
+    for e in gp.resonance_table(params, statistics):
+        assert all(isinstance(c, Fr) for c in (e.c0, e.c1, e.c2))
+    energy = gp.boson_f if statistics == "boson" else gp.fermion_eta
+    for cfg in gp.table_configs(statistics):
+        assert isinstance(energy(cfg.n_r_a, cfg.n_r_b, cfg.j_r), Fr)
 
 
 @pytest.mark.parametrize("statistics,params", [("boson", PB), ("fermion", PF)])
@@ -256,21 +276,32 @@ SECTOR_LINK_CHANNELS = sorted(
 )
 
 
-def _reference_return_figures(evals, weights, t_hop, scan_points=8000):
-    """Return figures from a scan over every eigencomponent, then a bounded refinement."""
+def _direct_scan(evals, weights, t_hop, scan_points=8000):
+    """The grid of the return scan and |a(t_k)|, one exponential per (t_k, E)."""
+    t_max = 1.25 * np.pi / abs(t_hop)
+    ts = np.linspace(t_max / scan_points, t_max, scan_points)
+    return ts, np.abs(np.exp(-1j * np.outer(ts, evals)) @ weights)
+
+
+def _bracket_indices(mags):
+    """Grid indices of the first local minimum of |a| and of the next local maximum."""
+    inner = mags[1:-1]
+    first_min = np.flatnonzero((inner <= mags[:-2]) & (inner <= mags[2:]))[0] + 1
+    maxima = [k for k in range(first_min + 2, len(mags) - 1)
+              if mags[k] >= mags[k - 1] and mags[k] >= mags[k + 1]]
+    return first_min, maxima[0]
+
+
+def _reference_return_figures(evals, weights, t_hop):
+    """Return figures from a direct scan over every eigencomponent, then a bounded refinement."""
     e0 = weights @ evals
 
     def amplitude(t):
         return np.exp(1j * e0 * t) * np.sum(weights * np.exp(-1j * evals * t))
 
-    t_max = 1.25 * np.pi / abs(t_hop)
-    ts = np.linspace(t_max / scan_points, t_max, scan_points)
-    mags = np.abs(np.exp(-1j * np.outer(ts, evals)) @ weights)
-    inner = mags[1:-1]
-    first_min = np.flatnonzero((inner <= mags[:-2]) & (inner <= mags[2:]))[0] + 1
-    maxima = [k for k in range(first_min + 2, len(ts) - 1)
-              if mags[k] >= mags[k - 1] and mags[k] >= mags[k + 1]]
-    k = maxima[0]
+    ts, mags = _direct_scan(evals, weights, t_hop)
+    t_max = ts[-1]
+    _, k = _bracket_indices(mags)
     res = minimize_scalar(lambda t: -abs(amplitude(t)), bounds=(ts[k - 1], ts[k + 1]),
                           method="bounded", options={"xatol": t_max * 1e-12})
     a_ret = amplitude(res.x)
@@ -289,6 +320,22 @@ def test_link_setup_is_cached_read_only(statistics):
     for arr in (spin_squared, exchange):
         with pytest.raises(ValueError, match="read-only"):
             arr += 0
+    for stat, n_l, n_r_a, j in SECTOR_LINK_CHANNELS:
+        if stat != statistics:
+            continue
+        psi = gp._channel_state(statistics, n_l, n_r_a, j)
+        assert gp._channel_state(statistics, n_l, n_r_a, j) is psi
+        fixed = gp.TwoBandFockSpace(statistics, total_number=n_l + n_r_a)
+        np.testing.assert_array_equal(psi, gp._initial_channel_state(fixed, n_l, n_r_a, j))
+        with pytest.raises(ValueError, match="read-only"):
+            psi += 0
+
+
+def _link_params(statistics, u):
+    """The link energies of `geophase-dynamics --u u`: omega = 20 u, resonant bias."""
+    omega = 20.0 * u
+    return gp.OnsiteParams(mu_l=omega + (0.0 if statistics == "boson" else u), mu_r=0.0,
+                           omega=omega, u_l_aa=1.546 * u, u_r_aa=u, u_r_bb=u, u_r_ab=u, t=T)
 
 
 @pytest.fixture(scope="module")
@@ -315,9 +362,7 @@ def test_link_sector_matches_full_space(statistics, n_l, n_r_a, j, full_spaces):
     assert np.abs(proj - np.outer(psi_full[sector], psi_full[sector].conj())).max() <= 1e-12
 
     for u in (25.0, 50.0, 100.0):
-        omega = 20.0 * u
-        p = gp.OnsiteParams(mu_l=omega + (0.0 if statistics == "boson" else u), mu_r=0.0,
-                            omega=omega, u_l_aa=1.546 * u, u_r_aa=u, u_r_bb=u, u_r_ab=u, t=T)
+        p = _link_params(statistics, u)
         h_full = gp.onsite_hamiltonian(p, statistics, full) + gp.tunneling_hamiltonian(p, full)
         block = h_full[np.ix_(sector, sector)]
         h = gp.onsite_hamiltonian(p, statistics, space) + gp.tunneling_hamiltonian(p, space)
@@ -331,6 +376,39 @@ def test_link_sector_matches_full_space(statistics, n_l, n_r_a, j, full_spaces):
         assert abs(np.angle(np.exp(1j * (phase - phase_ref)))) <= 1e-12
         assert abs(leak - leak_ref) <= 1e-12
         assert abs(gp.link_peak_leakage(n_l, n_r_a, j, p, statistics) - peak_ref) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "statistics,n_l,n_r_a,j",
+    SECTOR_LINK_CHANNELS,
+    ids=[f"{s}-{n_l}-{n_r_a}-2j{2 * j}" for s, n_l, n_r_a, j in SECTOR_LINK_CHANNELS],
+)
+def test_factored_scan_matches_direct_scan(statistics, n_l, n_r_a, j):
+    """The factored |a(t_k)| agrees with the direct scan and picks the same bracket."""
+    for u in (25.0, 40.0, 50.0, 57.3, 100.0):
+        p = _link_params(statistics, u)
+        evals, weights = gp._link_spectrum(n_l, n_r_a, j, p, statistics)
+        kept = weights >= 1e-20
+        ts_ref, mags_ref = _direct_scan(evals[kept], weights[kept], T)
+        ts, mags = gp._return_scan(evals[kept], weights[kept], p)
+        assert np.array_equal(ts, ts_ref)
+        assert np.abs(mags - mags_ref).max() <= 1e-12
+        assert _bracket_indices(mags) == _bracket_indices(mags_ref)
+
+
+@pytest.mark.parametrize("u", ["40", "57.3"])
+def test_dynamics_dataset_golden_bytes(tmp_path, u):
+    """`geophase-dynamics --statistics both` data.csv equals its frozen golden file.
+
+    The golden files were written by
+    `plaqgate geophase-dynamics --statistics both --u <u> --output-dir <dir>`
+    and copied from <dir>/geophase-dynamics-*/data.csv to tests/golden/dynamics_u<u>.csv.
+    """
+    golden = pathlib.Path(__file__).parent / "golden" / f"dynamics_u{u}.csv"
+    assert cli.run(["geophase-dynamics", "--statistics", "both", "--u", u,
+                    "--output-dir", str(tmp_path)]) == 0
+    (run_dir,) = tmp_path.iterdir()
+    assert (run_dir / "data.csv").read_bytes() == golden.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from plaqgate.geophase import L_DN, L_UP, RA_DN, RA_UP, RB_DN, RB_UP, TwoBandFockSpace
 from plaqgate.plaquette import (
     AXIS_C,
     AXIS_H,
@@ -19,6 +20,7 @@ from plaqgate.plaquette import (
     rotation_step_bound,
     singlet_pair,
     superexchange_hubbard_check,
+    _two_site_setup,
 )
 from plaqgate.spincore import plaquette_register, total_spin, unitary_evolve
 
@@ -213,6 +215,25 @@ def test_hubbard_gap_is_exact(statistics, t_over_u):
     # the two-site singlet-triplet gap in closed form, (sqrt(U^2 + 16 t^2) - U)/2
     gap, _ = superexchange_hubbard_check(t_over_u, 1.0, statistics)
     assert abs(gap - (np.sqrt(1.0 + 16.0 * t_over_u**2) - 1.0) / 2.0) < 1e-12
+
+
+@pytest.mark.parametrize("statistics", ["fermion", "boson"])
+def test_two_site_setup_is_cached_read_only(statistics):
+    setup = _two_site_setup(statistics)
+    assert _two_site_setup(statistics) is setup
+    for arr in setup:
+        with pytest.raises(ValueError, match="read-only"):
+            arr += 0
+
+
+@pytest.mark.parametrize("statistics", ["fermion", "boson"])
+@pytest.mark.parametrize("t", [0.005, 0.0372, 0.095])
+def test_two_site_unit_hop_scales_exactly(statistics, t):
+    # the hop built with coefficient -t equals -t times the cached unit hop, bit for bit
+    space = TwoBandFockSpace(statistics, total_number=2)
+    keep = np.flatnonzero(space.occupation(RB_UP, RB_DN) == 0)
+    hop = space.operator([(-t, [(L_UP, +1), (RA_UP, -1)]), (-t, [(L_DN, +1), (RA_DN, -1)])])
+    assert np.array_equal(hop[np.ix_(keep, keep)].real, -t * _two_site_setup(statistics)[2])
 
 
 def test_hubbard_rejects_unknown_statistics():
