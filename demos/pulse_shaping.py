@@ -20,15 +20,15 @@ from plaqgate.optctrl import (
     PulseParams,
     control_operators,
     gradient_check,
-    lie_closure_dimension,
+    lie_closure,
     optimize,
     robustness_sweep,
 )
 
 # controllability: the closure saturates at 80 = dim of the reachable algebra
 ops = control_operators()
-print(f"Lie closure of all five controls: {lie_closure_dimension(ops)}")
-print(f"Lie closure of one exchange alone: {lie_closure_dimension([ops[0]])}")
+print(f"Lie closure of all five controls: {len(lie_closure(ops))}")
+print(f"Lie closure of one exchange alone: {len(lie_closure([ops[0]]))}")
 
 # too small a pulse basis stalls far from the gate: controllability is about
 # the algebra, but reaching the gate in fixed time needs enough harmonics

@@ -99,28 +99,6 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def sweep(point_fn, grid) -> list[dict]:
-    """Evaluate point_fn over grid points; failures become flagged rows.
-
-    Row order follows the grid; each row merges the grid point with the
-    function's result dict, or carries status="error: ..." when the point
-    raised.
-    """
-    if not grid:
-        raise ValueError("grid must be nonempty")
-
-    def one(point: dict) -> dict:
-        row = dict(point)
-        try:
-            row.update(point_fn(**point))
-            row["status"] = "ok"
-        except Exception as exc:  # flagged, run continues
-            row["status"] = f"error: {type(exc).__name__}: {exc}"
-        return row
-
-    return [one(p) for p in grid]
-
-
 def _replace_file(path: str, text: str) -> None:
     """Write `text` to `path` via a temporary file and os.replace, so a failed write
     leaves the old file whole; a file already holding these bytes is left as it is."""
@@ -309,7 +287,7 @@ def _cmd_optctrl_robustness(config: RunConfig):
 
 
 def _cmd_optctrl_liedim(config: RunConfig):
-    dim = optctrl.lie_closure_dimension(optctrl.control_operators())
+    dim = len(optctrl.lie_closure(optctrl.control_operators()))
     print(dim)
     return ["dimension"], [{"dimension": dim}], None
 
@@ -348,15 +326,17 @@ def _cmd_geophase_dynamics(config: RunConfig):
     sectors = list(geophase.SECTORS) if p["sector"] == "all" else [p["sector"]]
     u = p["u"]
     u_l_aa = p["u_l_aa"] if p["u_l_aa"] is not None else 1.546 * u
-    grid = [{"statistics": s, "sector": sec}
-            for s in _statistics(p["statistics"]) for sec in sectors]
-
-    def point(statistics: str, sector: str) -> dict:
-        params = _geophase_params(statistics, u_l_aa, u)
-        t_ret, phase, leak = geophase.tunneling_phase(sector, params, statistics)
-        return {"return_time": t_ret, "phase": phase, "leakage": leak}
-
-    rows = sweep(point, grid)
+    rows = []
+    for statistics in _statistics(p["statistics"]):
+        for sector in sectors:
+            row = {"statistics": statistics, "sector": sector}
+            try:
+                params = _geophase_params(statistics, u_l_aa, u)
+                t_ret, phase, leak = geophase.tunneling_phase(sector, params, statistics)
+                row.update(return_time=t_ret, phase=phase, leakage=leak, status="ok")
+            except Exception as exc:  # flagged, the run continues
+                row["status"] = f"error: {type(exc).__name__}: {exc}"
+            rows.append(row)
     fields = ["statistics", "sector", "return_time", "phase", "leakage", "status"]
     return fields, rows, None
 

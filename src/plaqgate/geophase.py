@@ -86,7 +86,7 @@ class OnsiteParams:
                 f"omega={self.omega} is not >> U_R_ab={self.u_r_ab}; the "
                 "rotating-wave neglect of band-changing terms is unreliable",
                 RWAValidityWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property
@@ -99,6 +99,12 @@ def _as_half_integer(value) -> Fraction:
     if frac.denominator not in (1, 2):
         raise ValueError(f"spin must be a half-integer, got {value}")
     return frac
+
+
+def _couples_to(j: Fraction, n_a: int, n_b: int) -> bool:
+    """Whether spins n_a/2 and n_b/2 couple to total spin j (the triangle rule)."""
+    low, high = Fraction(abs(n_a - n_b), 2), Fraction(n_a + n_b, 2)
+    return low <= j <= high and (high - j).denominator == 1
 
 
 @dataclass(frozen=True)
@@ -120,9 +126,7 @@ class NumberConfig:
         for name, val in (("n_L", self.n_l), ("n_R_a", self.n_r_a), ("n_R_b", self.n_r_b)):
             if not 0 <= val <= 2:
                 raise ValueError(f"{name} must be in 0..2, got {val}")
-        low = Fraction(abs(self.n_r_a - self.n_r_b), 2)
-        high = Fraction(self.n_r_a + self.n_r_b, 2)
-        if not low <= self.j_r <= high or (high - self.j_r).denominator != 1:
+        if not _couples_to(self.j_r, self.n_r_a, self.n_r_b):
             raise ValueError(
                 f"j_R={self.j_r} incompatible with (n_R_a, n_R_b)=({self.n_r_a}, {self.n_r_b})"
             )
@@ -161,8 +165,7 @@ def boson_f(n_a: int, n_b: int, j) -> Fraction:
     U_R^ab f[n_a, n_b, j]; f vanishes whenever one band is empty.
     """
     jf = _as_half_integer(j)
-    low, high = Fraction(abs(n_a - n_b), 2), Fraction(n_a + n_b, 2)
-    if not low <= jf <= high or (high - jf).denominator != 1:
+    if not _couples_to(jf, n_a, n_b):
         raise ValueError(f"j={jf} out of range for (n_a, n_b)=({n_a}, {n_b})")
     s = Fraction(n_a + n_b, 2)
     return 2 * n_a * n_b - s * (s + 1) + jf * (jf + 1)
@@ -282,11 +285,9 @@ class TwoBandFockSpace:
         """Diagonal of the number operator summed over `modes`, as a vector."""
         return self.counts[:, list(modes)].sum(axis=1)
 
-    def sector_indices(self, total: "int | None" = None) -> np.ndarray:
-        n = self.total_number if total is None else total
-        if n is None:
-            raise ValueError("no total particle number fixed")
-        return np.flatnonzero(self.counts.sum(axis=1) == n)
+    def sector_indices(self, total: int) -> np.ndarray:
+        """Basis states holding `total` particles."""
+        return np.flatnonzero(self.counts.sum(axis=1) == total)
 
     def physical_indices(self) -> np.ndarray:
         """States whose per-orbital occupancy stays within the cap.
@@ -334,21 +335,18 @@ class TwoBandFockSpace:
             mat[rows, cols] += coef * amp[cols]
         return mat
 
-    def spin_operators(self, orbital_pairs=ORBITAL_PAIRS):
-        """(Sx, Sy, Sz) summed over the given orbitals, spin-1/2 per particle."""
-        s_plus = self.operator([(1.0, [(up, +1), (dn, -1)]) for up, dn in orbital_pairs])
-        s_z = np.diag(self.spin_z(orbital_pairs)).astype(complex)
-        s_x = (s_plus + s_plus.conj().T) / 2.0
-        s_y = (s_plus - s_plus.conj().T) / 2.0j
-        return s_x, s_y, s_z
-
     def spin_z(self, orbital_pairs=ORBITAL_PAIRS) -> np.ndarray:
         """Diagonal of S_z summed over the given orbitals, as a vector."""
         ups, dns = zip(*orbital_pairs)
         return 0.5 * (self.occupation(*ups) - self.occupation(*dns))
 
     def total_spin_squared(self, orbital_pairs=ORBITAL_PAIRS) -> np.ndarray:
-        s_x, s_y, s_z = self.spin_operators(orbital_pairs)
+        """S^2 of the spin summed over the given orbitals, spin-1/2 per particle."""
+        s_plus = self.operator([(1.0, [(up, +1), (dn, -1)]) for up, dn in orbital_pairs])
+        s_z = np.diag(self.spin_z(orbital_pairs)).astype(complex)
+        s_x = (s_plus + s_plus.conj().T) / 2.0
+        s_y = (s_plus - s_plus.conj().T) / 2.0j
+        del s_plus  # one dense matrix fewer alive during the products (peak memory)
         return s_x @ s_x + s_y @ s_y + s_z @ s_z
 
     def commutation_residual(self) -> float:
@@ -401,31 +399,29 @@ def _fock_setup(statistics: str, total_number: "int | None"):
             read_only(space.operator(_exchange_strings(+1.0))))
 
 
-def onsite_hamiltonian(
-    params: OnsiteParams, statistics: str, space: TwoBandFockSpace
-) -> np.ndarray:
+def onsite_hamiltonian(params: OnsiteParams, space: TwoBandFockSpace) -> np.ndarray:
     """Second-quantized on-site energy of the link (no tunneling term).
 
     Conserves the total particle number and the total spin; the
     energy-non-conserving pair transfer between bands is excluded.
     """
-    if statistics != space.statistics:
-        raise ValueError("statistics of params call and Fock space disagree")
     # the number terms are diagonal: build them as vectors over the basis
     n_l = space.occupation(L_UP, L_DN)
     n_ra = space.occupation(RA_UP, RA_DN)
     n_rb = space.occupation(RB_UP, RB_DN)
-    diag = params.mu_l * n_l + params.mu_r * n_ra + (params.mu_r + params.omega) * n_rb
+    # float also for integer energies: the terms below are added in place
+    diag = (params.mu_l * n_l + params.mu_r * n_ra + (params.mu_r + params.omega) * n_rb
+            ).astype(float, copy=False)
     band = np.diag(n_ra * n_rb).astype(complex)
-    if statistics == "boson":
+    if space.statistics == "boson":
         diag += params.u_l_aa * (n_l * (n_l - 1.0))
         diag += 0.5 * params.u_r_aa * (n_ra * (n_ra - 1.0))
         diag += 0.5 * params.u_r_bb * (n_rb * (n_rb - 1.0))
-        band += _fock_setup(statistics, space.total_number)[2]
+        band += _fock_setup(space.statistics, space.total_number)[2]
     else:
         for (up, dn), u in zip(ORBITAL_PAIRS, (params.u_l_aa, params.u_r_aa, params.u_r_bb)):
             diag += u * (space.occupation(up) * space.occupation(dn))
-        band -= _fock_setup(statistics, space.total_number)[2]
+        band -= _fock_setup(space.statistics, space.total_number)[2]
     h = np.diag(diag).astype(complex)
     h += params.u_r_ab * band
     return h
@@ -532,7 +528,7 @@ def _link_spectrum(
     """
     space = _fock_setup(statistics, n_l + n_r_a)[0]
     psi0 = _channel_state(statistics, n_l, n_r_a, _as_half_integer(channel_spin))
-    h = onsite_hamiltonian(params, statistics, space) + tunneling_hamiltonian(params, space)
+    h = onsite_hamiltonian(params, space) + tunneling_hamiltonian(params, space)
     evals, evecs = np.linalg.eigh(h)
     return evals, np.abs(evecs.conj().T @ psi0) ** 2
 

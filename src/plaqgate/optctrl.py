@@ -103,6 +103,13 @@ def _sine_basis(n_harmonics: int, times, t_horizon: float) -> np.ndarray:
 
 @dataclass
 class OptimizationResult:
+    """Outcome of `optimize`.
+
+    `iterations` sums over every descent, the polish included: L-BFGS
+    iterations for a descent that ends on its own, objective evaluations
+    for one that reaching the target stops.
+    """
+
     x_final: np.ndarray
     infidelity: float
     iterations: int
@@ -158,12 +165,13 @@ def _from_real_vector(vec: np.ndarray, dim: int) -> np.ndarray:
     return (vec[:half] + 1j * vec[half:]).reshape(dim, dim)
 
 
-def lie_closure_dimension(operators, return_span: bool = False):
-    """Real dimension of the Lie closure of Hermitian generators plus identity.
+def lie_closure(operators) -> np.ndarray:
+    """Orthonormal real span rows of the Lie closure of Hermitian generators plus identity.
 
-    Each round adds i[A, B] for all pairs of the current span and recomputes
-    the numerical rank (singular values above 1e-9 x largest). Stops when a
-    round adds nothing; raises if 12 rounds do not saturate it.
+    The closure's real dimension is the number of rows. Each round adds
+    i[A, B] for all pairs of the current span and recomputes the numerical
+    rank (singular values above 1e-9 x largest). Stops when a round adds
+    nothing; raises if 12 rounds do not saturate it.
     """
     dim = operators[0].shape[0]
     seed = [np.eye(dim, dtype=complex)] + [np.asarray(o, dtype=complex) for o in operators]
@@ -172,7 +180,7 @@ def lie_closure_dimension(operators, return_span: bool = False):
         _, svals, vt = np.linalg.svd(candidates, full_matrices=False)
         keep = svals > 1e-9 * svals[0]
         if rows is not None and int(keep.sum()) == len(rows):
-            return (len(rows), rows) if return_span else len(rows)
+            return rows
         rows = vt[keep]
         mats = np.stack([_from_real_vector(r, dim) for r in rows])
         comms = [1j * (mats[a] @ mats[b] - mats[b] @ mats[a])
@@ -460,8 +468,6 @@ def optimize(
     target_eps: float = 1e-7,
     steps: int = 400,
     polish_steps: int = 2000,
-    polish_max_iter: int = 300,
-    bound: "float | None" = None,
 ) -> OptimizationResult:
     """Quasi-Newton pulse optimization from seeded random starts.
 
@@ -478,8 +484,7 @@ def optimize(
     `target_eps`, so the achieved baseline sits just at the requested
     level instead of overshooting to the optimizer's floor. The best pulse
     is then re-converged on the `polish_steps` grid and the returned
-    infidelity is quoted at that resolution. `bound`, if given,
-    box-constrains every coefficient to [-bound, bound].
+    infidelity is quoted at that resolution.
     """
     from scipy.optimize import minimize
 
@@ -501,7 +506,6 @@ def optimize(
 
         try:
             res = minimize(objective, x0.ravel(), jac=True, method="L-BFGS-B",
-                           bounds=None if bound is None else [(-bound, bound)] * x0.size,
                            options={"maxiter": iters, "ftol": 1e-16, "gtol": 1e-12})
             return float(res.fun), res.x, float(np.linalg.norm(res.jac)), int(res.nit)
         except _TargetReached:
@@ -517,7 +521,7 @@ def optimize(
         if best[0] <= target_eps:
             break
     if polish_steps and polish_steps != steps:
-        *best, nit = run(best[1].reshape(N_CONTROLS, n_harmonics), polish_steps, polish_max_iter)
+        *best, nit = run(best[1].reshape(N_CONTROLS, n_harmonics), polish_steps, 300)
         total_iters += nit
     infid, x_flat, grad_norm = best
     return OptimizationResult(x_final=x_flat.reshape(N_CONTROLS, n_harmonics), infidelity=infid,

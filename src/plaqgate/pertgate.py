@@ -111,7 +111,7 @@ class PertParams:
                 f"min{{4d, 8(J-d), 4(J-2d)}}={min_gap:.4g}; second-order "
                 "results may be inaccurate",
                 WeakCouplingWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property
@@ -130,11 +130,9 @@ class EffectiveCoeffs:
 
 @dataclass(frozen=True)
 class GateReport:
-    """Timing, phases and quality figures of one echoed gate."""
+    """Timing and quality figures of one echoed gate."""
 
     t_c: float
-    phi_t: float
-    phi_s: float
     fidelity: float
     leakage: float
 
@@ -411,10 +409,7 @@ def gate_fidelity(
     u_logical, leakage = _sector_gate(p, t_c, physical_x)
     t = _gate_target(p, target, t_c, lambda_z)
     f = np.trace(t.conj().T @ u_logical) / 4.0
-    phi_t = p.jp**2 * t_c / (8.0 * p.j)
-    phi_s = -3.0 * p.jp**2 * t_c / (8.0 * p.j)
-    return GateReport(t_c=t_c, phi_t=float(phi_t), phi_s=float(phi_s),
-                      fidelity=float(abs(f) ** 2), leakage=leakage)
+    return GateReport(t_c=t_c, fidelity=float(abs(f) ** 2), leakage=leakage)
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +478,9 @@ def sweep(
     jp_over_j_values: "np.ndarray | list[float]",
     n: int = 1,
     m: int = 1,
-    j: float = 1.0,
     target: str = "effective",
 ) -> list[dict]:
-    """Fidelity/leakage over a (d/J, J'/J) grid at fixed (n, m).
+    """Fidelity/leakage over a (d/J, J'/J) grid at fixed (n, m), in units of J = 1.
 
     Rows are produced in deterministic order (outer loop J'/J, inner d/J)
     with the keys of SWEEP_FIELDS. Pole ratios are skipped. The default
@@ -501,9 +495,9 @@ def sweep(
             for r in d_over_j_values:
                 if any(abs(r - pole) < 1e-9 for pole in COEFF_POLES) or not 0 < r < 1:
                     continue
-                if abs(effective_coeffs(j, r * j).lambda_z - 0.125) < 1e-12:
+                if abs(effective_coeffs(1.0, r).lambda_z - 0.125) < 1e-12:
                     continue
-                p = PertParams(j=j, d=r * j, jp=jp_ratio * j, n=n, m=m)
+                p = PertParams(j=1.0, d=r, jp=jp_ratio, n=n, m=m)
                 report = gate_fidelity(p, target=target)
                 rows.append(dict(zip(SWEEP_FIELDS, (float(r), float(jp_ratio), n, m, report.t_c,
                                                     report.fidelity, report.leakage))))

@@ -122,28 +122,16 @@ class PlaquetteBasis:
         return np.stack([self.ket0, self.ket1], axis=1)
 
 
-def singlet_pair(
-    reg: SpinRegister,
-    i: str,
-    j: str,
-    rest_pair: tuple[str, str] | None = None,
-) -> np.ndarray:
-    """Product of a singlet on (i, j) with a singlet on the remaining two sites.
+def singlet_pair(reg: SpinRegister, i: str, j: str, rest_pair: tuple[str, str]) -> np.ndarray:
+    """Product of a singlet on (i, j) with a singlet on `rest_pair`, the other two sites.
 
-    The remaining pair is taken in register order unless `rest_pair` fixes its
-    orientation (the singlet sign is antisymmetric under swapping the pair).
+    The order of each pair fixes the sign: a singlet is antisymmetric under
+    swapping its two sites.
     """
-    if i == j:
-        raise ValueError("singlet_pair needs two distinct sites")
     if reg.site_count != 4:
         raise ValueError("singlet_pair expects a 4-site register")
-    if rest_pair is None:
-        rest = tuple(s for s in reg.site_labels if s not in (i, j))
-        if len(rest) != 2:
-            raise ValueError(f"sites {i!r}, {j!r} overlap")
-        rest_pair = (rest[0], rest[1])
     k, l = rest_pair
-    if {i, j} & {k, l} or {i, j, k, l} != set(reg.site_labels):
+    if {i, j, k, l} != set(reg.site_labels):
         raise ValueError(f"pairs ({i},{j}) and ({k},{l}) must partition the register")
 
     # bit 0 is up: (|up_i dn_j> - |dn_i up_j>)/sqrt2 has amplitude (b_j - b_i)/sqrt2

@@ -10,7 +10,8 @@ import sys
 import pytest
 
 import plaqgate
-from plaqgate.cli import COMMANDS, REPORT_FIGURES, RunConfig, _build_parser, run, sweep
+from plaqgate import geophase
+from plaqgate.cli import COMMANDS, REPORT_FIGURES, RunConfig, _build_parser, run
 from plaqgate.pertgate import default_sweep_grid
 
 
@@ -61,34 +62,6 @@ def test_config_hash_tracks_inputs():
     base = RunConfig("spectrum", {"j": 1.0, "dJ": 0.2})
     assert base.config_hash() != RunConfig("spectrum", {"j": 1.0, "dJ": 0.3}).config_hash()
     assert base.config_hash() != RunConfig("spectrum", {"j": 1.0, "dJ": 0.2}, seed=1).config_hash()
-
-
-# ---------------------------------------------------------------------------
-# sweep helper
-# ---------------------------------------------------------------------------
-
-def test_sweep_preserves_grid_order():
-    grid = [{"v": k} for k in range(6)]
-    rows = sweep(lambda v: {"out": 2 * v}, grid)
-    assert [r["v"] for r in rows] == list(range(6))
-    assert all(r["status"] == "ok" for r in rows)
-
-
-def test_sweep_flags_failed_points():
-    def point(v):
-        if v == 2:
-            raise ValueError("bad point")
-        return {"out": v}
-
-    rows = sweep(point, [{"v": k} for k in range(4)])
-    assert rows[2]["status"] == "error: ValueError: bad point"
-    assert "out" not in rows[2]
-    assert [r["status"] for r in rows].count("ok") == 3
-
-
-def test_sweep_rejects_empty_grid():
-    with pytest.raises(ValueError):
-        sweep(lambda: {}, [])
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +203,24 @@ def test_geophase_dynamics_rows_follow_sector_order(tmp_path):
     lines = open(os.path.join(_only_run_dir(tmp_path), "data.csv")).read().splitlines()
     assert [ln.split(",")[1] for ln in lines[1:]] == ["SS", "ST", "TS", "TT"]
     assert all(ln.split(",")[-1] == "ok" for ln in lines[1:])
+
+
+def test_geophase_dynamics_flags_a_failed_sector(tmp_path, monkeypatch):
+    real = geophase.tunneling_phase
+
+    def failing(sector, params, statistics):
+        if (statistics, sector) == ("fermion", "ST"):
+            raise ValueError("bad point")
+        return real(sector, params, statistics)
+
+    monkeypatch.setattr(geophase, "tunneling_phase", failing)
+    rows = _json_rows(tmp_path, "geophase-dynamics", "--statistics", "both", "--u", "25")
+    assert [(r["statistics"], r["sector"]) for r in rows] == [
+        (s, sec) for s in ("boson", "fermion") for sec in ("SS", "ST", "TS", "TT")]
+    failed = rows[5]
+    assert failed["status"] == "error: ValueError: bad point"
+    assert failed["return_time"] is None
+    assert [r["status"] for r in rows[:5] + rows[6:]] == ["ok"] * 7
 
 
 def test_liedim_prints_dimension(tmp_path, capsys):

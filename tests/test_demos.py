@@ -1,6 +1,8 @@
 """The demo scripts run to completion against the current API."""
 from __future__ import annotations
 
+import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -11,6 +13,19 @@ import pytest
 import plaqgate
 
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+
+
+# every demo, the slow one included: an API change must not break one silently
+@pytest.mark.parametrize("script", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_imports_resolve(script):
+    tree = ast.parse((DEMOS / script).read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and node.module.split(".")[0] == "plaqgate"]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(node.module)
+        missing = [a.name for a in node.names if not hasattr(module, a.name)]
+        assert not missing, f"{node.module} has no {missing}"
 
 
 # pulse_shaping.py runs a full pulse optimization (about 20 s) and is left out

@@ -129,7 +129,7 @@ def test_ledger_is_exact_rational_for_any_positive_params(statistics, values):
 def test_ledger_matches_exact_eigenvalue_differences(statistics, params):
     """First-order formula vs exact block eigenvalues of the onsite model."""
     space = gp.TwoBandFockSpace(statistics)
-    h = gp.onsite_hamiltonian(params, statistics, space)
+    h = gp.onsite_hamiltonian(params, space)
     j2r_full = space.total_spin_squared(gp.RIGHT_ORBITAL_PAIRS)
     n_l, n_ra, n_rb = (space.occupation(up, dn) for up, dn in gp.ORBITAL_PAIRS)
 
@@ -187,7 +187,7 @@ def test_schwinger_check_is_boson_only():
 @pytest.mark.parametrize("statistics,params", [("boson", PB), ("fermion", PF)])
 def test_onsite_hamiltonian_conservation_laws(statistics, params):
     space = gp.TwoBandFockSpace(statistics)
-    h = gp.onsite_hamiltonian(params, statistics, space)
+    h = gp.onsite_hamiltonian(params, space)
     n_total = np.diag(space.occupation(*range(6)))
     assert np.abs(h @ n_total - n_total @ h).max() < 1e-9
     # spin conservation holds on the truncation-free block
@@ -197,10 +197,21 @@ def test_onsite_hamiltonian_conservation_laws(statistics, params):
     assert np.abs(hp @ s2 - s2 @ hp).max() < 1e-8
 
 
+@pytest.mark.parametrize("statistics", ["boson", "fermion"])
+def test_onsite_hamiltonian_takes_integer_energies(statistics):
+    values = dict(mu_l=1000, mu_r=0, omega=1000, u_l_aa=77, u_r_aa=50, u_r_bb=50, u_r_ab=50, t=1)
+    ints = gp.OnsiteParams(**values)
+    floats = gp.OnsiteParams(**{k: float(v) for k, v in values.items()})
+    for n in (2, 3, 4):
+        space = gp.TwoBandFockSpace(statistics, total_number=n)
+        assert np.array_equal(gp.onsite_hamiltonian(ints, space),
+                              gp.onsite_hamiltonian(floats, space))
+
+
 @pytest.mark.parametrize("statistics,params", [("boson", PB), ("fermion", PF)])
 def test_single_particle_ground_state(statistics, params):
     space = gp.TwoBandFockSpace(statistics)
-    h = gp.onsite_hamiltonian(params, statistics, space)
+    h = gp.onsite_hamiltonian(params, space)
     one = space.sector_indices(1)
     evals = np.linalg.eigvalsh(h[np.ix_(one, one)])
     assert abs(evals.min() - min(params.mu_l, params.mu_r)) < 1e-10
@@ -363,9 +374,9 @@ def test_link_sector_matches_full_space(statistics, n_l, n_r_a, j, full_spaces):
 
     for u in (25.0, 50.0, 100.0):
         p = _link_params(statistics, u)
-        h_full = gp.onsite_hamiltonian(p, statistics, full) + gp.tunneling_hamiltonian(p, full)
+        h_full = gp.onsite_hamiltonian(p, full) + gp.tunneling_hamiltonian(p, full)
         block = h_full[np.ix_(sector, sector)]
-        h = gp.onsite_hamiltonian(p, statistics, space) + gp.tunneling_hamiltonian(p, space)
+        h = gp.onsite_hamiltonian(p, space) + gp.tunneling_hamiltonian(p, space)
         assert np.abs(h - block).max() <= 1e-12
 
         evals, evecs = np.linalg.eigh(block)
@@ -486,9 +497,10 @@ def test_unknown_sector_rejected():
 # ---------------------------------------------------------------------------
 
 def test_rwa_validity_warning():
-    with pytest.warns(gp.RWAValidityWarning):
+    with pytest.warns(gp.RWAValidityWarning) as record:
         gp.OnsiteParams(mu_l=0.0, mu_r=0.0, omega=100.0, u_l_aa=1.0, u_r_aa=1.0,
                         u_r_bb=1.0, u_r_ab=50.0, t=1.0)
+    assert record[0].filename == __file__
 
 
 def test_delta_property():

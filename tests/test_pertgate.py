@@ -154,8 +154,9 @@ def test_params_validate_ranges():
 
 
 def test_weak_coupling_warning():
-    with pytest.warns(WeakCouplingWarning):
+    with pytest.warns(WeakCouplingWarning) as record:
         PertParams(j=1.0, d=0.3, jp=0.9)
+    assert record[0].filename == __file__
 
 
 # ---------------------------------------------------------------------------

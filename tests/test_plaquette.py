@@ -59,6 +59,13 @@ def test_singlet_pair_is_kron_of_two_site_singlets(pair):
         np.testing.assert_allclose(singlet_pair(reg, i, j, rest_pair=(k, l)), want, atol=1e-15)
 
 
+@pytest.mark.parametrize("i,j,rest_pair", [("1", "1", ("3", "4")), ("1", "2", ("2", "3")),
+                                           ("1", "2", ("3", "3")), ("1", "2", ("3", "5"))])
+def test_singlet_pair_rejects_pairs_that_do_not_partition(i, j, rest_pair):
+    with pytest.raises(ValueError, match="partition"):
+        singlet_pair(plaquette_register(), i, j, rest_pair=rest_pair)
+
+
 def test_logical_basis_geometry():
     basis = logical_basis()
     for vec in (basis.ket0, basis.ket1, basis.ket_box):
