@@ -205,7 +205,17 @@ def test_geophase_dynamics_rows_follow_sector_order(tmp_path):
     assert all(ln.split(",")[-1] == "ok" for ln in lines[1:])
 
 
-def test_geophase_dynamics_flags_a_failed_sector(tmp_path, monkeypatch):
+# The geophase-dynamics sweep loop: rows keep (statistics x sector) grid
+# order, and a point that raises becomes a flagged row, not a failed run.
+
+def test_sweep_preserves_grid_order(tmp_path):
+    rows = _json_rows(tmp_path, "geophase-dynamics", "--statistics", "both", "--u", "25")
+    assert [(r["statistics"], r["sector"]) for r in rows] == [
+        (s, sec) for s in ("boson", "fermion") for sec in ("SS", "ST", "TS", "TT")]
+    assert all(r["status"] == "ok" for r in rows)
+
+
+def test_sweep_flags_failed_points(tmp_path, monkeypatch):
     real = geophase.tunneling_phase
 
     def failing(sector, params, statistics):
