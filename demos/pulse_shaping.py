@@ -37,7 +37,7 @@ stalled = optimize(1, n_harmonics=10, restarts=1, max_iter=150, steps=200,
 print(f"\n10-harmonic search stalls at infidelity {stalled.infidelity:.1e}")
 
 # the full 20-harmonic basis converges; the descent stops at the requested
-# level (here 1e-4, after ~700 iterations)
+# level (here 1e-4, after ~650 L-BFGS iterations)
 result = optimize(6, restarts=1, target_eps=1e-4, polish_steps=0)
 print(f"20-harmonic search: infidelity {result.infidelity:.2e} "
       f"after {result.iterations} iterations")

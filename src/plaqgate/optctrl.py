@@ -25,18 +25,18 @@ symmetric block-diagonal matrices (`control_blocks`). Each slice is a real
 the target and the propagator in block b, and `propagate` still returns the
 16x16 U. The full-space complex path is the test oracle (tests/oracles.py).
 
-Gradient scheme: the evolution is a product of midpoint-rule slice
-exponentials U_s = exp(-i H(t_s) dt), multiplied as a pairwise product tree
-whose down-sweep gives every prefix and suffix. Every caller takes U_s from
-one function, `_slice_exponentials`: cos - i sin of the real H_s dt as real
-Taylor sums, exact to rounding. Only the gradient solves the real slice
-eigenproblems H_s = V diag(lam) V^T. For a normal matrix X = V D V^dag the
-directional derivative of exp is  V [ (V^dag Y V) o Gamma ] V^dag with
-Gamma_pq = (e^{d_p} - e^{d_q}) / (d_p - d_q)  (diagonal limit e^{d_p}), so
-each slice's contribution to d f / d x_kl is available in closed form from
-lam (through Gamma) and V. This makes the gradient exact for the
-discretized dynamics - finite differences agree to ~1e-9 - rather than an
-independent ODE approximation.
+Gradient scheme: U(T) is the pairwise product tree of midpoint-rule slices
+U_s = exp(-i H_s dt), all from `_slice_powers`: cos - i sin of the real
+A = H_s dt / 2^s as real Taylor sums, then s squarings. The gradient is the
+adjoint of that computation; nothing solves an eigenproblem. The three
+blocks' trees give f first, and one down-sweep per tree, seeded with
+conj(f) G_b^T, gives every slice its M_s = P_s Q_s (prefix times suffix).
+The squaring adjoint M <- (E M + M E) / 2 takes M_s back to M_0, and the
+Frechet derivative of exp(-iA) is Z = sum_k (i ad_A)^k (E_0 M_0) / (k+1)!,
+E_0 = exp(-iA), cut by the Taylor tail rule with 2 theta for theta. Only
+sym Im Z meets the real symmetric controls, so the series is real matmuls,
+and dF/dalpha_k(t_s) = (dt / 8) sum_b Tr(O_k Z_s): exact for the discretized
+dynamics (finite differences agree to ~1e-9), not an ODE approximation.
 
 Controllability is checked by closing the real Lie algebra generated by the
 O_k (plus the identity): the span saturates at dimension 80, the sum of the
@@ -105,9 +105,9 @@ def _sine_basis(n_harmonics: int, times, t_horizon: float) -> np.ndarray:
 class OptimizationResult:
     """Outcome of `optimize`.
 
-    `iterations` sums over every descent, the polish included: L-BFGS
-    iterations for a descent that ends on its own, objective evaluations
-    for one that reaching the target stops.
+    `iterations` is the number of finished L-BFGS iterations, summed over
+    every descent, the polish included, whether a descent ends on its own
+    or reaching the target stops it.
     """
 
     x_final: np.ndarray
@@ -272,18 +272,27 @@ def _horner(b: np.ndarray, coeffs: list[float]) -> np.ndarray:
     return p
 
 
-def _slice_exponentials(h: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i h dt) for a batch h[..., d, d] of real symmetric slice Hamiltonians.
+def _tail_order(x: float, shift: int) -> int:
+    """Smallest n >= 0 with x^(n+1) e^x / (n + shift)! < 2^-56, which bounds the
+    tail of a series with terms of norm <= x^k / (k + shift - 1)!."""
+    order, tail = 0, x * math.exp(x) / math.factorial(shift)
+    while tail >= 2.0 ** -56:
+        order += 1
+        tail *= x / (order + shift)
+    return order
 
-    With A = h dt / 2^s, exp(-iA) = cos A - i sin A, where
-    cos A = sum_k (-1)^k A^2k / (2k)! and sin A = A sum_k (-1)^k A^2k / (2k+1)!
-    are Horner sums in A^2, all real matmuls. s is the smallest s >= 0 that
-    brings theta, the batch's largest 1-norm of A, to at most 1/4, and the
-    degree is the smallest n with theta^(n+1) e^theta / (n+1)! < 2^-56, a
-    bound on the dropped Taylor tail (Al-Mohy & Higham, SIAM J. Matrix Anal.
-    Appl. 31, 970, 2010); s complex squarings undo the scaling. A drawn
-    start pulse has theta ~ 0.04 at 400 slices (s = 0, n = 8) and ~ 0.007 at
-    2000 (n = 6).
+
+def _slice_powers(h: np.ndarray, dt: float):
+    """A = h dt / 2^s, theta and E_j = exp(-iA)^(2^j), j = 0..s, for a batch
+    h[..., d, d] of real symmetric slice Hamiltonians; E_s = exp(-i h dt).
+
+    exp(-iA) = cos A - i sin A, where cos A = sum_k (-1)^k A^2k / (2k)! and
+    sin A = A sum_k (-1)^k A^2k / (2k+1)! are Horner sums in A^2, all real
+    matmuls. s is the smallest s >= 0 that brings theta, the batch's largest
+    1-norm of A, to at most 1/4, and the degree is `_tail_order(theta, 1)`
+    (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2010); s complex
+    squarings undo the scaling. A drawn start pulse has theta ~ 0.04 at 400
+    slices (s = 0, degree 8) and ~ 0.007 at 2000 (degree 6).
     """
     a = h * dt
     theta = float(np.abs(a).sum(axis=-2).max(initial=0.0))
@@ -293,19 +302,22 @@ def _slice_exponentials(h: np.ndarray, dt: float) -> np.ndarray:
     if squarings:
         a /= 2.0 ** squarings
         theta /= 2.0 ** squarings
-    degree, tail = 0, theta * math.exp(theta)
-    while tail >= 2.0 ** -56:
-        degree += 1
-        tail *= theta / (degree + 1)
+    degree = _tail_order(theta, 1)
     b = a @ a
     cos, sin = (_horner(b, [(-1) ** (k // 2) / math.factorial(k)
                             for k in range(odd, degree + 1, 2)]) for odd in (0, 1))
     u = np.empty(a.shape, dtype=complex)
     u.real, u.imag = cos, a @ sin
     u.imag *= -1.0
+    powers = [u]
     for _ in range(squarings):
-        u = u @ u
-    return u
+        powers.append(powers[-1] @ powers[-1])
+    return a, theta, powers
+
+
+def _slice_exponentials(h: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i h dt) for a batch h[..., d, d] of real symmetric slice Hamiltonians."""
+    return _slice_powers(h, dt)[2][-1]
 
 
 def _product_tree(mats: np.ndarray) -> list[np.ndarray]:
@@ -325,25 +337,23 @@ def _product_tree(mats: np.ndarray) -> list[np.ndarray]:
     return levels
 
 
-def _prefixes_and_suffixes(levels: list[np.ndarray], seed: np.ndarray):
-    """P_s = U_{s-1} ... U_0 and Q_s = seed U_{S-1} ... U_{s+1} for every slice s.
+def _adjoint_sweep(levels: list[np.ndarray], seed: np.ndarray) -> np.ndarray:
+    """M_s = P_s Q_s, P_s = U_{s-1} ... U_0 and Q_s = seed U_{S-1} ... U_{s+1}.
 
-    The down-sweep of the product tree: the earlier child of a node inherits
-    its prefix and the later child its suffix. Padding slices come last.
+    The down-sweep of the product tree: the root carries the seed, and a node
+    U_R U_L carrying M hands M U_R to its earlier child L and U_L M to its
+    later child R. Padding slices come last.
     """
-    pre = np.broadcast_to(np.eye(seed.shape[-1]), levels[-1].shape)
-    suf = np.broadcast_to(seed, levels[-1].shape)
+    m = np.broadcast_to(seed, levels[-1].shape)
     for level in reversed(levels[:-1]):
         n = level.shape[-3] // 2
         pairs = level.reshape(*level.shape[:-3], n, 2, *level.shape[-2:])
-        pre, suf = pre[..., :n, :, :], suf[..., :n, :, :]
-        new_pre, new_suf = np.empty_like(pairs), np.empty_like(pairs)
-        new_pre[..., 0, :, :] = pre
-        np.matmul(pairs[..., 0, :, :], pre, out=new_pre[..., 1, :, :])
-        np.matmul(suf, pairs[..., 1, :, :], out=new_suf[..., 0, :, :])
-        new_suf[..., 1, :, :] = suf
-        pre, suf = new_pre.reshape(level.shape), new_suf.reshape(level.shape)
-    return pre, suf
+        m = m[..., :n, :, :]
+        new = np.empty_like(pairs)
+        np.matmul(m, pairs[..., 1, :, :], out=new[..., 0, :, :])
+        np.matmul(pairs[..., 0, :, :], m, out=new[..., 1, :, :])
+        m = new.reshape(level.shape)
+    return m
 
 
 def _block_propagators(x: np.ndarray, t_horizon: float, steps: int) -> list[np.ndarray]:
@@ -389,16 +399,34 @@ def propagate(pulse: PulseParams, steps: int = 2000, check: bool = False) -> np.
     return sum(b.basis @ u @ b.basis.conj().T for b, u in zip(control_blocks(), blocks))
 
 
-def _phi_matrix(lam: np.ndarray, dt: float) -> np.ndarray:
-    """Divided-difference kernel Gamma of the slice exponential exp(-i lam dt).
+def _commutator(a: np.ndarray, x: np.ndarray, symmetric: bool) -> np.ndarray:
+    """[A, X] for real symmetric A and (anti)symmetric X, where XA = +-(AX)^T."""
+    ax = a @ x
+    return ax - np.swapaxes(ax, -1, -2) if symmetric else ax + np.swapaxes(ax, -1, -2)
 
-    Gamma_pq = (e^{a_p} - e^{a_q}) / (a_p - a_q) with a = -i lam dt equals
-    e^{(a_p + a_q)/2} sinc((lam_p - lam_q) dt / 2), which needs no special
-    case on (near-)degenerate eigenvalues.
+
+def _exp_adjoint(a: np.ndarray, theta: float, powers: list[np.ndarray], m: np.ndarray):
+    """sym Im Z, where d Tr(M exp(-i h dt)) = -i dt Tr(dh Z) (module docstring).
+
+    The halving in the squaring adjoint absorbs the 2^s of dA = dh dt / 2^s.
+    ad_A swaps symmetric and antisymmetric, so with N = E_0 M_0
+    sym Im Z = sum_j (-1)^j ad_A^2j (sym Im N / (2j+1)! + ad_A(anti Re N) / (2j+2)!),
+    a Horner sum in ad_A^2 of K + 1 terms, K = `_tail_order(2 theta, 2)`
+    (||ad_A|| <= 2 theta; K = 14 at theta = 1/4).
     """
-    half = np.exp(-0.5j * lam * dt)
-    diff = lam[..., :, None] - lam[..., None, :]
-    return half[..., :, None] * half[..., None, :] * np.sinc(diff * (dt / (2.0 * np.pi)))
+    for e in reversed(powers[:-1]):
+        m = 0.5 * (e @ m + m @ e)
+    n = powers[0] @ m
+    order = _tail_order(2.0 * theta, 2)
+    even = 0.5 * (n.imag + np.swapaxes(n.imag, -1, -2))
+    odd = _commutator(a, 0.5 * (n.real - np.swapaxes(n.real, -1, -2)), False)
+    z = None
+    for j in range(order // 2, -1, -1):
+        c = even / math.factorial(2 * j + 1)
+        if 2 * j < order:
+            c += odd / math.factorial(2 * j + 2)
+        z = c if z is None else c - _commutator(a, _commutator(a, z, True), False)
+    return z
 
 
 def fidelity_and_gradient(
@@ -406,28 +434,23 @@ def fidelity_and_gradient(
 ) -> tuple[float, np.ndarray]:
     """F = |Tr(U_g^dag U(T;x))/16|^2 and its exact gradient w.r.t. x.
 
-    Per block, the product tree of the slices gives U_b, and its down-sweep
-    the prefixes P_s and suffixes Q_s = G_b^T U_{S-1} ... U_{s+1}. With
-    M_s = P_s Q_s and the real slice eigenvectors V,
-    c_ks = sum_b Tr[O_k V (Gamma o (V^T M_s V)^T) V^T] is df/dalpha_k(t_s)
-    up to the factor -i dt / 16, and dF/dx_kl = 2 Re(conj(f) df/dx_kl)
-    = (dt / 8) sum_s Im(conj(f) c_ks) sin(l pi t_s / T).
+    The blocks' product trees give f = sum_b Tr(G_b^T U_b) / 16; their
+    down-sweeps, seeded with conj(f) G_b^T, give M_s = conj(f) P_s Q_s, and
+    `_exp_adjoint` the real symmetric Z_s. Then dF/dx_kl = 2 Re(conj(f) df/dx_kl)
+    = (dt / 8) sum_s c_ks sin(l pi t_s / T), c_ks = sum_b Tr(O_k Z_s).
     """
     dt, sin_basis, alphas = _slice_amplitudes(pulse.x, pulse.t_horizon, steps)
-    blocks, c = [], 0.0
+    forward = []
     for block in control_blocks():
-        h = _block_hamiltonians(alphas, block)
-        levels = _product_tree(_slice_exponentials(h, dt))
-        lam, vecs = np.linalg.eigh(h)
-        blocks.append(levels[-1][0])
-        pre, suf = _prefixes_and_suffixes(levels, block.target.T)
-        vecs_t = np.swapaxes(vecs, 1, 2)
-        m_til = vecs_t @ (pre[:steps] @ suf[:steps]) @ vecs
-        z = (vecs @ (np.swapaxes(m_til, 1, 2) * _phi_matrix(lam, dt)) @ vecs_t).reshape(steps, -1)
-        ops = block.controls.reshape(N_CONTROLS, -1)
-        c = c + ops @ z.real.T + 1j * (ops @ z.imag.T)
-    f = _gate_trace(blocks)
-    grad = (dt / 8.0) * (f.real * c.imag - f.imag * c.real) @ sin_basis.T  # K x L
+        a, theta, powers = _slice_powers(_block_hamiltonians(alphas, block), dt)
+        forward.append((a, theta, powers, _product_tree(powers[-1])))
+    f = _gate_trace([levels[-1][0] for *_, levels in forward])
+    c = 0.0
+    for block, (a, theta, powers, levels) in zip(control_blocks(), forward):
+        m = _adjoint_sweep(levels, np.conj(f) * block.target.T)[:steps]
+        z = _exp_adjoint(a, theta, powers, m).reshape(steps, -1)
+        c = c + block.controls.reshape(N_CONTROLS, -1) @ z.T
+    grad = (dt / 8.0) * c @ sin_basis.T  # K x L
     return float(abs(f) ** 2), grad
 
 
@@ -474,7 +497,7 @@ def optimize(
     A given seed reproduces the result bit for bit only on one numpy/BLAS
     build. The landscape has many optima, and rounding differences of
     1e-12 in the start point already move the endpoint (for seed 6 the
-    iteration count then ranges over 861-1125). Callers may rely on the
+    iteration count then ranges over 988-1333). Callers may rely on the
     endpoint meeting `target_eps`, not on which optimum is reached.
 
     Runs up to `restarts` L-BFGS descents from seeded random coefficient
@@ -491,25 +514,27 @@ def optimize(
     rng = np.random.default_rng(seed)
 
     def run(x0: np.ndarray, n_steps: int, iters: int):
-        state = {"infid": np.inf, "x": x0.ravel().copy(), "grad": x0.ravel() * 0.0, "calls": 0}
+        state = {"infid": np.inf, "x": x0.ravel().copy(), "grad": x0.ravel() * 0.0, "iters": 0}
 
         def objective(flat: np.ndarray):
             pulse = PulseParams(flat.reshape(N_CONTROLS, n_harmonics), t_horizon)
             fval, grad = fidelity_and_gradient(pulse, steps=n_steps)
             infid = 1.0 - fval
-            state["calls"] += 1
             if infid < state["infid"]:
                 state.update(infid=infid, x=flat.copy(), grad=-grad.ravel())
             if infid <= target_eps:
                 raise _TargetReached
             return infid, -grad.ravel()
 
+        def count(_xk: np.ndarray) -> None:
+            state["iters"] += 1
+
         try:
-            res = minimize(objective, x0.ravel(), jac=True, method="L-BFGS-B",
+            res = minimize(objective, x0.ravel(), jac=True, method="L-BFGS-B", callback=count,
                            options={"maxiter": iters, "ftol": 1e-16, "gtol": 1e-12})
-            return float(res.fun), res.x, float(np.linalg.norm(res.jac)), int(res.nit)
+            return float(res.fun), res.x, float(np.linalg.norm(res.jac)), state["iters"]
         except _TargetReached:
-            return state["infid"], state["x"], float(np.linalg.norm(state["grad"])), state["calls"]
+            return state["infid"], state["x"], float(np.linalg.norm(state["grad"])), state["iters"]
 
     best = (np.inf, None, None)  # (infidelity, x, gradient norm)
     total_iters = used = 0

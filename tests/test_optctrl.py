@@ -12,9 +12,13 @@ from plaqgate.optctrl import (
     BLOCK_LABELS,
     FULL_DIM,
     PulseParams,
+    _block_hamiltonians,
     _block_propagators,
     _gate_overlap,
+    _slice_amplitudes,
     _slice_exponentials,
+    _slice_powers,
+    _tail_order,
     control_blocks,
     control_operators,
     control_register,
@@ -218,6 +222,38 @@ def test_block_path_matches_full_space_oracle(x, steps, t_horizon):
     assert np.abs(propagate(pulse, steps=steps) - full_space_propagate(pulse, steps)).max() <= 1e-12
 
 
+def _pulse_at_theta(theta: float, steps: int) -> PulseParams:
+    # scale a drawn pulse so that the largest block theta (the 1-norm of
+    # h dt that sets the squarings and the series cuts) is exactly `theta`
+    x = _random_pulse(11, n_harmonics=5).x
+    dt, _, alphas = _slice_amplitudes(x, 1.0, steps)
+    norm = max(float(np.abs(_block_hamiltonians(alphas, b) * dt).sum(axis=-2).max())
+               for b in control_blocks())
+    return PulseParams(x * (theta / norm), 1.0)
+
+
+@pytest.mark.parametrize(
+    "theta, squarings, order",
+    [(0.249, 0, 14), (6.0, 5, 13)],
+    ids=["longest-series", "five-squarings"],
+)
+def test_gradient_matches_full_space_oracle_at_series_extremes(theta, squarings, order):
+    # just under theta = 1/4 no squaring is needed and the adjoint series is
+    # at its longest; far above it the gradient runs back through squarings
+    steps = 7
+    pulse = _pulse_at_theta(theta, steps)
+    dt, _, alphas = _slice_amplitudes(pulse.x, pulse.t_horizon, steps)
+    cuts = []
+    for block in control_blocks():
+        _, scaled, powers = _slice_powers(_block_hamiltonians(alphas, block), dt)
+        cuts.append((len(powers) - 1, _tail_order(2.0 * scaled, 2)))
+    assert max(cuts) == (squarings, order)
+    f, grad = fidelity_and_gradient(pulse, steps=steps)
+    f_ref, grad_ref = full_space_fidelity_and_gradient(pulse, steps)
+    assert abs(f - f_ref) <= 1e-12
+    assert np.abs(grad - grad_ref).max() <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Slice exponentials
 # ---------------------------------------------------------------------------
@@ -308,8 +344,7 @@ def test_propagate_unitarity_does_not_grow_with_steps(control, steps):
 
 
 def test_propagation_calls_no_eigh(monkeypatch):
-    # only the exact gradient needs the slice eigenbasis; the cached block
-    # basis is built (with one eigh) before eigh is patched out
+    # the cached block basis is built (with one eigh) before eigh is patched out
     pulse = _random_pulse(9)
     control_blocks()
 
@@ -319,6 +354,20 @@ def test_propagation_calls_no_eigh(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     propagate(pulse, steps=300, check=True)
     robustness_sweep(pulse, [0.0, 0.1], steps=300)
+
+
+def test_gradient_calls_no_eigh(monkeypatch):
+    # the gradient is the adjoint of the Taylor slice exponentials, not a
+    # sum over slice eigenbases
+    pulse = _random_pulse(9)
+    control_blocks()
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called on the gradient path")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    fidelity_and_gradient(pulse, steps=300)
+    assert gradient_check(pulse, steps=80) <= 1e-5
 
 
 def test_propagate_rejects_bad_steps():
@@ -399,6 +448,28 @@ def test_optimize_improves_over_start():
     assert result.infidelity < 1.0 - 1.0 / 64.0  # strictly better than doing nothing
     assert result.restarts_used == 1
     assert result.iterations > 0
+
+
+@pytest.mark.parametrize("target_eps", [0.0, 0.236], ids=["ends-on-its-own", "target-stops"])
+def test_optimize_iterations_are_lbfgs_iterations(monkeypatch, target_eps):
+    # the line search can evaluate the objective more than once per
+    # iteration: the target-stop case takes 8 calls in 5 iterations
+    import scipy.optimize
+
+    real_minimize, counted = scipy.optimize.minimize, []
+
+    def minimize(*args, callback, **kwargs):
+        def counting(xk):
+            counted.append(xk)
+            callback(xk)
+
+        return real_minimize(*args, callback=counting, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", minimize)
+    result = optimize(4, n_harmonics=6, restarts=1, max_iter=30, steps=150, polish_steps=0,
+                      target_eps=target_eps)
+    assert (result.infidelity <= target_eps) == (target_eps > 0.0)
+    assert result.iterations == len(counted) > 0
 
 
 @pytest.mark.parametrize("steps", [1, 2, 7, 131, 400])
