@@ -38,7 +38,6 @@ scipy.optimize is imported where it is used, off the CLI's cold-start path.
 """
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -349,29 +348,6 @@ class TwoBandFockSpace:
         del s_plus  # one dense matrix fewer alive during the products (peak memory)
         return s_x @ s_x + s_y @ s_y + s_z @ s_z
 
-    def commutation_residual(self) -> float:
-        """Worst (anti)commutator defect among all mode pairs.
-
-        Fermionic relations hold exactly. Bosonic [a_i, a_j^dag] = delta_ij
-        is checked on states that keep both modes strictly below the cap,
-        where truncation is immaterial. Both strings of a relation map a
-        state to the same image, so the defect of each state is the sum of
-        its two amplitudes and the identity term; no matrix is built.
-        """
-        worst = 0.0
-        swap_sign = 1.0 if self.statistics == "fermion" else -1.0
-        amp = self.apply_string
-        for i, j in itertools.product(range(len(MODE_LABELS)), repeat=2):
-            # a_i a_j -/+ a_j a_i = 0 never touches the cap
-            anti = amp([(i, -1), (j, -1)]) + swap_sign * amp([(j, -1), (i, -1)])
-            worst = max(worst, np.abs(anti).max(initial=0.0))
-            mixed = ((-1.0 if i == j else 0.0) + amp([(i, -1), (j, +1)])
-                     + swap_sign * amp([(j, +1), (i, -1)]))
-            if self.statistics == "boson":
-                mixed = mixed[(self.counts[:, i] < self.cap) & (self.counts[:, j] < self.cap)]
-            worst = max(worst, np.abs(mixed).max(initial=0.0))
-        return float(worst)
-
 
 # ---------------------------------------------------------------------------
 # Hamiltonians
@@ -389,14 +365,18 @@ def _exchange_strings(sign: float):
 
 @lru_cache(maxsize=None)
 def _fock_setup(statistics: str, total_number: "int | None"):
-    """(space, S^2, band exchange) of the (statistics, N) space, built once.
+    """(space, S^2, band exchange, unit hop) of the (statistics, N) space, built once.
 
     These are the parameter-free parts of every link Hamiltonian and initial
-    state. The arrays are read-only, and the shared space must not be modified.
+    state. The unit hop is sum_sigma a^dag_L,sigma b_R,sigma, the tunneling term
+    without its -t and its h.c. The arrays are read-only, and the shared space
+    must not be modified.
     """
     space = TwoBandFockSpace(statistics, total_number=total_number)
     return (space, read_only(space.total_spin_squared()),
-            read_only(space.operator(_exchange_strings(+1.0))))
+            read_only(space.operator(_exchange_strings(+1.0))),
+            read_only(space.operator([(1.0, [(L_UP, +1), (RB_UP, -1)]),
+                                      (1.0, [(L_DN, +1), (RB_DN, -1)])])))
 
 
 def onsite_hamiltonian(params: OnsiteParams, space: TwoBandFockSpace) -> np.ndarray:
@@ -428,10 +408,12 @@ def onsite_hamiltonian(params: OnsiteParams, space: TwoBandFockSpace) -> np.ndar
 
 
 def tunneling_hamiltonian(params: OnsiteParams, space: TwoBandFockSpace) -> np.ndarray:
-    """-t sum_sigma (a^dag_L,sigma b_R,sigma + h.c.): left ground <-> right excited."""
-    hop = space.operator(
-        [(-params.t, [(L_UP, +1), (RB_UP, -1)]), (-params.t, [(L_DN, +1), (RB_DN, -1)])]
-    )
+    """-t sum_sigma (a^dag_L,sigma b_R,sigma + h.c.): left ground <-> right excited.
+
+    Scales the cached unit hop of `_fock_setup`. The `+ 0.0` turns the -0.0 that
+    -t * 0 leaves into +0.0, so the matrix is bit for bit the per-call operator build.
+    """
+    hop = -params.t * _fock_setup(space.statistics, space.total_number)[3] + 0.0
     return hop + hop.conj().T
 
 
@@ -516,20 +498,36 @@ def _channel_state(statistics: str, n_l: int, n_r_a: int, channel_spin: Fraction
     return read_only(_initial_channel_state(space, n_l, n_r_a, channel_spin))
 
 
+@lru_cache(maxsize=8)
+def _link_eigensystem(
+    statistics: str, total_number: int, params: OnsiteParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (evals, evecs) of the link Hamiltonian on the N-particle basis.
+
+    The Hamiltonian depends on (statistics, N, params) only: not on a channel's
+    spin, nor on how the N particles split between the sites. So every spin
+    channel, every link and every sector of one N share this solve. Eight
+    entries hold one interaction scale (two statistics, N = 1..4).
+    """
+    space = _fock_setup(statistics, total_number)[0]
+    h = onsite_hamiltonian(params, space) + tunneling_hamiltonian(params, space)
+    evals, evecs = np.linalg.eigh(h)
+    return read_only(evals), read_only(evecs)
+
+
 def _link_spectrum(
     n_l: int, n_r_a: int, channel_spin, params: OnsiteParams, statistics: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of one link and the weights |<k|psi0>|^2 of its initial state.
 
-    The Hamiltonian conserves the particle number, so it is built and
-    diagonalized on the (n_l + n_r_a)-particle basis only. That space, its
-    S^2 and its band exchange do not depend on the parameters and are built
-    once per (statistics, N); so is the initial state of each channel.
+    The Hamiltonian conserves the particle number, so it lives on the
+    (n_l + n_r_a)-particle basis only, and `_link_eigensystem` solves it once per
+    (statistics, N, params). The space, its S^2, band exchange and unit hop are
+    built once per (statistics, N), and the initial state once per channel; only
+    the overlaps are computed here. The eigenvalues are the cached read-only array.
     """
-    space = _fock_setup(statistics, n_l + n_r_a)[0]
+    evals, evecs = _link_eigensystem(statistics, n_l + n_r_a, params)
     psi0 = _channel_state(statistics, n_l, n_r_a, _as_half_integer(channel_spin))
-    h = onsite_hamiltonian(params, space) + tunneling_hamiltonian(params, space)
-    evals, evecs = np.linalg.eigh(h)
     return evals, np.abs(evecs.conj().T @ psi0) ** 2
 
 
@@ -602,26 +600,6 @@ def link_tunneling_phase(
     phase = float(np.angle(a_ret))
     leakage = float(max(0.0, 1.0 - abs(a_ret) ** 2))
     return t_ret, phase, leakage
-
-
-def link_peak_leakage(
-    n_l: int,
-    n_r_a: int,
-    channel_spin,
-    params: OnsiteParams,
-    statistics: str,
-) -> float:
-    """Worst transient depletion 1 - |a(t)|^2 of one link over a return cycle.
-
-    For an off-resonant link this is bounded by C (t/dE1)^2 with C = 4 n_L:
-    a detuned two-level system transfers at most 4 g^2/dE^2 of population,
-    and the bosonic matrix element is enhanced to g = sqrt(n_L) t.
-    """
-    if n_l < 1:
-        return 0.0
-    evals, weights = _link_spectrum(n_l, n_r_a, channel_spin, params, statistics)
-    _, mags = _return_scan(evals, weights, params)
-    return float(max(0.0, 1.0 - mags.min() ** 2))
 
 
 def tunneling_phase(

@@ -4,11 +4,19 @@ The pulse propagator and the exact GRAPE gradient below work on the full
 16-dim complex register, slice by slice, with no use of the block structure
 of the control algebra. `plaqgate.optctrl` computes the same quantities in
 the real 7 + 3 + 6 blocks; `tests/test_optctrl.py` compares the two.
+
+The link references at the end check `plaqgate.geophase`: the Fock-space
+(anti)commutators, the transient leakage of a link, and its return time as
+the root of d|a|^2/dt instead of the program's search on the flat maximum of |a|.
 """
 from __future__ import annotations
 
-import numpy as np
+import itertools
 
+import numpy as np
+from scipy.optimize import brentq
+
+from plaqgate import geophase as gp
 from plaqgate.optctrl import FULL_DIM, PulseParams, control_operators, target_gate
 
 
@@ -82,3 +90,68 @@ def full_space_fidelity_and_gradient(
     grad_f = coeffs @ sin_basis.T  # K x L
     grad = 2.0 * np.real(np.conj(f) * grad_f)
     return float(abs(f) ** 2), grad
+
+
+def commutation_residual(space: gp.TwoBandFockSpace) -> float:
+    """Worst (anti)commutator defect among all mode pairs.
+
+    Fermionic relations hold exactly. Bosonic [a_i, a_j^dag] = delta_ij
+    is checked on states that keep both modes strictly below the cap,
+    where truncation is immaterial. Both strings of a relation map a
+    state to the same image, so the defect of each state is the sum of
+    its two amplitudes and the identity term; no matrix is built.
+    """
+    worst = 0.0
+    swap_sign = 1.0 if space.statistics == "fermion" else -1.0
+    amp = space.apply_string
+    for i, j in itertools.product(range(len(gp.MODE_LABELS)), repeat=2):
+        # a_i a_j -/+ a_j a_i = 0 never touches the cap
+        anti = amp([(i, -1), (j, -1)]) + swap_sign * amp([(j, -1), (i, -1)])
+        worst = max(worst, np.abs(anti).max(initial=0.0))
+        mixed = ((-1.0 if i == j else 0.0) + amp([(i, -1), (j, +1)])
+                 + swap_sign * amp([(j, +1), (i, -1)]))
+        if space.statistics == "boson":
+            mixed = mixed[(space.counts[:, i] < space.cap) & (space.counts[:, j] < space.cap)]
+        worst = max(worst, np.abs(mixed).max(initial=0.0))
+    return float(worst)
+
+
+def link_peak_leakage(n_l: int, n_r_a: int, channel_spin, params: gp.OnsiteParams,
+                      statistics: str) -> float:
+    """Worst transient depletion 1 - |a(t)|^2 of one link over a return cycle.
+
+    For an off-resonant link this is bounded by C (t/dE1)^2 with C = 4 n_L:
+    a detuned two-level system transfers at most 4 g^2/dE^2 of population,
+    and the bosonic matrix element is enhanced to g = sqrt(n_L) t.
+    """
+    evals, weights = gp._link_spectrum(n_l, n_r_a, channel_spin, params, statistics)
+    _, mags = gp._return_scan(evals, weights, params)
+    return float(max(0.0, 1.0 - mags.min() ** 2))
+
+
+def link_return_root(n_l: int, n_r_a: int, channel_spin, params: gp.OnsiteParams,
+                     statistics: str) -> tuple[float, float, float]:
+    """(return_time, phase, leakage) of one link with the return time as a root.
+
+    Same eigenpairs and scan bracket [t_{k-1}, t_{k+1}] as `link_tunneling_phase`,
+    but the maximum of |a| is the root of d|a|^2/dt = 2 Re(conj(a) a'), with
+    a' = sum_k w_k (-i E_k) e^{-i E_k t}, found by `brentq`. A rounding of the slope
+    moves the root linearly, where it moves the maximum of the flat |a| by its root.
+    Energies count from E0 = sum_k w_k E_k, the program's gauge.
+    """
+    evals, weights = gp._link_spectrum(n_l, n_r_a, channel_spin, params, statistics)
+    rates = -1j * (evals - weights @ evals)
+    kept = weights >= 1e-20
+    ts, mags = gp._return_scan(evals[kept], weights[kept], params)
+    inner = mags[1:-1]
+    first_min = np.flatnonzero((inner <= mags[:-2]) & (inner <= mags[2:]))[0] + 1
+    maxima = np.flatnonzero((inner >= mags[:-2]) & (inner >= mags[2:])) + 1
+    k = maxima[maxima > first_min + 1][0]
+
+    def slope(t: float) -> float:
+        terms = weights * np.exp(rates * t)
+        return 2.0 * float(np.real(np.conj(terms.sum()) * (rates @ terms)))
+
+    t_root = brentq(slope, ts[k - 1], ts[k + 1], xtol=1e-15)
+    a_root = np.sum(weights * np.exp(rates * t_root))
+    return t_root, float(np.angle(a_root)), float(max(0.0, 1.0 - abs(a_root) ** 2))

@@ -3,13 +3,16 @@ from __future__ import annotations
 
 import itertools
 import pathlib
+import random
 import warnings
+from dataclasses import replace
 from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import commutation_residual, link_peak_leakage, link_return_root
 from scipy.optimize import minimize_scalar
 
 from plaqgate import cli
@@ -165,7 +168,7 @@ def test_ledger_matches_exact_eigenvalue_differences(statistics, params):
 @pytest.mark.parametrize("statistics", ["boson", "fermion"])
 def test_commutation_relations(statistics):
     space = gp.TwoBandFockSpace(statistics)
-    assert space.commutation_residual() <= 1e-12
+    assert commutation_residual(space) <= 1e-12
 
 
 def test_dims():
@@ -320,17 +323,36 @@ def _reference_return_figures(evals, weights, t_hop):
     return res.x, np.angle(a_ret), max(0.0, 1.0 - abs(a_ret) ** 2), peak
 
 
+def _hop_strings(coef):
+    """coef * sum_sigma a^dag_L,sigma b_R,sigma as operator strings."""
+    return [(coef, [(gp.L_UP, +1), (gp.RB_UP, -1)]), (coef, [(gp.L_DN, +1), (gp.RB_DN, -1)])]
+
+
+def _per_call_tunneling(params, space):
+    """The tunneling Hamiltonian built from its operator strings on every call."""
+    hop = space.operator(_hop_strings(-params.t))
+    return hop + hop.conj().T
+
+
 @pytest.mark.parametrize("statistics", ["boson", "fermion"])
 def test_link_setup_is_cached_read_only(statistics):
     setup = gp._fock_setup(statistics, 4)
     assert gp._fock_setup(statistics, 4) is setup
-    space, spin_squared, exchange = setup
+    space, spin_squared, exchange, unit_hop = setup
     assert np.array_equal(space.counts, gp.TwoBandFockSpace(statistics, total_number=4).counts)
     np.testing.assert_array_equal(spin_squared, space.total_spin_squared())
     np.testing.assert_array_equal(exchange, space.operator(gp._exchange_strings(+1.0)))
-    for arr in (spin_squared, exchange):
+    np.testing.assert_array_equal(unit_hop, space.operator(_hop_strings(1.0)))
+    for arr in (spin_squared, exchange, unit_hop):
         with pytest.raises(ValueError, match="read-only"):
             arr += 0
+    # bytes, not values: a -0.0 where the per-call build has +0.0 must show
+    for total in (None, 1, 2, 3, 4):
+        fixed = gp.TwoBandFockSpace(statistics, total_number=total)
+        for t_hop in (1.0, 0.37, -2.1):
+            p = replace(_link_params(statistics, 50.0), t=t_hop)
+            assert (gp.tunneling_hamiltonian(p, fixed).tobytes()
+                    == _per_call_tunneling(p, fixed).tobytes())
     for stat, n_l, n_r_a, j in SECTOR_LINK_CHANNELS:
         if stat != statistics:
             continue
@@ -386,7 +408,7 @@ def test_link_sector_matches_full_space(statistics, n_l, n_r_a, j, full_spaces):
         assert abs(t_ret - t_ref) <= 1e-12
         assert abs(np.angle(np.exp(1j * (phase - phase_ref)))) <= 1e-12
         assert abs(leak - leak_ref) <= 1e-12
-        assert abs(gp.link_peak_leakage(n_l, n_r_a, j, p, statistics) - peak_ref) <= 1e-12
+        assert abs(link_peak_leakage(n_l, n_r_a, j, p, statistics) - peak_ref) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -420,6 +442,85 @@ def test_dynamics_dataset_golden_bytes(tmp_path, u):
                     "--output-dir", str(tmp_path)]) == 0
     (run_dir,) = tmp_path.iterdir()
     assert (run_dir / "data.csv").read_bytes() == golden.read_bytes()
+
+
+def _dynamics(u, statistics, sector, out):
+    """The `geophase-dynamics` run of one interaction scale into `out`."""
+    return ["geophase-dynamics", "--statistics", statistics, "--sector", sector, "--u", u,
+            "--output-dir", str(out)]
+
+
+def _eigh_sizes(monkeypatch, runs):
+    """Sorted sizes of every `np.linalg.eigh` call that the CLI runs make."""
+    sizes, eigh = [], np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", recording)
+        for argv in runs:
+            assert cli.run(argv) == 0
+    return sorted(sizes)
+
+
+def test_one_link_solve_per_statistics_and_number(tmp_path, monkeypatch):
+    """One eigensolve per (statistics, N) at an interaction scale, whatever the channels.
+
+    Boson N = 1..4 has 6, 21, 50 and 90 states, fermion N = 1..4 has 6, 15, 20 and 15.
+    A solve per spin channel would make 15, with three of size 90 and four of size 50.
+    """
+    solves = [6, 6, 15, 15, 20, 21, 50, 90]
+    # the channel states are built once, at the first interaction scale
+    assert cli.run(_dynamics("31.94", "both", "all", tmp_path)) == 0
+    assert _eigh_sizes(monkeypatch, [_dynamics("32.94", "both", "all", tmp_path)]) == solves
+    # a `links` benchmark item: one run per (statistics, sector)
+    per_sector = [_dynamics("33.94", stat, sector, tmp_path)
+                  for stat in ("boson", "fermion") for sector in gp.SECTORS]
+    assert _eigh_sizes(monkeypatch, per_sector) == solves
+
+
+def test_shared_link_solves_keep_sector_rows(tmp_path):
+    """Single-sector runs in shuffled order, interleaved with another u, give the golden rows."""
+    points = [(stat, sector) for stat in ("boson", "fermion") for sector in gp.SECTORS]
+    runs = itertools.count()
+    for u, other in (("40", "57.3"), ("57.3", "40")):
+        golden = (pathlib.Path(__file__).parent / "golden" / f"dynamics_u{u}.csv").read_bytes()
+        shuffled = random.Random(u).sample(points, len(points))
+        rows = {}
+        for (stat, sector), (other_stat, other_sector) in zip(shuffled, shuffled[::-1]):
+            out = tmp_path / str(next(runs))
+            assert cli.run(_dynamics(u, stat, sector, out)) == 0
+            assert cli.run(_dynamics(other, other_stat, other_sector, tmp_path / "other")) == 0
+            (run_dir,) = out.iterdir()
+            header, rows[stat, sector] = (run_dir / "data.csv").read_bytes().splitlines(True)
+        assert header + b"".join(rows[point] for point in points) == golden
+    for arr in gp._link_eigensystem("boson", 4, _link_params("boson", 40.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr += 0
+
+
+@pytest.mark.parametrize("statistics", ["boson", "fermion"])
+def test_return_figures_match_slope_root(statistics):
+    """return_time, phase and leakage against the root of d|a|^2/dt (`link_return_root`).
+
+    The program locates the flat maximum of |a|, where a rounding of about 1e-16 in |a|
+    moves the time by about its square root. Over 1,001 values of u in [20, 120] the
+    worst errors were 2.8e-6 relative in return_time (boson (2, 2, 1) at u = 106.1),
+    1.45e-9 in phase (same channel, u = 25.8) and 1.1e-15 in leakage. The bounds
+    leave a margin of 3.6x, 3.4x and 9x; this grid takes every second u from 20 to 120.
+    """
+    for u in np.linspace(20.0, 120.0, 51):
+        p = _link_params(statistics, u)
+        for stat, n_l, n_r_a, j in SECTOR_LINK_CHANNELS:
+            if stat != statistics:
+                continue
+            t_ret, phase, leak = gp.link_tunneling_phase(n_l, n_r_a, j, p, statistics)
+            t_root, phase_root, leak_root = link_return_root(n_l, n_r_a, j, p, statistics)
+            assert abs(t_ret - t_root) <= 1e-5 * t_root
+            assert abs(np.angle(np.exp(1j * (phase - phase_root)))) <= 5e-9
+            assert abs(leak - leak_root) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +562,7 @@ def test_peak_leakage_bound(u):
     # transient depletion of an off-resonant link obeys leak <= 4 n_L (t/dE)^2
     p = gp.OnsiteParams(mu_l=OMEGA, mu_r=0.0, omega=OMEGA, u_l_aa=u, u_r_aa=u,
                         u_r_bb=u, u_r_ab=u, t=T)
-    peak = gp.link_peak_leakage(1, 1, Fr(1), p, "boson")
+    peak = link_peak_leakage(1, 1, Fr(1), p, "boson")
     assert peak <= 4.0 * (T / (2.0 * u)) ** 2 * 1.02
 
 
