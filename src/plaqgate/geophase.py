@@ -34,7 +34,8 @@ two inter-plaquette links per logical sector is encoded in
 SECTOR_LINKS; tunneling_phase evolves each link exactly and combines the
 return phases.
 
-scipy.optimize is imported where it is used, off the CLI's cold-start path.
+The return-time search is in-house (`_bounded_minimum`), bit-identical to scipy's
+bounded method, so this module runs on numpy alone.
 """
 from __future__ import annotations
 
@@ -551,6 +552,59 @@ def _return_scan(
     return ts, np.abs(coarse @ fine.T).ravel()[:SCAN_POINTS]
 
 
+def _bounded_minimum(func, lo: float, hi: float, xatol: float) -> float:
+    """Brent's bounded minimizer of a scalar `func` on [lo, hi] (Brent 1973, ch. 5; `fminbound`).
+
+    The same steps, in the same order and arithmetic, as scipy 1.17's
+    `minimize_scalar(method="bounded")`, including its 500-evaluation cap, so it
+    evaluates the same points and returns the same x bit for bit (tested).
+    """
+    sqrt_eps, golden_mean = np.sqrt(2.2e-16), 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = lo, hi
+    fulc = nfc = xf = a + golden_mean * (b - a)
+    rat = e = 0.0
+    fx = ffulc = fnfc = func(xf)
+    num = 1
+    while num < 500:
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if not np.abs(xf - xm) > tol2 - 0.5 * (b - a):
+            break
+        golden = True
+        if np.abs(e) > tol1:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r, e = e, rat
+            if np.abs(p) < np.abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:  # keep tol1 off the bounds
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+    return xf
+
+
 def link_tunneling_phase(
     n_l: int,
     n_r_a: int,
@@ -566,7 +620,7 @@ def link_tunneling_phase(
     so a resonant two-level cycle returns with phase exactly pi while
     off-resonant links acquire only O((t/dE1)^2) phase. return_time is the
     first local maximum of |a| after its first local minimum, refined by a
-    bounded scalar search; leakage is 1 - |a(return_time)|^2 and is bounded
+    bounded Brent search; leakage is 1 - |a(return_time)|^2 and is bounded
     by C (t/dE1)^2 with C = 4 n_L (bosonic enhancement included).
     The factored scan only picks the bracket [t_{k-1}, t_{k+1}]; the search and the
     figures use the exact `amplitude`, so they equal those of a direct e^{-iE t_k} scan
@@ -591,11 +645,8 @@ def link_tunneling_phase(
         return 0.0, 0.0, 0.0
     maxima = np.flatnonzero((inner >= mags[:-2]) & (inner >= mags[2:])) + 1
     k = next((i for i in maxima if i > minima[0] + 1), last)
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(lambda t: -abs(amplitude(t)), bounds=(ts[k - 1], ts[min(k + 1, last)]),
-                          method="bounded", options={"xatol": ts[-1] * 1e-12})
-    t_ret = float(res.x)
+    t_ret = float(_bounded_minimum(lambda t: -abs(amplitude(t)), ts[k - 1], ts[min(k + 1, last)],
+                                   ts[-1] * 1e-12))
     a_ret = amplitude(t_ret)
     phase = float(np.angle(a_ret))
     leakage = float(max(0.0, 1.0 - abs(a_ret) ** 2))

@@ -189,13 +189,6 @@ def lie_closure(operators) -> np.ndarray:
     raise RuntimeError("Lie closure did not saturate within 12 rounds")
 
 
-def span_contains(rows: np.ndarray, op: np.ndarray) -> bool:
-    """Whether a Hermitian operator lies in the (orthonormal-row) real span, to 1e-8 relative."""
-    vec = _to_real_vectors(op[None, :, :])[0]
-    residual = vec - rows.T @ (rows @ vec)
-    return float(np.linalg.norm(residual)) <= 1e-8 * max(1.0, float(np.linalg.norm(vec)))
-
-
 # ---------------------------------------------------------------------------
 # The real 7 + 3 + 6 blocks of the control algebra
 # ---------------------------------------------------------------------------

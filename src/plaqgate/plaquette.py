@@ -212,12 +212,6 @@ def plaquette_spectrum(j: float, d: float) -> PlaquetteSpectrum:
     )
 
 
-def logical_restriction(op: np.ndarray) -> np.ndarray:
-    """Restrict a 16-dim operator to the logical basis: P^dag op P in (|0>,|1>)."""
-    cols = logical_basis().logical_columns()
-    return cols.conj().T @ op @ cols
-
-
 def _rotation_pulse(j_h: float, j_v: float, theta: float) -> np.ndarray:
     """Unitary of the physical exchange pulse rotating by 2*theta.
 

@@ -148,14 +148,6 @@ def pauli_dot(reg: SpinRegister, i: str, j: str) -> np.ndarray:
     return read_only(_exchange(reg, i, j, np.arange(reg.dim)).astype(complex))
 
 
-def total_spin(reg: SpinRegister) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Components of the total spin Sum_i s_i."""
-    comps = []
-    for ax in ("x", "y", "z"):
-        comps.append(sum(pauli_site(reg, s, ax) for s in reg.site_labels))
-    return tuple(comps)
-
-
 @lru_cache(maxsize=16)
 def total_spin_squared(reg: SpinRegister) -> np.ndarray:
     """(Sum_i s_i)^2; eigenvalue 4S(S+1) on a total-spin-S multiplet.

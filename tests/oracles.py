@@ -8,6 +8,10 @@ the real 7 + 3 + 6 blocks; `tests/test_optctrl.py` compares the two.
 The link references at the end check `plaqgate.geophase`: the Fock-space
 (anti)commutators, the transient leakage of a link, and its return time as
 the root of d|a|^2/dt instead of the program's search on the flat maximum of |a|.
+
+Last come three small operator helpers that only the tests use: the total spin of a
+register, the logical restriction of a 16-dim operator, and span membership in a
+Lie closure.
 """
 from __future__ import annotations
 
@@ -17,7 +21,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from plaqgate import geophase as gp
-from plaqgate.optctrl import FULL_DIM, PulseParams, control_operators, target_gate
+from plaqgate.optctrl import FULL_DIM, PulseParams, _to_real_vectors, control_operators, target_gate
+from plaqgate.plaquette import logical_basis
+from plaqgate.spincore import SpinRegister, pauli_site
 
 
 def _slice_eigs(pulse: PulseParams, steps: int, ops: np.ndarray):
@@ -155,3 +161,24 @@ def link_return_root(n_l: int, n_r_a: int, channel_spin, params: gp.OnsiteParams
     t_root = brentq(slope, ts[k - 1], ts[k + 1], xtol=1e-15)
     a_root = np.sum(weights * np.exp(rates * t_root))
     return t_root, float(np.angle(a_root)), float(max(0.0, 1.0 - abs(a_root) ** 2))
+
+
+def total_spin(reg: SpinRegister) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Components of the total spin Sum_i s_i."""
+    comps = []
+    for ax in ("x", "y", "z"):
+        comps.append(sum(pauli_site(reg, s, ax) for s in reg.site_labels))
+    return tuple(comps)
+
+
+def logical_restriction(op: np.ndarray) -> np.ndarray:
+    """Restrict a 16-dim operator to the logical basis: P^dag op P in (|0>,|1>)."""
+    cols = logical_basis().logical_columns()
+    return cols.conj().T @ op @ cols
+
+
+def span_contains(rows: np.ndarray, op: np.ndarray) -> bool:
+    """Whether a Hermitian operator lies in the (orthonormal-row) real span, to 1e-8 relative."""
+    vec = _to_real_vectors(op[None, :, :])[0]
+    residual = vec - rows.T @ (rows @ vec)
+    return float(np.linalg.norm(residual)) <= 1e-8 * max(1.0, float(np.linalg.norm(vec)))

@@ -163,18 +163,29 @@ def test_force_rewrite_of_plot_script_is_atomic(tmp_path, monkeypatch):
     assert after == before  # the old plot.gp is whole and no *.tmp is left
 
 
-def test_import_path_is_free_of_scipy():
-    # scipy.optimize is imported inside the two functions that call it; at
-    # module level it would be most of the start-up of every CLI process
-    modules = ["plaqgate", "plaqgate.cli"] + [
-        f"plaqgate.{m}" for m in ("spincore", "plaquette", "pertgate", "geophase", "optctrl")]
-    code = (f"import sys, {', '.join(modules)}\n"
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+def _scipy_modules_after(code):
+    """The scipy modules that a fresh interpreter has loaded after running `code` (last line)."""
+    code += "\nimport sys\nprint(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     src = os.path.dirname(os.path.dirname(os.path.abspath(plaqgate.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_import_path_is_free_of_scipy():
+    # scipy.optimize is imported inside optctrl.optimize, its one caller; at
+    # module level it would be most of the start-up of every CLI process
+    modules = ["plaqgate", "plaqgate.cli"] + [
+        f"plaqgate.{m}" for m in ("spincore", "plaquette", "pertgate", "geophase", "optctrl")]
+    assert _scipy_modules_after(f"import {', '.join(modules)}") == "[]"
+
+
+def test_geophase_dynamics_runs_without_scipy(tmp_path):
+    # the return-time search is in-house, so a whole run loads no scipy module
+    argv = ["geophase-dynamics", "--statistics", "both", "--output-dir", str(tmp_path), "--force"]
+    assert _scipy_modules_after(f"from plaqgate import cli\nassert cli.run({argv!r}) == 0") == "[]"
+    assert _only_run_dir(tmp_path)
 
 
 def test_output_dir_env_default(tmp_path, monkeypatch):

@@ -10,7 +10,7 @@ from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import commutation_residual, link_peak_leakage, link_return_root
 from scipy.optimize import minimize_scalar
@@ -521,6 +521,74 @@ def test_return_figures_match_slope_root(statistics):
             assert abs(t_ret - t_root) <= 1e-5 * t_root
             assert abs(np.angle(np.exp(1j * (phase - phase_root)))) <= 5e-9
             assert abs(leak - leak_root) <= 1e-14
+
+
+def _search_trace(minimize, func, lo, hi, xatol):
+    """The x that `minimize(func, lo, hi, xatol)` returns and every point it evaluates."""
+    points = []
+
+    def recording(t):
+        points.append(t)
+        return func(t)
+
+    return minimize(recording, lo, hi, xatol), points
+
+
+def _scipy_bounded(func, lo, hi, xatol):
+    return minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": xatol}).x
+
+
+def _assert_same_search(func, lo, hi, xatol):
+    """`_bounded_minimum` returns scipy's x with `==` after evaluating the same points."""
+    x, points = _search_trace(gp._bounded_minimum, func, lo, hi, xatol)
+    x_ref, points_ref = _search_trace(_scipy_bounded, func, lo, hi, xatol)
+    assert x == x_ref
+    assert points == points_ref
+
+
+def test_bounded_minimum_matches_scipy_on_link_objectives(monkeypatch):
+    """The return-time search of every `SECTOR_LINKS` channel equals scipy's, step for step."""
+    searches, search = [], gp._bounded_minimum
+
+    def recording(func, lo, hi, xatol):
+        searches.append((func, lo, hi, xatol))
+        return search(func, lo, hi, xatol)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gp, "_bounded_minimum", recording)
+        for u in (25.0, 40.0, 50.0, 57.3, 100.0):
+            for statistics, n_l, n_r_a, j in SECTOR_LINK_CHANNELS:
+                gp.link_tunneling_phase(n_l, n_r_a, j, _link_params(statistics, u), statistics)
+    assert len(searches) == 5 * len(SECTOR_LINK_CHANNELS)
+    for func, lo, hi, xatol in searches:
+        _assert_same_search(func, lo, hi, xatol)
+
+
+def _search_objective(kind, c):
+    """A test objective of one family, with coefficients c: parabolic and golden steps."""
+    if kind == "quadratic":
+        return lambda t: (abs(c[0]) + 0.1) * (t - 3.0 * c[1]) ** 2
+    if kind == "cos":
+        return lambda t: -abs(np.cos((abs(c[0]) + 0.1) * t + c[1]))
+    if kind == "constant":
+        return lambda t: c[0]
+    return lambda t: ((c[0] * t + c[1]) * t + c[2]) * t + c[3]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["quadratic", "cos", "constant", "cubic"]),
+    lo=st.floats(-10.0, 10.0),
+    width=st.floats(1e-6, 20.0),
+    c=st.tuples(*[st.floats(-5.0, 5.0)] * 4),
+    tol_exp=st.floats(-12.0, -3.0),
+)
+# a parabolic step to rat == 0 exactly (step sign), an equal fu == fx, a clamped step
+@example(kind="quadratic", lo=0.0, width=4.0, c=(3.0, 1.0, 0.0, 0.0), tol_exp=-3.0)
+@example(kind="constant", lo=0.0, width=1.0, c=(1.0, 0.0, 0.0, 0.0), tol_exp=-6.0)
+@example(kind="cubic", lo=0.0, width=1.0, c=(1.0, -1.0, 0.0, 0.0), tol_exp=-6.0)
+def test_bounded_minimum_matches_scipy(kind, lo, width, c, tol_exp):
+    _assert_same_search(_search_objective(kind, c), lo, lo + width, 10.0 ** tol_exp)
 
 
 # ---------------------------------------------------------------------------

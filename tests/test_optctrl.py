@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import full_space_fidelity_and_gradient, full_space_propagate
+from oracles import full_space_fidelity_and_gradient, full_space_propagate, span_contains
 from plaqgate.optctrl import (
     BLOCK_LABELS,
     FULL_DIM,
@@ -31,7 +31,6 @@ from plaqgate.optctrl import (
     pulse_csv_text,
     result_json_text,
     robustness_sweep,
-    span_contains,
     target_gate,
 )
 from plaqgate.spincore import pauli_site

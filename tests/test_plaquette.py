@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import logical_restriction, total_spin
 
 from plaqgate.geophase import L_DN, L_UP, RA_DN, RA_UP, RB_DN, RB_UP, TwoBandFockSpace
 from plaqgate.plaquette import (
@@ -14,7 +15,6 @@ from plaqgate.plaquette import (
     PlaquetteCouplings,
     heisenberg_plaquette,
     logical_basis,
-    logical_restriction,
     plaquette_spectrum,
     prepare_plus,
     rotation_step_bound,
@@ -22,7 +22,7 @@ from plaqgate.plaquette import (
     superexchange_hubbard_check,
     _two_site_setup,
 )
-from plaqgate.spincore import plaquette_register, total_spin, unitary_evolve
+from plaqgate.spincore import plaquette_register, unitary_evolve
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import total_spin
 
 from plaqgate.optctrl import control_register
 from plaqgate.spincore import (
@@ -15,7 +16,6 @@ from plaqgate.spincore import (
     pauli_site,
     plaquette_register,
     superplaquette_register,
-    total_spin,
     total_spin_squared,
     unitary_evolve,
 )
