@@ -205,9 +205,9 @@ def _cmd_pert_coeffs(config: RunConfig):
 
 def _cmd_pert_fidelity(config: RunConfig):
     p = config.params
-    d_values = np.round(
-        np.arange(p["dJ_min"], p["dJ_max"] + 1e-12, p["dJ_step"]), 10
-    )
+    if not p["dJ_step"] > 0:
+        raise ValueError(f"--dJ-step must be positive, got {p['dJ_step']}")
+    d_values = np.round(np.arange(p["dJ_min"], p["dJ_max"] + 1e-12, p["dJ_step"]), 10)
     rows = pertgate.sweep(d_values, [p["jp"]], n=p["n"], m=p["m"], target=p["target"])
     return list(pertgate.SWEEP_FIELDS), rows, None
 
@@ -263,13 +263,10 @@ def _cmd_optctrl_optimize(config: RunConfig):
 def _cmd_optctrl_gradcheck(config: RunConfig):
     p = config.params
     rng = np.random.default_rng(config.seed)
-    rows = []
-    worst = 0.0
+    rows, worst = [], 0.0
     for k in range(p["points"]):
-        x = optctrl._draw_start(rng, 20)
-        err = optctrl.gradient_check(
-            optctrl.PulseParams(x, 1.0), steps=p["steps"], fd_step=p["fd_step"]
-        )
+        pulse = optctrl.PulseParams(optctrl._draw_start(rng, 20), 1.0)
+        err = optctrl.gradient_check(pulse, steps=p["steps"], fd_step=p["fd_step"])
         worst = max(worst, err)
         rows.append({"point": k, "max_rel_error": err})
     if worst > 1e-5:

@@ -39,8 +39,8 @@ and dF/dalpha_k(t_s) = (dt / 8) sum_b Tr(O_k Z_s): exact for the discretized
 dynamics (finite differences agree to ~1e-9), not an ODE approximation.
 
 Controllability is checked by closing the real Lie algebra generated by the
-O_k (plus the identity): the span saturates at dimension 80, the sum of the
-block closures 49 + 9 + 22.
+O_k (plus the identity) under brackets with the O_k alone (the all-pairs
+closure is the test oracle): dimension 80, the sum of the blocks' 49 + 9 + 22.
 
 scipy.optimize is imported where it is used, off the CLI's cold-start path.
 """
@@ -156,36 +156,35 @@ def target_gate() -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _to_real_vectors(mats: np.ndarray) -> np.ndarray:
-    flat = mats.reshape(len(mats), -1)
+    flat = mats.reshape(-1, mats.shape[-1] ** 2)
     return np.hstack([flat.real, flat.imag])
-
-
-def _from_real_vector(vec: np.ndarray, dim: int) -> np.ndarray:
-    half = dim * dim
-    return (vec[:half] + 1j * vec[half:]).reshape(dim, dim)
 
 
 def lie_closure(operators) -> np.ndarray:
     """Orthonormal real span rows of the Lie closure of Hermitian generators plus identity.
 
-    The closure's real dimension is the number of rows. Each round adds
-    i[A, B] for all pairs of the current span and recomputes the numerical
-    rank (singular values above 1e-9 x largest). Stops when a round adds
-    nothing; raises if 12 rounds do not saturate it.
+    By the Jacobi identity the closure is the smallest span that holds the
+    identity and the O_k and is closed under i[O_k, .]. So each round brackets
+    only the rows that the last round added with each O_k, projects these
+    candidates off the span twice, and adds the directions whose singular values
+    exceed 1e-9 x the largest candidate norm before projection. Stops when a
+    round adds nothing; raises if 12 rounds do not saturate it.
     """
-    dim = operators[0].shape[0]
-    seed = [np.eye(dim, dtype=complex)] + [np.asarray(o, dtype=complex) for o in operators]
-    candidates, rows = _to_real_vectors(np.stack(seed)), None
+    gens = np.asarray(operators, dtype=complex)
+    dim = gens.shape[-1]
+    candidates = _to_real_vectors(np.concatenate([np.eye(dim, dtype=complex)[None], gens]))
+    rows = np.empty((0, candidates.shape[1]))
     for _ in range(12 + 1):
+        scale = np.linalg.norm(candidates, axis=1).max()
+        for _ in range(2):
+            candidates = candidates - (candidates @ rows.T) @ rows
         _, svals, vt = np.linalg.svd(candidates, full_matrices=False)
-        keep = svals > 1e-9 * svals[0]
-        if rows is not None and int(keep.sum()) == len(rows):
+        added = vt[svals > 1e-9 * scale]
+        if not len(added):
             return rows
-        rows = vt[keep]
-        mats = np.stack([_from_real_vector(r, dim) for r in rows])
-        comms = [1j * (mats[a] @ mats[b] - mats[b] @ mats[a])
-                 for a in range(len(mats)) for b in range(a + 1, len(mats))]
-        candidates = np.vstack([rows, _to_real_vectors(np.stack(comms))])
+        rows = np.vstack([rows, added])
+        mats = (added[:, :dim * dim] + 1j * added[:, dim * dim:]).reshape(-1, dim, dim)
+        candidates = _to_real_vectors(1j * (gens[:, None] @ mats - mats @ gens[:, None]))
     raise RuntimeError("Lie closure did not saturate within 12 rounds")
 
 
@@ -241,6 +240,8 @@ def control_blocks() -> tuple[ControlBlock, ...]:
 
 def _slice_amplitudes(x: np.ndarray, t_horizon: float, steps: int):
     """dt, sin(l pi t_s / T) (L x S) and alpha_k(t_s) (..., S, K) at the slice midpoints."""
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     dt = t_horizon / steps
     sin_basis = _sine_basis(x.shape[-1], (np.arange(steps) + 0.5) * dt, t_horizon)
     return dt, sin_basis, np.swapaxes(x @ sin_basis, -1, -2)
@@ -375,8 +376,6 @@ def propagate(pulse: PulseParams, steps: int = 2000, check: bool = False) -> np.
     converged (finer) result is returned; a RuntimeError reports
     non-convergence.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     blocks = _block_propagators(pulse.x, pulse.t_horizon, steps)
     if check:
         for _ in range(10):
@@ -456,6 +455,8 @@ def gradient_check(pulse: PulseParams, steps: int = 250, fd_step: float = 1e-6) 
     gradient is nearly flat. The shifted pulses x +- fd_step e_kl of all
     coordinates propagate together, as one batch per block and sign.
     """
+    if not fd_step > 0:
+        raise ValueError(f"fd_step must be positive, got {fd_step}")
     _, grad = fidelity_and_gradient(pulse, steps)
     shifts = fd_step * np.eye(pulse.x.size).reshape(-1, *pulse.x.shape)
     f_plus, f_minus = (
@@ -502,6 +503,8 @@ def optimize(
     is then re-converged on the `polish_steps` grid and the returned
     infidelity is quoted at that resolution.
     """
+    if not (n_harmonics >= 1 and restarts >= 1):
+        raise ValueError(f"need n_harmonics >= 1 and restarts >= 1, got {n_harmonics}, {restarts}")
     from scipy.optimize import minimize
 
     rng = np.random.default_rng(seed)

@@ -316,7 +316,7 @@ def superexchange_hubbard_check(t: float, u: float, statistics: str) -> tuple[fl
     check_statistics(statistics)
     if u <= 0:
         raise ValueError("U must be positive")
-    if t == 0 or abs(t) / u > 0.1:
+    if not 0 < abs(t) / u <= 0.1:
         raise ValueError(f"t/U = {t / u:.3g} is outside the superexchange regime 0 < |t/U| <= 0.1")
     e_singlet, e_triplet = _two_site_hubbard(abs(t), u, statistics)
     gap = (e_triplet - e_singlet) if statistics == "fermion" else (e_singlet - e_triplet)

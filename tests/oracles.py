@@ -9,9 +9,10 @@ The link references at the end check `plaqgate.geophase`: the Fock-space
 (anti)commutators, the transient leakage of a link, and its return time as
 the root of d|a|^2/dt instead of the program's search on the flat maximum of |a|.
 
-Last come three small operator helpers that only the tests use: the total spin of a
-register, the logical restriction of a 16-dim operator, and span membership in a
-Lie closure.
+Last come the all-pairs Lie closure, which `plaqgate.optctrl.lie_closure`
+(brackets with the generators only) is checked against, and three small operator
+helpers that only the tests use: the total spin of a register, the logical
+restriction of a 16-dim operator, and span membership in a Lie closure.
 """
 from __future__ import annotations
 
@@ -161,6 +162,29 @@ def link_return_root(n_l: int, n_r_a: int, channel_spin, params: gp.OnsiteParams
     t_root = brentq(slope, ts[k - 1], ts[k + 1], xtol=1e-15)
     a_root = np.sum(weights * np.exp(rates * t_root))
     return t_root, float(np.angle(a_root)), float(max(0.0, 1.0 - abs(a_root) ** 2))
+
+
+def all_pairs_lie_closure(operators) -> np.ndarray:
+    """Orthonormal real span rows of the Lie closure of Hermitian generators plus identity.
+
+    Each round adds i[A, B] for all pairs of the current span and recomputes
+    the numerical rank (singular values above 1e-9 x largest). Stops when a
+    round adds nothing; raises if 12 rounds do not saturate it.
+    """
+    dim = operators[0].shape[0]
+    seed = [np.eye(dim, dtype=complex)] + [np.asarray(o, dtype=complex) for o in operators]
+    candidates, rows = _to_real_vectors(np.stack(seed)), None
+    for _ in range(12 + 1):
+        _, svals, vt = np.linalg.svd(candidates, full_matrices=False)
+        keep = svals > 1e-9 * svals[0]
+        if rows is not None and int(keep.sum()) == len(rows):
+            return rows
+        rows = vt[keep]
+        mats = (rows[:, :dim * dim] + 1j * rows[:, dim * dim:]).reshape(-1, dim, dim)
+        comms = [1j * (mats[a] @ mats[b] - mats[b] @ mats[a])
+                 for a in range(len(mats)) for b in range(a + 1, len(mats))]
+        candidates = np.vstack([rows, _to_real_vectors(np.stack(comms))])
+    raise RuntimeError("Lie closure did not saturate within 12 rounds")
 
 
 def total_spin(reg: SpinRegister) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

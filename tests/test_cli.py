@@ -338,9 +338,32 @@ def test_exit_2_missing_required_flag(tmp_path):
     assert _run(tmp_path, "spectrum") == 2
 
 
-def test_exit_2_bad_value(tmp_path):
+@pytest.mark.parametrize("argv, message", [
     # d/J = 3 sits on a pole of the perturbative coefficients
-    assert _run(tmp_path, "pert-coeffs", "--dJ", "3.0") == 2
+    pytest.param(("pert-coeffs", "--dJ", "3.0"), "is a pole", id="pert-coeffs-pole"),
+    # an empty search: no harmonics, or no descent at all
+    pytest.param(("optctrl-optimize", "--L", "0"), "n_harmonics >= 1", id="optimize-L0"),
+    pytest.param(("optctrl-optimize", "--restarts", "0"), "restarts >= 1",
+                 id="optimize-restarts0"),
+    # no slices
+    pytest.param(("optctrl-optimize", "--steps", "0"), "steps must be >= 1",
+                 id="optimize-steps0"),
+    pytest.param(("optctrl-gradcheck", "--points", "1", "--steps", "0"), "steps must be >= 1",
+                 id="gradcheck-steps0"),
+    # a finite-difference or sweep step that is not positive
+    pytest.param(("optctrl-gradcheck", "--points", "1", "--fd-step", "0"),
+                 "fd_step must be positive", id="gradcheck-fd-step0"),
+    pytest.param(("pert-fidelity", "--Jp", "0.1", "--dJ-step", "0"),
+                 "--dJ-step must be positive", id="pert-fidelity-dJ-step0"),
+    pytest.param(("pert-fidelity", "--Jp", "0.1", "--dJ-step", "-0.01"),
+                 "--dJ-step must be positive", id="pert-fidelity-dJ-step-negative"),
+    # NaN is outside the regime, not a matrix for the eigensolver
+    pytest.param(("hubbard-check", "--t-over-u", "nan"), "outside the superexchange regime",
+                 id="hubbard-check-nan"),
+])
+def test_exit_2_bad_value(tmp_path, capsys, argv, message):
+    assert _run(tmp_path, *argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_exit_3_nonconverged_gradcheck(tmp_path):

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import full_space_fidelity_and_gradient, full_space_propagate, span_contains
+from oracles import (
+    all_pairs_lie_closure,
+    full_space_fidelity_and_gradient,
+    full_space_propagate,
+    span_contains,
+)
 from plaqgate.optctrl import (
     BLOCK_LABELS,
     FULL_DIM,
@@ -137,6 +142,22 @@ def test_lie_closure_contains_product_term():
 def test_single_operator_closure():
     o1 = control_operators()[0]
     assert len(lie_closure([o1])) == 2
+
+
+@pytest.mark.parametrize("generators, dim", [
+    (control_operators, 80),
+    (lambda: [control_operators()[0]], 2),
+    (lambda: list(control_blocks()[0].controls), 49),
+    (lambda: list(control_blocks()[1].controls), 9),
+    (lambda: list(control_blocks()[2].controls), 22),
+], ids=["five_controls", "one_control", "block7", "block3", "block6"])
+def test_lie_closure_matches_all_pairs_oracle(generators, dim):
+    # the generator-only closure spans the same algebra as bracketing all pairs
+    rows, oracle = lie_closure(generators()), all_pairs_lie_closure(generators())
+    assert len(rows) == len(oracle) == dim
+    assert np.abs(rows @ rows.T - np.eye(dim)).max() <= 1e-12
+    assert np.abs(oracle - (oracle @ rows.T) @ rows).max() <= 1e-12
+    assert np.abs(rows - (rows @ oracle.T) @ oracle).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +393,23 @@ def test_gradient_calls_no_eigh(monkeypatch):
 def test_propagate_rejects_bad_steps():
     with pytest.raises(ValueError):
         propagate(_random_pulse(0), steps=0)
+
+
+def test_empty_or_degenerate_requests_raise():
+    # every slice path checks the slice count; an empty search and a step
+    # that is not positive (NaN included) are refused before any work
+    pulse = _random_pulse(0)
+    for call in (lambda: fidelity_and_gradient(pulse, steps=0),
+                 lambda: gradient_check(pulse, steps=0),
+                 lambda: robustness_sweep(pulse, [0.0], steps=0)):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            call()
+    for fd_step in (0.0, -1e-6, float("nan")):
+        with pytest.raises(ValueError, match="fd_step"):
+            gradient_check(pulse, steps=10, fd_step=fd_step)
+    for kwargs in (dict(n_harmonics=0), dict(restarts=0)):
+        with pytest.raises(ValueError, match="n_harmonics >= 1 and restarts >= 1"):
+            optimize(0, **kwargs)
 
 
 def test_propagate_rejects_overflowing_pulse():

@@ -249,9 +249,9 @@ def test_hubbard_rejects_unknown_statistics():
 
 
 @pytest.mark.parametrize("statistics", ["fermion", "boson"])
-@pytest.mark.parametrize("t", [0.0, -0.5])
+@pytest.mark.parametrize("t", [0.0, -0.5, float("nan")])
 def test_hubbard_rejects_t_outside_superexchange_regime(statistics, t):
-    # t = 0 has no gap to compare; |t|/U = 0.5 is far from superexchange
+    # t = 0 has no gap to compare; |t|/U = 0.5 is far from superexchange; NaN is neither
     with pytest.raises(ValueError, match="t/U"):
         superexchange_hubbard_check(t, 1.0, statistics)
 
