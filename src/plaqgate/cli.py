@@ -207,6 +207,8 @@ def _cmd_pert_fidelity(config: RunConfig):
     p = config.params
     if not p["dJ_step"] > 0:
         raise ValueError(f"--dJ-step must be positive, got {p['dJ_step']}")
+    if not p["dJ_min"] <= p["dJ_max"]:
+        raise ValueError(f"--dJ-min must not exceed --dJ-max, got {p['dJ_min']} > {p['dJ_max']}")
     d_values = np.round(np.arange(p["dJ_min"], p["dJ_max"] + 1e-12, p["dJ_step"]), 10)
     rows = pertgate.sweep(d_values, [p["jp"]], n=p["n"], m=p["m"], target=p["target"])
     return list(pertgate.SWEEP_FIELDS), rows, None
@@ -262,6 +264,8 @@ def _cmd_optctrl_optimize(config: RunConfig):
 
 def _cmd_optctrl_gradcheck(config: RunConfig):
     p = config.params
+    if p["points"] < 1:
+        raise ValueError(f"--points must be >= 1, got {p['points']}")
     rng = np.random.default_rng(config.seed)
     rows, worst = [], 0.0
     for k in range(p["points"]):

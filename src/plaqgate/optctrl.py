@@ -27,10 +27,16 @@ the target and the propagator in block b, and `propagate` still returns the
 
 Gradient scheme: U(T) is the pairwise product tree of midpoint-rule slices
 U_s = exp(-i H_s dt), all from `_slice_powers`: cos - i sin of the real
-A = H_s dt / 2^s as real Taylor sums, then s squarings. The gradient is the
-adjoint of that computation; nothing solves an eigenproblem. The three
-blocks' trees give f first, and one down-sweep per tree, seeded with
-conj(f) G_b^T, gives every slice its M_s = P_s Q_s (prefix times suffix).
+A = H_s dt / 2^s as real Taylor sums, then s squarings, with theta and s
+from the whole batch (`_slice_scale`). `propagate` streams aligned chunks of
+_CHUNK = 256 slices: each chunk's exponentials and tree, then the tree of
+the chunk roots. An aligned power-of-two chunk is a whole subtree of the
+full tree, and the last chunk lacks only padding identities, which multiply
+exactly; so U keeps the whole-batch bits without (S, d, d) temporaries.
+The gradient is the adjoint of the whole-batch tree, whose every level it
+needs; nothing solves an eigenproblem. The three blocks' trees give f
+first, and one down-sweep per tree, seeded with conj(f) G_b^T, gives every
+slice its M_s = P_s Q_s (prefix times suffix).
 The squaring adjoint M <- (E M + M E) / 2 takes M_s back to M_0, and the
 Frechet derivative of exp(-iA) is Z = sum_k (i ad_A)^k (E_0 M_0) / (k+1)!,
 E_0 = exp(-iA), cut by the Taylor tail rule with 2 theta for theta. Only
@@ -238,13 +244,24 @@ def control_blocks() -> tuple[ControlBlock, ...]:
 # Propagation and the exact slice gradient, block by block
 # ---------------------------------------------------------------------------
 
+#: Slices per chunk of `_block_propagators`; a power of two, so that every
+#: aligned chunk is a whole subtree of the slices' pairwise product tree
+_CHUNK = 256
+
+
+@lru_cache(maxsize=8)
+def _slice_sine_basis(n_harmonics: int, t_horizon: float, steps: int) -> np.ndarray:
+    """sin(l pi t_s / T) at the slice midpoints t_s, L x S. Cached; the array is read-only."""
+    return read_only(_sine_basis(n_harmonics, (np.arange(steps) + 0.5) * (t_horizon / steps),
+                                 t_horizon))
+
+
 def _slice_amplitudes(x: np.ndarray, t_horizon: float, steps: int):
     """dt, sin(l pi t_s / T) (L x S) and alpha_k(t_s) (..., S, K) at the slice midpoints."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    dt = t_horizon / steps
-    sin_basis = _sine_basis(x.shape[-1], (np.arange(steps) + 0.5) * dt, t_horizon)
-    return dt, sin_basis, np.swapaxes(x @ sin_basis, -1, -2)
+    sin_basis = _slice_sine_basis(x.shape[-1], t_horizon, steps)
+    return t_horizon / steps, sin_basis, np.swapaxes(x @ sin_basis, -1, -2)
 
 
 def _block_hamiltonians(alphas: np.ndarray, block: ControlBlock) -> np.ndarray:
@@ -276,26 +293,40 @@ def _tail_order(x: float, shift: int) -> int:
     return order
 
 
-def _slice_powers(h: np.ndarray, dt: float):
-    """A = h dt / 2^s, theta and E_j = exp(-iA)^(2^j), j = 0..s, for a batch
-    h[..., d, d] of real symmetric slice Hamiltonians; E_s = exp(-i h dt).
+def _slice_scale(h: np.ndarray, dt: float) -> tuple[float, int]:
+    """(theta, s) for a batch h[..., S, d, d] of real symmetric slice Hamiltonians.
 
-    exp(-iA) = cos A - i sin A, where cos A = sum_k (-1)^k A^2k / (2k)! and
-    sin A = A sum_k (-1)^k A^2k / (2k+1)! are Horner sums in A^2, all real
-    matmuls. s is the smallest s >= 0 that brings theta, the batch's largest
-    1-norm of A, to at most 1/4, and the degree is `_tail_order(theta, 1)`
-    (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2010); s complex
-    squarings undo the scaling. A drawn start pulse has theta ~ 0.04 at 400
-    slices (s = 0, degree 8) and ~ 0.007 at 2000 (degree 6).
+    s is the smallest s >= 0 that brings theta, the batch's largest 1-norm of
+    A = h dt / 2^s, to at most 1/4. The norms are taken _CHUNK slices at a
+    time, in place, so that no temporary spans the batch.
     """
-    a = h * dt
-    theta = float(np.abs(a).sum(axis=-2).max(initial=0.0))
+    norms = []
+    for i in range(0, h.shape[-3], _CHUNK):
+        a = h[..., i:i + _CHUNK, :, :] * dt
+        norms.append(np.abs(a, out=a).sum(axis=-2).max(initial=0.0))
+    theta = float(np.max(norms, initial=0.0))
     if not np.isfinite(theta):
         raise ValueError("slice Hamiltonians must be finite")
     squarings = max(0, math.ceil(math.log2(4.0 * theta))) if theta > 0.0 else 0
+    return theta / 2.0 ** squarings, squarings
+
+
+def _slice_powers(h: np.ndarray, dt: float, theta: float, squarings: int):
+    """A = h dt / 2^s and E_j = exp(-iA)^(2^j), j = 0..s, for a batch h[..., d, d]
+    of real symmetric slice Hamiltonians, with (theta, s) from `_slice_scale`;
+    E_s = exp(-i h dt).
+
+    exp(-iA) = cos A - i sin A, where cos A = sum_k (-1)^k A^2k / (2k)! and
+    sin A = A sum_k (-1)^k A^2k / (2k+1)! are Horner sums in A^2, all real
+    matmuls, of degree `_tail_order(theta, 1)` (Al-Mohy & Higham, SIAM J.
+    Matrix Anal. Appl. 31, 970, 2010); s complex squarings undo the scaling.
+    A drawn start pulse has theta ~ 0.04 at 400 slices (s = 0, degree 8) and
+    ~ 0.007 at 2000 (degree 6). Each slice's result depends only on its own
+    h and on (theta, s), so any run of slices gives the bits of the batch.
+    """
+    a = h * dt
     if squarings:
         a /= 2.0 ** squarings
-        theta /= 2.0 ** squarings
     degree = _tail_order(theta, 1)
     b = a @ a
     cos, sin = (_horner(b, [(-1) ** (k // 2) / math.factorial(k)
@@ -306,12 +337,7 @@ def _slice_powers(h: np.ndarray, dt: float):
     powers = [u]
     for _ in range(squarings):
         powers.append(powers[-1] @ powers[-1])
-    return a, theta, powers
-
-
-def _slice_exponentials(h: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i h dt) for a batch h[..., d, d] of real symmetric slice Hamiltonians."""
-    return _slice_powers(h, dt)[2][-1]
+    return a, powers
 
 
 def _product_tree(mats: np.ndarray) -> list[np.ndarray]:
@@ -351,10 +377,20 @@ def _adjoint_sweep(levels: list[np.ndarray], seed: np.ndarray) -> np.ndarray:
 
 
 def _block_propagators(x: np.ndarray, t_horizon: float, steps: int) -> list[np.ndarray]:
-    """U_b(T; x) of each block; x of shape (..., 5, L) propagates a batch of pulses."""
+    """U_b(T; x) of each block; x of shape (..., 5, L) propagates a batch of pulses.
+
+    The slices stream through aligned chunks of _CHUNK (module docstring).
+    """
     dt, _, alphas = _slice_amplitudes(x, t_horizon, steps)
-    slices = (_slice_exponentials(_block_hamiltonians(alphas, b), dt) for b in control_blocks())
-    return [_product_tree(u)[-1][..., 0, :, :] for u in slices]
+    unitaries = []
+    for block in control_blocks():
+        h = _block_hamiltonians(alphas, block)  # one matmul: a 1-slice chunk rounds differently
+        theta, squarings = _slice_scale(h, dt)
+        roots = [_product_tree(_slice_powers(h[..., i:i + _CHUNK, :, :], dt, theta,
+                                             squarings)[1][-1])[-1]
+                 for i in range(0, steps, _CHUNK)]
+        unitaries.append(_product_tree(np.concatenate(roots, axis=-3))[-1][..., 0, :, :])
+    return unitaries
 
 
 def _gate_trace(block_unitaries) -> np.ndarray:
@@ -434,7 +470,10 @@ def fidelity_and_gradient(
     dt, sin_basis, alphas = _slice_amplitudes(pulse.x, pulse.t_horizon, steps)
     forward = []
     for block in control_blocks():
-        a, theta, powers = _slice_powers(_block_hamiltonians(alphas, block), dt)
+        h = _block_hamiltonians(alphas, block)
+        theta, squarings = _slice_scale(h, dt)
+        a, powers = _slice_powers(h, dt, theta, squarings)
+        del h  # the adjoint needs only A and the powers; h would stay alive through it
         forward.append((a, theta, powers, _product_tree(powers[-1])))
     f = _gate_trace([levels[-1][0] for *_, levels in forward])
     c = 0.0

@@ -9,6 +9,10 @@ The link references at the end check `plaqgate.geophase`: the Fock-space
 (anti)commutators, the transient leakage of a link, and its return time as
 the root of d|a|^2/dt instead of the program's search on the flat maximum of |a|.
 
+The whole-batch block propagator is the reference for the streamed one of
+`plaqgate.optctrl`: it exponentiates every slice at once and multiplies them
+in one pairwise tree, and the two must agree bit for bit.
+
 Last come the all-pairs Lie closure, which `plaqgate.optctrl.lie_closure`
 (brackets with the generators only) is checked against, and three small operator
 helpers that only the tests use: the total spin of a register, the logical
@@ -22,7 +26,19 @@ import numpy as np
 from scipy.optimize import brentq
 
 from plaqgate import geophase as gp
-from plaqgate.optctrl import FULL_DIM, PulseParams, _to_real_vectors, control_operators, target_gate
+from plaqgate.optctrl import (
+    FULL_DIM,
+    PulseParams,
+    _block_hamiltonians,
+    _product_tree,
+    _slice_amplitudes,
+    _slice_powers,
+    _slice_scale,
+    _to_real_vectors,
+    control_blocks,
+    control_operators,
+    target_gate,
+)
 from plaqgate.plaquette import logical_basis
 from plaqgate.spincore import SpinRegister, pauli_site
 
@@ -97,6 +113,18 @@ def full_space_fidelity_and_gradient(
     grad_f = coeffs @ sin_basis.T  # K x L
     grad = 2.0 * np.real(np.conj(f) * grad_f)
     return float(abs(f) ** 2), grad
+
+
+def slice_exponentials(h: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i h dt) for a whole batch h[..., d, d] of real symmetric slice Hamiltonians."""
+    return _slice_powers(h, dt, *_slice_scale(h, dt))[1][-1]
+
+
+def whole_batch_block_propagators(x: np.ndarray, t_horizon: float, steps: int) -> list[np.ndarray]:
+    """U_b(T; x) of each block from all slice exponentials at once and one product tree."""
+    dt, _, alphas = _slice_amplitudes(x, t_horizon, steps)
+    slices = (slice_exponentials(_block_hamiltonians(alphas, b), dt) for b in control_blocks())
+    return [_product_tree(u)[-1][..., 0, :, :] for u in slices]
 
 
 def commutation_residual(space: gp.TwoBandFockSpace) -> float:

@@ -350,6 +350,9 @@ def test_exit_2_missing_required_flag(tmp_path):
                  id="optimize-steps0"),
     pytest.param(("optctrl-gradcheck", "--points", "1", "--steps", "0"), "steps must be >= 1",
                  id="gradcheck-steps0"),
+    # a check of no points would pass having checked nothing
+    pytest.param(("optctrl-gradcheck", "--points", "0"), "--points must be >= 1",
+                 id="gradcheck-points0"),
     # a finite-difference or sweep step that is not positive
     pytest.param(("optctrl-gradcheck", "--points", "1", "--fd-step", "0"),
                  "fd_step must be positive", id="gradcheck-fd-step0"),
@@ -357,6 +360,9 @@ def test_exit_2_missing_required_flag(tmp_path):
                  "--dJ-step must be positive", id="pert-fidelity-dJ-step0"),
     pytest.param(("pert-fidelity", "--Jp", "0.1", "--dJ-step", "-0.01"),
                  "--dJ-step must be positive", id="pert-fidelity-dJ-step-negative"),
+    # an empty grid would write a header-only dataset
+    pytest.param(("pert-fidelity", "--Jp", "0.1", "--dJ-min", "0.9", "--dJ-max", "0.1"),
+                 "--dJ-min must not exceed --dJ-max", id="pert-fidelity-dJ-min-above-max"),
     # NaN is outside the regime, not a matrix for the eigensolver
     pytest.param(("hubbard-check", "--t-over-u", "nan"), "outside the superexchange regime",
                  id="hubbard-check-nan"),

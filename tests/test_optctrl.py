@@ -1,6 +1,8 @@
 """Control operators, Lie closure, slice propagation, and the exact gradient."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,12 @@ from oracles import (
     all_pairs_lie_closure,
     full_space_fidelity_and_gradient,
     full_space_propagate,
+    slice_exponentials,
     span_contains,
+    whole_batch_block_propagators,
 )
 from plaqgate.optctrl import (
+    _CHUNK,
     BLOCK_LABELS,
     FULL_DIM,
     PulseParams,
@@ -21,8 +26,8 @@ from plaqgate.optctrl import (
     _block_propagators,
     _gate_overlap,
     _slice_amplitudes,
-    _slice_exponentials,
-    _slice_powers,
+    _slice_scale,
+    _slice_sine_basis,
     _tail_order,
     control_blocks,
     control_operators,
@@ -97,8 +102,8 @@ _BLOCK_ARRAYS = {
 
 @pytest.mark.parametrize(
     "cached",
-    [target_gate, control_operators, *_BLOCK_ARRAYS.values()],
-    ids=["target_gate", "control_operators", *_BLOCK_ARRAYS],
+    [target_gate, control_operators, *_BLOCK_ARRAYS.values(), lambda: _slice_sine_basis(20, 1.0, 400)],
+    ids=["target_gate", "control_operators", *_BLOCK_ARRAYS, "slice_sine_basis"],
 )
 def test_cached_operators_are_read_only(cached):
     arr = cached()
@@ -265,8 +270,8 @@ def test_gradient_matches_full_space_oracle_at_series_extremes(theta, squarings,
     dt, _, alphas = _slice_amplitudes(pulse.x, pulse.t_horizon, steps)
     cuts = []
     for block in control_blocks():
-        _, scaled, powers = _slice_powers(_block_hamiltonians(alphas, block), dt)
-        cuts.append((len(powers) - 1, _tail_order(2.0 * scaled, 2)))
+        scaled, n_squarings = _slice_scale(_block_hamiltonians(alphas, block), dt)
+        cuts.append((n_squarings, _tail_order(2.0 * scaled, 2)))
     assert max(cuts) == (squarings, order)
     f, grad = fidelity_and_gradient(pulse, steps=steps)
     f_ref, grad_ref = full_space_fidelity_and_gradient(pulse, steps)
@@ -291,17 +296,17 @@ def test_slice_exponentials_match_eigh_exponential(theta):
     h *= theta / (dt * np.abs(h).sum(axis=1).max())
     lam, vecs = np.linalg.eigh(h)
     ref = (vecs * np.exp(-1j * lam * dt)[:, None, :]) @ np.swapaxes(vecs, 1, 2)
-    u = _slice_exponentials(h, dt)
+    u = slice_exponentials(h, dt)
     bound = 1e-14 * max(1.0, 4.0 * theta)
     assert np.abs(u - ref).max() <= bound
     assert np.abs(np.swapaxes(u.conj(), 1, 2) @ u - np.eye(7)).max() <= bound
 
 
 def test_slice_exponentials_of_zero_and_empty_batches():
-    u = _slice_exponentials(np.zeros((3, 7, 7)), 0.1)
+    u = slice_exponentials(np.zeros((3, 7, 7)), 0.1)
     assert u.dtype == complex
     np.testing.assert_array_equal(u, np.broadcast_to(np.eye(7), (3, 7, 7)))
-    assert _slice_exponentials(np.zeros((0, 7, 7)), 0.1).shape == (0, 7, 7)
+    assert slice_exponentials(np.zeros((0, 7, 7)), 0.1).shape == (0, 7, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +366,52 @@ def test_propagate_unitarity_does_not_grow_with_steps(control, steps):
     x[control, 0] = 1e-244
     u = propagate(PulseParams(x, 1.0), steps=steps)
     assert np.linalg.norm(u.conj().T @ u - np.eye(FULL_DIM)) <= 1e-14
+
+
+_STREAM_STEPS = [1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 400, 2000, 2049]
+
+
+def _assembled(block_unitaries) -> np.ndarray:
+    return sum(b.basis @ u @ b.basis.conj().T for b, u in zip(control_blocks(), block_unitaries))
+
+
+@pytest.mark.parametrize("steps", _STREAM_STEPS)
+@pytest.mark.parametrize("kind", ["drawn", "five-squarings", "zero"])
+def test_streamed_propagation_matches_whole_batch_bit_for_bit(kind, steps):
+    # aligned power-of-two chunks are whole subtrees of the pairwise product
+    # tree, so streaming them changes no bit of U, across chunk edges too
+    pulse = {"drawn": _random_pulse(12, n_harmonics=6),
+             "five-squarings": _pulse_at_theta(6.0, steps),
+             "zero": PulseParams(np.zeros((5, 3)), 1.0)}[kind]
+    ref = whole_batch_block_propagators(pulse.x, pulse.t_horizon, steps)
+    assert np.array_equal(propagate(pulse, steps=steps), _assembled(ref))
+    deltas = [0.0, 0.3]
+    expected = [1.0 - float(_gate_overlap(whole_batch_block_propagators(
+        (1.0 - d) * pulse.x, pulse.t_horizon, steps))) for d in deltas]
+    assert robustness_sweep(pulse, deltas, steps=steps) == expected
+
+
+@pytest.mark.parametrize("steps", _STREAM_STEPS)
+def test_streamed_propagation_of_a_batch_matches_whole_batch(steps):
+    xs = np.stack([_random_pulse(seed).x for seed in range(20, 24)])
+    streamed = _block_propagators(xs, 1.0, steps)
+    for u, ref in zip(streamed, whole_batch_block_propagators(xs, 1.0, steps)):
+        assert u.shape == (4, *ref.shape[1:])
+        assert np.array_equal(u, ref)
+
+
+def test_propagate_working_set_is_bounded():
+    # the whole-batch path held (2000, d, d) temporaries, a 6.4 MB peak; the
+    # streamed path holds one chunk at a time (about 1.6 MB)
+    pulse = _random_pulse(13, n_harmonics=20)
+    propagate(pulse, steps=2000)  # fill the caches
+    tracemalloc.start()
+    try:
+        propagate(pulse, steps=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
 
 
 def test_propagation_calls_no_eigh(monkeypatch):
@@ -509,7 +560,7 @@ def test_optimize_iterations_are_lbfgs_iterations(monkeypatch, target_eps):
     assert result.iterations == len(counted) > 0
 
 
-@pytest.mark.parametrize("steps", [1, 2, 7, 131, 400])
+@pytest.mark.parametrize("steps", [1, 2, 7, 131, 400, _CHUNK + 1, 2000])
 def test_gradient_and_propagator_share_one_slice_path(steps):
     # the objective and the propagator must multiply the same slice
     # exponentials; two slice paths differ in the last bits
