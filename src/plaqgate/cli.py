@@ -24,6 +24,11 @@ Usage examples:
 
 Exit codes: 0 success, 2 bad flags or values, 3 numerical non-convergence.
 The default output directory is $PLAQGATE_OUTPUT_DIR or ./runs.
+
+A run whose directory already holds a matching manifest and dataset is
+skipped; with --force nothing of the old run is read, and the command runs
+and rewrites its files. A config hashes once, however often its run
+directory and manifest ask for the hash.
 """
 from __future__ import annotations
 
@@ -75,9 +80,13 @@ class RunConfig:
             "format": self.format,
         }
 
-    def config_hash(self) -> str:
+    @functools.cached_property
+    def _hash(self) -> str:
         payload = json.dumps(self.identity(), sort_keys=True)
         return hashlib.sha1(payload.encode()).hexdigest()[:8]
+
+    def config_hash(self) -> str:
+        return self._hash
 
     def run_dir(self) -> str:
         return os.path.join(self.output_dir, f"{self.command}-{self.config_hash()}")
@@ -359,8 +368,8 @@ def _cmd_hubbard_check(config: RunConfig):
 
 
 #: figure -> (schema, fields, rows, gnuplot). `rows()` computes the dataset
-#: with the rows of the command that owns the figure; `fields` picks the
-#: columns the figure shows.
+#: with the rows of the command that owns the figure, once per process
+#: (`_figure_rows`); `fields` picks the columns the figure shows.
 REPORT_FIGURES = {
     "pertfid": (
         "Gate fidelity vs d/J at J'/J in {0.05, 0.1, 0.2} (columns: "
@@ -388,10 +397,16 @@ REPORT_FIGURES = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _figure_rows(figure: str) -> tuple[dict, ...]:
+    """A report figure's rows, computed once per process: they depend on the figure alone."""
+    return tuple(REPORT_FIGURES[figure][2]())
+
+
 def _cmd_report(config: RunConfig):
     figure = config.params["figure"]
-    schema, fields, compute_rows, gnuplot = REPORT_FIGURES[figure]
-    rows = compute_rows()
+    schema, fields, _, gnuplot = REPORT_FIGURES[figure]
+    rows = _figure_rows(figure)
     run_dir = config.run_dir()
     os.makedirs(run_dir, exist_ok=True)
     _replace_file(os.path.join(run_dir, "plot.gp"), gnuplot)
@@ -505,7 +520,7 @@ def run(argv) -> int:
             ),
             format=args.format,
         )
-        if _is_complete(config) and not args.force:
+        if not args.force and _is_complete(config):
             print(f"{config.run_dir()} already complete; use --force to recompute")
             return 0
         with warnings.catch_warnings():

@@ -10,7 +10,9 @@ enters positively) is
     dE1 = c0 (Delta - omega) + c1 U_L^aa + c2 U_R^ab
 
 with exact rational coefficients tabulated per number/spin configuration
-(the ledger). A configuration is resonant when dE1 vanishes at the chosen
+(the ledger). The rational rows depend only on the statistics, so they are
+built once per statistics; only dE1 and the resonance flag are evaluated at
+each bias. A configuration is resonant when dE1 vanishes at the chosen
 bias: for bosons at Delta = omega the resonant rows are (n_L, n_R^a, j_R) =
 (1, 0, 1/2) and (1, 1, 0); for fermions at Delta = omega + U_R^ab the single
 resonant row is (1, 2, 1/2). Resonant tunneling is a two-level Rabi cycle
@@ -196,11 +198,16 @@ def delta_e1(
 
     The sign convention is initial minus final: the event is resonant when
     the bias surplus Delta - omega cancels the interaction shift.
-    Coefficients are exact rationals: c0 = 1;
+    Coefficients are exact rationals (`_ledger_entry`): c0 = 1;
     bosons   c1 = 2(n_L - 1),        c2 = -f[n_R_a, 1, j_R];
     fermions c1 = [n_L = 2],         c2 = -(n_R_a + eta)/2.
     The entry is marked resonant when |dE1| <= 0.1 |t| at `params`.
     """
+    return _at_bias(_ledger_entry(config, statistics), params)
+
+
+def _ledger_entry(config: NumberConfig, statistics: str) -> EnergyLedgerEntry:
+    """The ledger row of `config` with the coefficients of `delta_e1`, flagged off resonance."""
     _validate_for_statistics(config, statistics)
     c0 = Fraction(1)
     if statistics == "boson":
@@ -209,7 +216,11 @@ def delta_e1(
     else:
         c1 = Fraction(1 if config.n_l == 2 else 0)
         c2 = -Fraction(config.n_r_a + fermion_eta(config.n_r_a, 1, config.j_r), 2)
-    entry = EnergyLedgerEntry(config, statistics, c0, c1, c2, resonant_at_bias=False)
+    return EnergyLedgerEntry(config, statistics, c0, c1, c2, resonant_at_bias=False)
+
+
+def _at_bias(entry: EnergyLedgerEntry, params: OnsiteParams) -> tuple[float, EnergyLedgerEntry]:
+    """dE1 of a ledger row at `params`, and the row flagged by it."""
     value = entry.evaluate(params)
     return value, replace(entry, resonant_at_bias=abs(value) <= 0.1 * abs(params.t))
 
@@ -228,9 +239,19 @@ def table_configs(statistics: str) -> list[NumberConfig]:
             if statistics == "boson" or j != three_halves]
 
 
+@lru_cache(maxsize=None)
+def _ledger_rows(statistics: str) -> tuple[EnergyLedgerEntry, ...]:
+    """The rational ledger rows of one statistics, built once; they do not depend on the bias."""
+    return tuple(_ledger_entry(config, statistics) for config in table_configs(statistics))
+
+
 def resonance_table(params: OnsiteParams, statistics: str) -> list[EnergyLedgerEntry]:
-    """All ledger rows with resonance flags at the given bias, in table order."""
-    return [delta_e1(config, params, statistics)[1] for config in table_configs(statistics)]
+    """All ledger rows with resonance flags at the given bias, in table order.
+
+    The rational rows are built once per statistics; a call only evaluates dE1
+    at `params` and sets the flags.
+    """
+    return [_at_bias(entry, params)[1] for entry in _ledger_rows(statistics)]
 
 
 #: Columns of a ledger row, in the order of EnergyLedgerEntry.row
@@ -284,20 +305,6 @@ class TwoBandFockSpace:
     def occupation(self, *modes: int) -> np.ndarray:
         """Diagonal of the number operator summed over `modes`, as a vector."""
         return self.counts[:, list(modes)].sum(axis=1)
-
-    def sector_indices(self, total: int) -> np.ndarray:
-        """Basis states holding `total` particles."""
-        return np.flatnonzero(self.counts.sum(axis=1) == total)
-
-    def physical_indices(self) -> np.ndarray:
-        """States whose per-orbital occupancy stays within the cap.
-
-        Spin raising/lowering and the band-exchange interaction never leave
-        this subspace, so symmetry checks are truncation-free on it; it also
-        contains every state the tunneling dynamics visits.
-        """
-        return np.flatnonzero(np.logical_and.reduce(
-            [self.occupation(up, dn) <= self.cap for up, dn in ORBITAL_PAIRS]))
 
     # -- operator construction ------------------------------------------------
 

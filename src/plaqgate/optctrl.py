@@ -33,6 +33,9 @@ _CHUNK = 256 slices: each chunk's exponentials and tree, then the tree of
 the chunk roots. An aligned power-of-two chunk is a whole subtree of the
 full tree, and the last chunk lacks only padding identities, which multiply
 exactly; so U keeps the whole-batch bits without (S, d, d) temporaries.
+A batch of pulses (`gradient_check`) streams in groups of at most _CHUNK
+slices in all, one pulse at a time from _CHUNK slices up, with theta and s
+from the whole batch; so the working set does not grow with the batch.
 The gradient is the adjoint of the whole-batch tree, whose every level it
 needs; nothing solves an eigenproblem. The three blocks' trees give f
 first, and one down-sweep per tree, seeded with conj(f) G_b^T, gives every
@@ -56,6 +59,7 @@ import csv
 import io
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -293,17 +297,18 @@ def _tail_order(x: float, shift: int) -> int:
     return order
 
 
-def _slice_scale(h: np.ndarray, dt: float) -> tuple[float, int]:
-    """(theta, s) for a batch h[..., S, d, d] of real symmetric slice Hamiltonians.
+def _slice_scale(hs: Iterable[np.ndarray], dt: float) -> tuple[float, int]:
+    """(theta, s) for batches h[..., S, d, d] of real symmetric slice Hamiltonians.
 
-    s is the smallest s >= 0 that brings theta, the batch's largest 1-norm of
-    A = h dt / 2^s, to at most 1/4. The norms are taken _CHUNK slices at a
-    time, in place, so that no temporary spans the batch.
+    s is the smallest s >= 0 that brings theta, the largest 1-norm of
+    A = h dt / 2^s over every batch in `hs`, to at most 1/4. The norms are
+    taken _CHUNK slices at a time, in place, so that no temporary spans a batch.
     """
     norms = []
-    for i in range(0, h.shape[-3], _CHUNK):
-        a = h[..., i:i + _CHUNK, :, :] * dt
-        norms.append(np.abs(a, out=a).sum(axis=-2).max(initial=0.0))
+    for h in hs:
+        for i in range(0, h.shape[-3], _CHUNK):
+            a = h[..., i:i + _CHUNK, :, :] * dt
+            norms.append(np.abs(a, out=a).sum(axis=-2).max(initial=0.0))
     theta = float(np.max(norms, initial=0.0))
     if not np.isfinite(theta):
         raise ValueError("slice Hamiltonians must be finite")
@@ -379,17 +384,29 @@ def _adjoint_sweep(levels: list[np.ndarray], seed: np.ndarray) -> np.ndarray:
 def _block_propagators(x: np.ndarray, t_horizon: float, steps: int) -> list[np.ndarray]:
     """U_b(T; x) of each block; x of shape (..., 5, L) propagates a batch of pulses.
 
-    The slices stream through aligned chunks of _CHUNK (module docstring).
+    The pulses stream in groups of max(1, _CHUNK // steps), and each pulse's
+    slices through aligned chunks of _CHUNK (module docstring), with theta and
+    s from a first pass over every group. The first group's h is kept, so a
+    lone group builds it once.
     """
     dt, _, alphas = _slice_amplitudes(x, t_horizon, steps)
+    pulses = alphas.reshape(-1, steps, N_CONTROLS)
+    group = max(1, _CHUNK // steps)
     unitaries = []
     for block in control_blocks():
-        h = _block_hamiltonians(alphas, block)  # one matmul: a 1-slice chunk rounds differently
-        theta, squarings = _slice_scale(h, dt)
-        roots = [_product_tree(_slice_powers(h[..., i:i + _CHUNK, :, :], dt, theta,
-                                             squarings)[1][-1])[-1]
-                 for i in range(0, steps, _CHUNK)]
-        unitaries.append(_product_tree(np.concatenate(roots, axis=-3))[-1][..., 0, :, :])
+        first = _block_hamiltonians(pulses[:group], block)
+
+        def hamiltonians():  # one matmul per group: a 1-slice chunk rounds differently
+            yield first
+            for p in range(group, len(pulses), group):
+                yield _block_hamiltonians(pulses[p:p + group], block)
+
+        theta, squarings = _slice_scale(hamiltonians(), dt)
+        roots = np.concatenate([np.concatenate(
+            [_product_tree(_slice_powers(h[:, i:i + _CHUNK], dt, theta, squarings)[1][-1])[-1]
+             for i in range(0, steps, _CHUNK)], axis=1) for h in hamiltonians()])
+        u = _product_tree(roots)[-1][:, 0]
+        unitaries.append(u.reshape(*x.shape[:-2], *u.shape[-2:]))
     return unitaries
 
 
@@ -471,7 +488,7 @@ def fidelity_and_gradient(
     forward = []
     for block in control_blocks():
         h = _block_hamiltonians(alphas, block)
-        theta, squarings = _slice_scale(h, dt)
+        theta, squarings = _slice_scale([h], dt)
         a, powers = _slice_powers(h, dt, theta, squarings)
         del h  # the adjoint needs only A and the powers; h would stay alive through it
         forward.append((a, theta, powers, _product_tree(powers[-1])))

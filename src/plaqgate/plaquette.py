@@ -105,9 +105,9 @@ class PlaquetteCouplings:
         return [(i, j, getattr(self, f"j{i}{j}")) for i, j in ("12", "23", "34", "41", "13", "24")]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlaquetteBasis:
-    """The six named singlet-subspace vectors and the logical projector."""
+    """The six named singlet-subspace vectors and the logical projector (read-only)."""
 
     psi_H: np.ndarray
     psi_V: np.ndarray
@@ -116,10 +116,6 @@ class PlaquetteBasis:
     ket_box: np.ndarray
     ket_cross: np.ndarray
     logical_projector: np.ndarray
-
-    def logical_columns(self) -> np.ndarray:
-        """16x2 isometry whose columns are (|0>, |1>)."""
-        return np.stack([self.ket0, self.ket1], axis=1)
 
 
 def singlet_pair(reg: SpinRegister, i: str, j: str, rest_pair: tuple[str, str]) -> np.ndarray:
@@ -139,8 +135,12 @@ def singlet_pair(reg: SpinRegister, i: str, j: str, rest_pair: tuple[str, str]) 
     return (0.5 * (bit[j] - bit[i]) * (bit[l] - bit[k])).astype(complex)
 
 
+@lru_cache(maxsize=1)
 def logical_basis() -> PlaquetteBasis:
-    """Construct the singlet-subspace basis on the standard plaquette register."""
+    """The singlet-subspace basis on the standard plaquette register, built once.
+
+    The basis is cached and its arrays are read-only; copy one to write.
+    """
     reg = plaquette_register()
     psi_h = singlet_pair(reg, "1", "2", rest_pair=("3", "4"))
     psi_v = singlet_pair(reg, "2", "3", rest_pair=("4", "1"))
@@ -149,15 +149,8 @@ def logical_basis() -> PlaquetteBasis:
     ket_box = (psi_h + psi_v) / np.sqrt(3.0)
     ket_cross = psi_h - psi_v
     proj = np.outer(ket0, ket0.conj()) + np.outer(ket1, ket1.conj())
-    return PlaquetteBasis(
-        psi_H=psi_h,
-        psi_V=psi_v,
-        ket0=ket0,
-        ket1=ket1,
-        ket_box=ket_box,
-        ket_cross=ket_cross,
-        logical_projector=proj,
-    )
+    return PlaquetteBasis(*(read_only(a) for a in (psi_h, psi_v, ket0, ket1, ket_box,
+                                                    ket_cross, proj)))
 
 
 def heisenberg_plaquette(couplings: PlaquetteCouplings) -> np.ndarray:

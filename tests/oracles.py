@@ -14,9 +14,11 @@ The whole-batch block propagator is the reference for the streamed one of
 in one pairwise tree, and the two must agree bit for bit.
 
 Last come the all-pairs Lie closure, which `plaqgate.optctrl.lie_closure`
-(brackets with the generators only) is checked against, and three small operator
-helpers that only the tests use: the total spin of a register, the logical
-restriction of a 16-dim operator, and span membership in a Lie closure.
+(brackets with the generators only) is checked against, and small helpers
+that only the tests use: the total spin of a register, the logical columns
+of the plaquette basis and the restriction of a 16-dim operator to them,
+span membership in a Lie closure, and the fixed-number and truncation-free
+states of a Fock space.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from plaqgate.optctrl import (
     control_operators,
     target_gate,
 )
-from plaqgate.plaquette import logical_basis
+from plaqgate.plaquette import PlaquetteBasis, logical_basis
 from plaqgate.spincore import SpinRegister, pauli_site
 
 
@@ -117,7 +119,7 @@ def full_space_fidelity_and_gradient(
 
 def slice_exponentials(h: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i h dt) for a whole batch h[..., d, d] of real symmetric slice Hamiltonians."""
-    return _slice_powers(h, dt, *_slice_scale(h, dt))[1][-1]
+    return _slice_powers(h, dt, *_slice_scale([h], dt))[1][-1]
 
 
 def whole_batch_block_propagators(x: np.ndarray, t_horizon: float, steps: int) -> list[np.ndarray]:
@@ -223,9 +225,14 @@ def total_spin(reg: SpinRegister) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(comps)
 
 
+def logical_columns(basis: PlaquetteBasis) -> np.ndarray:
+    """16x2 isometry whose columns are (|0>, |1>)."""
+    return np.stack([basis.ket0, basis.ket1], axis=1)
+
+
 def logical_restriction(op: np.ndarray) -> np.ndarray:
     """Restrict a 16-dim operator to the logical basis: P^dag op P in (|0>,|1>)."""
-    cols = logical_basis().logical_columns()
+    cols = logical_columns(logical_basis())
     return cols.conj().T @ op @ cols
 
 
@@ -234,3 +241,19 @@ def span_contains(rows: np.ndarray, op: np.ndarray) -> bool:
     vec = _to_real_vectors(op[None, :, :])[0]
     residual = vec - rows.T @ (rows @ vec)
     return float(np.linalg.norm(residual)) <= 1e-8 * max(1.0, float(np.linalg.norm(vec)))
+
+
+def sector_indices(space: gp.TwoBandFockSpace, total: int) -> np.ndarray:
+    """Basis states of `space` holding `total` particles."""
+    return np.flatnonzero(space.counts.sum(axis=1) == total)
+
+
+def physical_indices(space: gp.TwoBandFockSpace) -> np.ndarray:
+    """States whose per-orbital occupancy stays within the cap.
+
+    Spin raising/lowering and the band-exchange interaction never leave
+    this subspace, so symmetry checks are truncation-free on it; it also
+    contains every state the tunneling dynamics visits.
+    """
+    return np.flatnonzero(np.logical_and.reduce(
+        [space.occupation(up, dn) <= space.cap for up, dn in gp.ORBITAL_PAIRS]))

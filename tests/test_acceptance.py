@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import span_contains
+from oracles import logical_columns, span_contains
 from scipy.optimize import brentq
 
 from plaqgate import cli, geophase, optctrl, pertgate, plaquette
@@ -328,7 +328,7 @@ def test_11_subspace_properties_and_hubbard_gap():
         assert np.linalg.norm(total @ ket) <= 1e-12
 
     # exchange couplings never leave the two-dimensional subspace
-    iso = basis.logical_columns()
+    iso = logical_columns(basis)
     proj = basis.logical_projector
     for seed in range(3):
         draws = np.random.default_rng(seed).uniform(0.1, 1.0, size=6)

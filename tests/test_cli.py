@@ -116,6 +116,29 @@ def test_resume_and_force(tmp_path, capsys):
     assert "already complete" not in capsys.readouterr().out
 
 
+def test_forced_run_reads_no_old_run(tmp_path, monkeypatch):
+    import plaqgate.cli as cli
+
+    assert _run(tmp_path, "pert-coeffs", "--dJ", "0.3") == 0
+
+    def no_completeness_check(config):
+        raise AssertionError("a forced run checked the old run")
+
+    monkeypatch.setattr(cli, "_is_complete", no_completeness_check)
+    assert _run(tmp_path, "pert-coeffs", "--dJ", "0.3", "--force") == 0
+
+
+def test_config_hashes_once(monkeypatch):
+    import plaqgate.cli as cli
+
+    calls = []
+    real_sha1 = cli.hashlib.sha1
+    monkeypatch.setattr(cli.hashlib, "sha1", lambda data: calls.append(data) or real_sha1(data))
+    config = RunConfig("spectrum", {"j": 1.0, "dJ": 0.2}, output_dir="out")
+    assert config.run_dir() == os.path.join("out", f"spectrum-{config.config_hash()}")
+    assert config.config_hash() == config.config_hash() and len(calls) == 1
+
+
 def test_force_rewrite_is_atomic(tmp_path, monkeypatch):
     import plaqgate.cli as cli
 
@@ -161,6 +184,39 @@ def test_force_rewrite_of_plot_script_is_atomic(tmp_path, monkeypatch):
     assert _run(tmp_path, "report", "--figure", "allowed", "--force") == 2
     after = {n: open(os.path.join(run_dir, n), "rb").read() for n in os.listdir(run_dir)}
     assert after == before  # the old plot.gp is whole and no *.tmp is left
+
+
+#: The commands of one benchmark round of cheap CLI calls
+CHEAP_COMMANDS = [
+    ["spectrum", "--dJ", "0.3"],
+    ["prepare-plus", "--mode", "two_step"],
+    ["prepare-plus", "--mode", "one_step"],
+    ["pert-coeffs", "--dJ", "0.3"],
+    ["pert-allowed", "--n", "1", "--m", "1"],
+    ["hubbard-check", "--statistics", "both", "--t-over-u", "0.02"],
+    ["geophase-table", "--statistics", "both"],
+    ["report", "--figure", "coeffs"],
+]
+
+
+def test_cheap_commands_write_the_same_bytes_cold_and_warm(tmp_path):
+    # a fresh interpreter runs every command twice, so the second run meets
+    # the caches that the first one filled (ledger rows, logical basis, report rows)
+    code = (f"from plaqgate import cli\nfor out in ('cold', 'warm'):\n"
+            f"    for argv in {CHEAP_COMMANDS!r}:\n"
+            f"        assert cli.run(argv + ['--output-dir', out, '--force']) == 0\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(plaqgate.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                   cwd=tmp_path, capture_output=True, check=True)
+
+    def tree(root):
+        return {os.path.relpath(os.path.join(d, n), root): open(os.path.join(d, n), "rb").read()
+                for d, _, names in os.walk(root) for n in names}
+
+    cold, warm = tree(tmp_path / "cold"), tree(tmp_path / "warm")
+    assert len({os.path.dirname(name) for name in cold}) == len(CHEAP_COMMANDS)
+    assert cold == warm
 
 
 def _scipy_modules_after(code):

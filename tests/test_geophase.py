@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import commutation_residual, link_peak_leakage, link_return_root
+from oracles import (
+    commutation_residual,
+    link_peak_leakage,
+    link_return_root,
+    physical_indices,
+    sector_indices,
+)
 from scipy.optimize import minimize_scalar
 
 from plaqgate import cli
@@ -105,6 +111,26 @@ def test_detuned_bias_gives_empty_resonant_set():
     assert not any(e.resonant_at_bias for e in gp.resonance_table(detuned, "boson"))
 
 
+@pytest.mark.parametrize("statistics,params", [("boson", PB_TAB), ("fermion", PF_TAB)])
+def test_cached_ledger_rows_follow_every_bias(statistics, params):
+    # the rational rows are built once per statistics, the flags at each call:
+    # the sweep goes resonant -> each row's own resonance -> detuned -> resonant,
+    # so every flag flips both ways and none may leak from an earlier call
+    fresh_rows = [gp.delta_e1(c, params, statistics)[1] for c in gp.table_configs(statistics)]
+    surpluses = [-(float(e.c1) * params.u_l_aa + float(e.c2) * params.u_r_ab) for e in fresh_rows]
+    base = params.delta - params.omega
+    flags = []
+    for surplus in [base, *surpluses, base + 10 * U0, base]:
+        biased = replace(params, mu_l=params.mu_r + params.omega + surplus)
+        table = gp.resonance_table(biased, statistics)
+        assert table == [gp.delta_e1(c, biased, statistics)[1]
+                         for c in gp.table_configs(statistics)]
+        flags.append([e.resonant_at_bias for e in table])
+    assert flags[0] == flags[-1] and not any(flags[-2])
+    for row in zip(*flags):
+        assert True in row and False in row
+
+
 def test_coefficients_are_exact_rationals():
     for stat in ("boson", "fermion"):
         for e in gp.resonance_table(PB_TAB if stat == "boson" else PF_TAB, stat):
@@ -194,7 +220,7 @@ def test_onsite_hamiltonian_conservation_laws(statistics, params):
     n_total = np.diag(space.occupation(*range(6)))
     assert np.abs(h @ n_total - n_total @ h).max() < 1e-9
     # spin conservation holds on the truncation-free block
-    phys = space.physical_indices()
+    phys = physical_indices(space)
     hp = h[np.ix_(phys, phys)]
     s2 = space.total_spin_squared()[np.ix_(phys, phys)]
     assert np.abs(hp @ s2 - s2 @ hp).max() < 1e-8
@@ -215,7 +241,7 @@ def test_onsite_hamiltonian_takes_integer_energies(statistics):
 def test_single_particle_ground_state(statistics, params):
     space = gp.TwoBandFockSpace(statistics)
     h = gp.onsite_hamiltonian(params, space)
-    one = space.sector_indices(1)
+    one = sector_indices(space, 1)
     evals = np.linalg.eigvalsh(h[np.ix_(one, one)])
     assert abs(evals.min() - min(params.mu_l, params.mu_r)) < 1e-10
 
@@ -385,7 +411,7 @@ def test_link_sector_matches_full_space(statistics, n_l, n_r_a, j, full_spaces):
     """Link figures on the fixed-number basis equal those of the full-space block."""
     full = full_spaces[statistics]
     space = gp.TwoBandFockSpace(statistics, total_number=n_l + n_r_a)
-    sector = full.sector_indices(n_l + n_r_a)
+    sector = sector_indices(full, n_l + n_r_a)
     assert np.array_equal(full.counts[sector], space.counts)
 
     psi_full = gp._initial_channel_state(full, n_l, n_r_a, j)

@@ -270,7 +270,7 @@ def test_gradient_matches_full_space_oracle_at_series_extremes(theta, squarings,
     dt, _, alphas = _slice_amplitudes(pulse.x, pulse.t_horizon, steps)
     cuts = []
     for block in control_blocks():
-        scaled, n_squarings = _slice_scale(_block_hamiltonians(alphas, block), dt)
+        scaled, n_squarings = _slice_scale([_block_hamiltonians(alphas, block)], dt)
         cuts.append((n_squarings, _tail_order(2.0 * scaled, 2)))
     assert max(cuts) == (squarings, order)
     f, grad = fidelity_and_gradient(pulse, steps=steps)
@@ -398,6 +398,35 @@ def test_streamed_propagation_of_a_batch_matches_whole_batch(steps):
     for u, ref in zip(streamed, whole_batch_block_propagators(xs, 1.0, steps)):
         assert u.shape == (4, *ref.shape[1:])
         assert np.array_equal(u, ref)
+
+
+@pytest.mark.parametrize("shape, steps", [
+    ((_CHUNK + 1,), 1), ((3, 3), 100), ((5,), 60), ((3,), 250), ((2,), _CHUNK + 1),
+], ids=["1-slice-ragged", "two-axes-ragged", "ragged", "one-per-group", "two-chunks"])
+def test_pulse_groups_match_whole_batch(shape, steps):
+    # groups of _CHUNK // steps pulses, the last one ragged where the ids say so,
+    # with theta and s from the whole batch: the strongest pulse comes last
+    # and sets s for every group
+    xs = np.random.default_rng(31).uniform(-0.6, 0.6, size=(*shape, 5, 4))
+    xs.reshape(-1, 5, 4)[-1] *= 40.0 * steps
+    streamed = _block_propagators(xs, 1.0, steps)
+    for u, ref in zip(streamed, whole_batch_block_propagators(xs, 1.0, steps)):
+        assert u.shape == ref.shape == (*shape, *ref.shape[-2:])
+        assert np.array_equal(u, ref)
+
+
+def test_gradient_check_working_set_is_bounded():
+    # the 2 x 100 shifted pulses propagated as two whole batches peaked at
+    # 79.6 MB; streamed one pulse at a time the peak is about 2 MB
+    pulse = _random_pulse(14, n_harmonics=20)
+    gradient_check(pulse)  # fill the caches
+    tracemalloc.start()
+    try:
+        gradient_check(pulse)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6
 
 
 def test_propagate_working_set_is_bounded():

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from oracles import logical_restriction, total_spin
+from oracles import logical_columns, logical_restriction, total_spin
 
 from plaqgate.geophase import L_DN, L_UP, RA_DN, RA_UP, RB_DN, RB_UP, TwoBandFockSpace
 from plaqgate.plaquette import (
@@ -131,7 +131,7 @@ def test_hamiltonian_preserves_logical_subspace():
     h = heisenberg_plaquette(PlaquetteCouplings.diag(1.0, 0.2))
     p = basis.logical_projector
     # H maps the two-singlet subspace to itself (it commutes with total spin)
-    iso = basis.logical_columns()
+    iso = logical_columns(basis)
     residual = (np.eye(16) - p) @ h @ iso
     assert np.linalg.norm(residual) < 1e-10
 

@@ -1,11 +1,14 @@
 """Operator algebra and convention checks for the dense spin-1/2 core."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from oracles import total_spin
 
 from plaqgate.optctrl import control_register
+from plaqgate.plaquette import PlaquetteBasis, logical_basis
 from plaqgate.spincore import (
     PAULI_X,
     PAULI_Y,
@@ -66,13 +69,17 @@ def test_total_spin_squared_two_sites():
     np.testing.assert_allclose(vals, [0.0, 8.0, 8.0, 8.0], atol=1e-12)
 
 
+_BASIS_FIELDS = [f.name for f in dataclasses.fields(PlaquetteBasis)]
+
+
 @pytest.mark.parametrize(
     "cached",
     [
         lambda: pauli_dot(plaquette_register(), "1", "3"),
         lambda: total_spin_squared(plaquette_register()),
+        *(lambda name=name: getattr(logical_basis(), name) for name in _BASIS_FIELDS),
     ],
-    ids=["pauli_dot", "total_spin_squared"],
+    ids=["pauli_dot", "total_spin_squared", *(f"logical_basis_{n}" for n in _BASIS_FIELDS)],
 )
 def test_cached_operators_are_read_only(cached):
     arr = cached()
