@@ -131,9 +131,15 @@ def _json_text(payload) -> str:
 
 
 def write_dataset(config: RunConfig, fieldnames, rows, extra=None) -> str:
-    """Atomically write the dataset, then the manifest, into the run directory; returns it."""
+    """Atomically write the artifacts, the dataset, then the manifest; returns the run directory.
+
+    `extra` joins the manifest; its "artifacts" (file name -> text) become files listed by name.
+    """
     run_dir = config.run_dir()
     os.makedirs(run_dir, exist_ok=True)
+    artifacts = (extra or {}).get("artifacts", {})
+    for name, text in artifacts.items():
+        _replace_file(os.path.join(run_dir, name), text)
     if config.format == "csv":
         data_path = os.path.join(run_dir, "data.csv")
         buf = io.StringIO()
@@ -151,17 +157,16 @@ def write_dataset(config: RunConfig, fieldnames, rows, extra=None) -> str:
         "dataset": os.path.basename(data_path),
         "fields": list(fieldnames),
         "rows": len(rows),
+        **(extra or {}),
     }
-    if extra:
-        manifest.update(extra)
+    if artifacts:
+        manifest["artifacts"] = list(artifacts)
     _replace_file(os.path.join(run_dir, "manifest.json"), _json_text(manifest))
     return run_dir
 
 
 def _is_complete(config: RunConfig) -> bool:
     path = os.path.join(config.run_dir(), "manifest.json")
-    if not os.path.exists(path):
-        return False
     try:
         with open(path) as fh:
             manifest = json.load(fh)
@@ -225,7 +230,7 @@ def _cmd_pert_fidelity(config: RunConfig):
 
 def _allowed_rows(n: int, m: int) -> list[dict]:
     """The allowed ratios of (n, m) with lambda_z and its distance from the level."""
-    level = 0.125 + (2 * n - 1) / (16.0 * m)
+    level = pertgate.phase_level(n, m)
     rows = []
     for r in pertgate.allowed_ratios(n, m):
         lam = pertgate.effective_coeffs(1.0, r).lambda_z
@@ -259,16 +264,13 @@ def _cmd_optctrl_optimize(config: RunConfig):
         steps=p["steps"],
     )
     pulse = optctrl.PulseParams(result.x_final, p["t_horizon"])
-    run_dir = config.run_dir()
-    os.makedirs(run_dir, exist_ok=True)
-    _replace_file(os.path.join(run_dir, "result.json"),
-                  optctrl.result_json_text(result, p["t_horizon"]))
-    _replace_file(os.path.join(run_dir, "pulse.csv"), optctrl.pulse_csv_text(pulse))
     fields = ["seed", "infidelity", "iterations", "restarts_used", "gradient_norm", "max_amplitude"]
     rows = [dict(zip(fields, (config.seed, result.infidelity, result.iterations,
                               result.restarts_used, result.gradient_norm,
                               float(pulse.max_amplitudes().max()))))]
-    return fields, rows, {"artifacts": ["result.json", "pulse.csv"]}
+    return fields, rows, {"artifacts": {
+        "result.json": optctrl.result_json_text(result, p["t_horizon"]),
+        "pulse.csv": optctrl.pulse_csv_text(pulse)}}
 
 
 def _cmd_optctrl_gradcheck(config: RunConfig):
@@ -304,28 +306,14 @@ def _cmd_optctrl_liedim(config: RunConfig):
 
 def _statistics(choice: str) -> tuple[str, ...]:
     """The statistics a --statistics choice names; "both" is boson then fermion."""
-    return ("boson", "fermion") if choice == "both" else (choice,)
-
-
-def _geophase_params(
-    statistics: str, u_l_aa: float, u_r_ab: float, bias_surplus: "float | None" = None
-) -> geophase.OnsiteParams:
-    """Link energies at omega = max(20 U_R^ab, 1), t = 1 and Delta - omega = bias_surplus.
-
-    The default bias is resonant: Delta - omega is 0 for bosons, U_R^ab for fermions.
-    """
-    if bias_surplus is None:
-        bias_surplus = 0.0 if statistics == "boson" else u_r_ab
-    omega = max(20.0 * u_r_ab, 1.0)
-    return geophase.OnsiteParams(mu_l=omega + bias_surplus, mu_r=0.0, omega=omega, u_l_aa=u_l_aa,
-                                 u_r_aa=u_r_ab, u_r_bb=u_r_ab, u_r_ab=u_r_ab, t=1.0)
+    return geophase.STATISTICS if choice == "both" else (choice,)
 
 
 def _cmd_geophase_table(config: RunConfig):
     p = config.params
     rows = []
     for stat in _statistics(p["statistics"]):
-        params = _geophase_params(stat, p["u_l_aa"], p["u_r_ab"], p["bias_surplus"])
+        params = geophase.link_params(stat, p["u_l_aa"], p["u_r_ab"], p["bias_surplus"])
         rows += [dict(zip(geophase.LEDGER_FIELDS, e.row()))
                  for e in geophase.resonance_table(params, stat)]
     return list(geophase.LEDGER_FIELDS), rows, None
@@ -338,10 +326,10 @@ def _cmd_geophase_dynamics(config: RunConfig):
     u_l_aa = p["u_l_aa"] if p["u_l_aa"] is not None else 1.546 * u
     rows = []
     for statistics in _statistics(p["statistics"]):
+        params = geophase.link_params(statistics, u_l_aa, u)  # bad energies fail the run, not a row
         for sector in sectors:
             row = {"statistics": statistics, "sector": sector}
             try:
-                params = _geophase_params(statistics, u_l_aa, u)
                 t_ret, phase, leak = geophase.tunneling_phase(sector, params, statistics)
                 row.update(return_time=t_ret, phase=phase, leakage=leak, status="ok")
             except Exception as exc:  # flagged, the run continues
@@ -352,7 +340,8 @@ def _cmd_geophase_dynamics(config: RunConfig):
 
 
 def _cmd_schwinger_check(config: RunConfig):
-    residual = geophase.schwinger_identity_check(geophase.TwoBandFockSpace("boson"))
+    spaces = (geophase.TwoBandFockSpace("boson", total_number=n) for n in range(13))  # N = 0..12
+    residual = max(geophase.schwinger_identity_check(space) for space in spaces)
     print(residual)
     return ["residual"], [{"residual": residual}], None
 
@@ -406,14 +395,11 @@ def _figure_rows(figure: str) -> tuple[dict, ...]:
 def _cmd_report(config: RunConfig):
     figure = config.params["figure"]
     schema, fields, _, gnuplot = REPORT_FIGURES[figure]
-    rows = _figure_rows(figure)
-    run_dir = config.run_dir()
-    os.makedirs(run_dir, exist_ok=True)
-    _replace_file(os.path.join(run_dir, "plot.gp"), gnuplot)
-    return fields, rows, {"figure": figure, "schema": schema, "artifacts": ["plot.gp"]}
+    return fields, _figure_rows(figure), {"figure": figure, "schema": schema,
+                                          "artifacts": {"plot.gp": gnuplot}}
 
 
-_STATISTICS = {"choices": ("boson", "fermion", "both"), "default": "both"}
+_STATISTICS = {"choices": (*geophase.STATISTICS, "both"), "default": "both"}
 
 #: name -> (handler, help, options). Each option is (flag, argparse kwargs);
 #: its params key is the argparse dest, the flag with "-" changed to "_"
@@ -467,7 +453,7 @@ COMMANDS = {
             "help": "Delta - omega in units of t (default: resonant per statistics)"}))),
     "geophase-dynamics": (_cmd_geophase_dynamics, "sector return phases", (
         ("--statistics", _STATISTICS),
-        ("--sector", {"choices": ("SS", "ST", "TS", "TT", "all"), "default": "all"}),
+        ("--sector", {"choices": (*geophase.SECTORS, "all"), "default": "all"}),
         ("--u", {"type": float, "default": 50.0, "help": "interaction scale in units of t"}),
         ("--u-l-aa", {
             "type": float, "default": None,

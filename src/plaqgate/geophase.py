@@ -54,6 +54,7 @@ MODE_LABELS = ("L_a_up", "L_a_dn", "R_a_up", "R_a_dn", "R_b_up", "R_b_dn")
 L_UP, L_DN, RA_UP, RA_DN, RB_UP, RB_DN = range(6)
 ORBITAL_PAIRS = ((L_UP, L_DN), (RA_UP, RA_DN), (RB_UP, RB_DN))
 RIGHT_ORBITAL_PAIRS = ((RA_UP, RA_DN), (RB_UP, RB_DN))
+STATISTICS = ("boson", "fermion")
 
 
 #: Points of the |a(t)| scan that brackets a link's return time
@@ -61,8 +62,8 @@ SCAN_POINTS = 8000
 
 
 def check_statistics(statistics: str) -> None:
-    if statistics not in ("boson", "fermion"):
-        raise ValueError(f"statistics must be 'boson' or 'fermion', got {statistics!r}")
+    if statistics not in STATISTICS:
+        raise ValueError(f"statistics must be one of {STATISTICS}, got {statistics!r}")
 
 
 class RWAValidityWarning(UserWarning):
@@ -83,6 +84,8 @@ class OnsiteParams:
     t: float
 
     def __post_init__(self) -> None:
+        if not np.all(np.isfinite(list(vars(self).values()))):
+            raise ValueError(f"link energies must be finite, got {self}")
         if self.omega < 10.0 * self.u_r_ab:
             warnings.warn(
                 f"omega={self.omega} is not >> U_R_ab={self.u_r_ab}; the "
@@ -94,6 +97,19 @@ class OnsiteParams:
     @property
     def delta(self) -> float:
         return self.mu_l - self.mu_r
+
+
+def link_params(statistics: str, u_l_aa: float, u_r_ab: float,
+                bias_surplus: "float | None" = None) -> OnsiteParams:
+    """The CLI's links: omega = max(20 U_R^ab, 1), t = 1, mu_R = 0, U_R^aa = U_R^bb = U_R^ab.
+
+    Delta - omega = bias_surplus, by default resonant: 0 for bosons, U_R^ab for fermions.
+    """
+    if bias_surplus is None:
+        bias_surplus = 0.0 if statistics == "boson" else u_r_ab
+    omega = max(20.0 * u_r_ab, 1.0)
+    return OnsiteParams(mu_l=omega + bias_surplus, mu_r=0.0, omega=omega, u_l_aa=u_l_aa,
+                        u_r_aa=u_r_ab, u_r_bb=u_r_ab, u_r_ab=u_r_ab, t=1.0)
 
 
 def _as_half_integer(value) -> Fraction:
@@ -430,9 +446,9 @@ def schwinger_identity_check(space: TwoBandFockSpace) -> float:
 
     sum_{s,s'} a^dag_s b^dag_s' b_s a_s'
         = n^a n^b + J^2 - ((n^a+n^b)/2)((n^a+n^b)/2 + 1),
-    with J the total spin of the two right-site bands. Both sides are
-    compared on the states whose right-site occupancy does not exceed the
-    mode cap, where no intermediate state of either side is truncated.
+    with J the total spin of the two right-site bands. Both sides are compared
+    on the states whose right-site occupancy does not exceed the mode cap, where
+    no intermediate state of either side is truncated; without such states, 0.
     """
     if space.statistics != "boson":
         raise ValueError("the spin-ladder identity applies to the bosonic space")
@@ -446,7 +462,7 @@ def schwinger_identity_check(space: TwoBandFockSpace) -> float:
     rhs[diagonal] += n_ra * n_rb
     rhs[diagonal] -= half * (half + 1.0)
     safe = np.flatnonzero(n_ra + n_rb <= space.cap)
-    return float(np.abs((lhs - rhs)[np.ix_(safe, safe)]).max())
+    return float(np.abs((lhs - rhs)[np.ix_(safe, safe)]).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

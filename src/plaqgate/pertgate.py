@@ -416,8 +416,15 @@ def gate_fidelity(
 # Allowed coupling ratios and validation
 # ---------------------------------------------------------------------------
 
+def phase_level(n: int, m: int) -> float:
+    """tau(n, m) = 1/8 + (2n-1)/(16 m): the lambda_z at which (n, m) phase-match."""
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be positive integers")
+    return 0.125 + (2 * n - 1) / (16.0 * m)
+
+
 def allowed_ratios(n: int, m: int) -> list[float]:
-    """Roots of lambda_z(r) = 1/8 + (2n-1)/(16 m) for r = d/J in (0, 1).
+    """Roots of lambda_z(r) = tau(n, m) = 1/8 + (2n-1)/(16 m) for r = d/J in (0, 1).
 
     At such a ratio the controlled-phase condition and the 2 pi m winding of
     phi_T - phi_S hold at the same t_c. Multiplying lambda_z(r) - tau by
@@ -428,9 +435,7 @@ def allowed_ratios(n: int, m: int) -> list[float]:
 
     its real roots in (0, 1), ascending, are returned.
     """
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be positive integers")
-    tau = 0.125 + (2 * n - 1) / (16.0 * m)
+    tau = phase_level(n, m)
     roots = np.roots([48 * tau - 2, 32 - 192 * tau, 48 * tau - 96, 288 * tau + 104, -54])
     ratios = sorted(float(x.real) for x in roots if x.imag == 0 and 0 < x.real < 1)
     if not ratios:

@@ -199,16 +199,21 @@ CHEAP_COMMANDS = [
 ]
 
 
+def _fresh_python(code: str, cwd=None) -> str:
+    """The stdout of `code` run by a fresh interpreter that imports this plaqgate."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(plaqgate.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          cwd=cwd, capture_output=True, text=True, check=True).stdout
+
+
 def test_cheap_commands_write_the_same_bytes_cold_and_warm(tmp_path):
     # a fresh interpreter runs every command twice, so the second run meets
     # the caches that the first one filled (ledger rows, logical basis, report rows)
-    code = (f"from plaqgate import cli\nfor out in ('cold', 'warm'):\n"
-            f"    for argv in {CHEAP_COMMANDS!r}:\n"
-            f"        assert cli.run(argv + ['--output-dir', out, '--force']) == 0\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(plaqgate.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                   cwd=tmp_path, capture_output=True, check=True)
+    _fresh_python(f"from plaqgate import cli\nfor out in ('cold', 'warm'):\n"
+                  f"    for argv in {CHEAP_COMMANDS!r}:\n"
+                  f"        assert cli.run(argv + ['--output-dir', out, '--force']) == 0\n",
+                  cwd=tmp_path)
 
     def tree(root):
         return {os.path.relpath(os.path.join(d, n), root): open(os.path.join(d, n), "rb").read()
@@ -219,14 +224,42 @@ def test_cheap_commands_write_the_same_bytes_cold_and_warm(tmp_path):
     assert cold == warm
 
 
+#: Every command but optctrl-optimize and the optctrl-robustness of its result,
+#: at settings that run in well under a second
+FAST_COMMANDS = CHEAP_COMMANDS + [
+    ["pert-fidelity", "--Jp", "0.1", "--dJ-min", "0.3", "--dJ-max", "0.32"],
+    ["pert-validate", "--dJ", "0.3", "--Jp", "0.05"],
+    ["optctrl-gradcheck", "--points", "1", "--steps", "60"],
+    ["optctrl-liedim"],
+    ["geophase-dynamics", "--statistics", "both"],
+    ["schwinger-check"],
+    ["report", "--figure", "pertfid"],
+    ["report", "--figure", "allowed"],
+]
+
+
+def test_fast_commands_build_no_full_fock_space(tmp_path):
+    # the link work runs in fixed-N sectors: a space with total_number=None is
+    # the 729-state one. A fresh interpreter, so no cache filled earlier hides a build.
+    assert {argv[0] for argv in FAST_COMMANDS} == set(COMMANDS) - {
+        "optctrl-optimize", "optctrl-robustness"}
+    code = ("from plaqgate import cli, geophase\n"
+            "built, init = [], geophase.TwoBandFockSpace.__post_init__\n"
+            "geophase.TwoBandFockSpace.__post_init__ = lambda self: (\n"
+            "    built.append(self.total_number), init(self))\n"
+            "full = []\n"
+            f"for argv in {FAST_COMMANDS!r}:\n"
+            "    assert cli.run(argv + ['--output-dir', 'out', '--force']) == 0\n"
+            "    full += [argv[0]] * built.count(None)\n"
+            "    built.clear()\n"
+            "print(full)\n")
+    assert _fresh_python(code, cwd=tmp_path).splitlines()[-1] == "[]"
+
+
 def _scipy_modules_after(code):
     """The scipy modules that a fresh interpreter has loaded after running `code` (last line)."""
     code += "\nimport sys\nprint(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
-    src = os.path.dirname(os.path.dirname(os.path.abspath(plaqgate.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, check=True)
-    return proc.stdout.splitlines()[-1]
+    return _fresh_python(code).splitlines()[-1]
 
 
 def test_import_path_is_free_of_scipy():
@@ -422,6 +455,18 @@ def test_exit_2_missing_required_flag(tmp_path):
     # NaN is outside the regime, not a matrix for the eigensolver
     pytest.param(("hubbard-check", "--t-over-u", "nan"), "outside the superexchange regime",
                  id="hubbard-check-nan"),
+    # m = 0 would divide the phase-matching level by zero
+    pytest.param(("pert-allowed", "--m", "0"), "n and m must be positive integers",
+                 id="pert-allowed-m0"),
+    # non-finite link energies: a cached error row per sector, or no row flagged resonant
+    pytest.param(("geophase-dynamics", "--u", "nan"), "link energies must be finite",
+                 id="dynamics-u-nan"),
+    pytest.param(("geophase-dynamics", "--u", "inf"), "link energies must be finite",
+                 id="dynamics-u-inf"),
+    pytest.param(("geophase-dynamics", "--u-l-aa", "nan"), "link energies must be finite",
+                 id="dynamics-u-l-aa-nan"),
+    pytest.param(("geophase-table", "--bias-surplus", "nan"), "link energies must be finite",
+                 id="table-bias-surplus-nan"),
 ])
 def test_exit_2_bad_value(tmp_path, capsys, argv, message):
     assert _run(tmp_path, *argv) == 2

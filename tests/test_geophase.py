@@ -5,7 +5,7 @@ import itertools
 import pathlib
 import random
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -208,6 +208,16 @@ def test_schwinger_identity():
     assert gp.schwinger_identity_check(gp.TwoBandFockSpace("boson")) <= 1e-12
 
 
+def test_schwinger_identity_in_each_fixed_number_space():
+    # `schwinger-check` takes the maximum over N: both sides conserve N
+    residuals = [gp.schwinger_identity_check(gp.TwoBandFockSpace("boson", total_number=n))
+                 for n in range(13)]
+    assert max(residuals) <= 1e-12
+    assert gp.schwinger_identity_check(gp.TwoBandFockSpace("boson")) <= 1e-12
+    # from N = 7 on, every state holds more than 2 right-site bosons: nothing is compared
+    assert residuals[7:] == [0.0] * 6
+
+
 def test_schwinger_check_is_boson_only():
     with pytest.raises(ValueError):
         gp.schwinger_identity_check(gp.TwoBandFockSpace("fermion"))
@@ -376,7 +386,7 @@ def test_link_setup_is_cached_read_only(statistics):
     for total in (None, 1, 2, 3, 4):
         fixed = gp.TwoBandFockSpace(statistics, total_number=total)
         for t_hop in (1.0, 0.37, -2.1):
-            p = replace(_link_params(statistics, 50.0), t=t_hop)
+            p = replace(gp.link_params(statistics, 1.546 * 50.0, 50.0), t=t_hop)
             assert (gp.tunneling_hamiltonian(p, fixed).tobytes()
                     == _per_call_tunneling(p, fixed).tobytes())
     for stat, n_l, n_r_a, j in SECTOR_LINK_CHANNELS:
@@ -388,13 +398,6 @@ def test_link_setup_is_cached_read_only(statistics):
         np.testing.assert_array_equal(psi, gp._initial_channel_state(fixed, n_l, n_r_a, j))
         with pytest.raises(ValueError, match="read-only"):
             psi += 0
-
-
-def _link_params(statistics, u):
-    """The link energies of `geophase-dynamics --u u`: omega = 20 u, resonant bias."""
-    omega = 20.0 * u
-    return gp.OnsiteParams(mu_l=omega + (0.0 if statistics == "boson" else u), mu_r=0.0,
-                           omega=omega, u_l_aa=1.546 * u, u_r_aa=u, u_r_bb=u, u_r_ab=u, t=T)
 
 
 @pytest.fixture(scope="module")
@@ -421,7 +424,7 @@ def test_link_sector_matches_full_space(statistics, n_l, n_r_a, j, full_spaces):
     assert np.abs(proj - np.outer(psi_full[sector], psi_full[sector].conj())).max() <= 1e-12
 
     for u in (25.0, 50.0, 100.0):
-        p = _link_params(statistics, u)
+        p = gp.link_params(statistics, 1.546 * u, u)
         h_full = gp.onsite_hamiltonian(p, full) + gp.tunneling_hamiltonian(p, full)
         block = h_full[np.ix_(sector, sector)]
         h = gp.onsite_hamiltonian(p, space) + gp.tunneling_hamiltonian(p, space)
@@ -445,7 +448,7 @@ def test_link_sector_matches_full_space(statistics, n_l, n_r_a, j, full_spaces):
 def test_factored_scan_matches_direct_scan(statistics, n_l, n_r_a, j):
     """The factored |a(t_k)| agrees with the direct scan and picks the same bracket."""
     for u in (25.0, 40.0, 50.0, 57.3, 100.0):
-        p = _link_params(statistics, u)
+        p = gp.link_params(statistics, 1.546 * u, u)
         evals, weights = gp._link_spectrum(n_l, n_r_a, j, p, statistics)
         kept = weights >= 1e-20
         ts_ref, mags_ref = _direct_scan(evals[kept], weights[kept], T)
@@ -522,7 +525,7 @@ def test_shared_link_solves_keep_sector_rows(tmp_path):
             (run_dir,) = out.iterdir()
             header, rows[stat, sector] = (run_dir / "data.csv").read_bytes().splitlines(True)
         assert header + b"".join(rows[point] for point in points) == golden
-    for arr in gp._link_eigensystem("boson", 4, _link_params("boson", 40.0)):
+    for arr in gp._link_eigensystem("boson", 4, gp.link_params("boson", 1.546 * 40.0, 40.0)):
         with pytest.raises(ValueError, match="read-only"):
             arr += 0
 
@@ -538,7 +541,7 @@ def test_return_figures_match_slope_root(statistics):
     leave a margin of 3.6x, 3.4x and 9x; this grid takes every second u from 20 to 120.
     """
     for u in np.linspace(20.0, 120.0, 51):
-        p = _link_params(statistics, u)
+        p = gp.link_params(statistics, 1.546 * u, u)
         for stat, n_l, n_r_a, j in SECTOR_LINK_CHANNELS:
             if stat != statistics:
                 continue
@@ -584,7 +587,8 @@ def test_bounded_minimum_matches_scipy_on_link_objectives(monkeypatch):
         patch.setattr(gp, "_bounded_minimum", recording)
         for u in (25.0, 40.0, 50.0, 57.3, 100.0):
             for statistics, n_l, n_r_a, j in SECTOR_LINK_CHANNELS:
-                gp.link_tunneling_phase(n_l, n_r_a, j, _link_params(statistics, u), statistics)
+                p = gp.link_params(statistics, 1.546 * u, u)
+                gp.link_tunneling_phase(n_l, n_r_a, j, p, statistics)
     assert len(searches) == 5 * len(SECTOR_LINK_CHANNELS)
     for func, lo, hi, xatol in searches:
         _assert_same_search(func, lo, hi, xatol)
@@ -696,6 +700,23 @@ def test_rwa_validity_warning():
         gp.OnsiteParams(mu_l=0.0, mu_r=0.0, omega=100.0, u_l_aa=1.0, u_r_aa=1.0,
                         u_r_bb=1.0, u_r_ab=50.0, t=1.0)
     assert record[0].filename == __file__
+
+
+@pytest.mark.parametrize("statistics, surplus", [("boson", 0.0), ("fermion", 30.0)])
+def test_link_params_convention(statistics, surplus):
+    # omega = max(20 U_R^ab, 1), t = 1, mu_R = 0, equal right-site repulsions, resonant bias
+    assert gp.link_params(statistics, 77.3, 30.0) == gp.OnsiteParams(
+        mu_l=600.0 + surplus, mu_r=0.0, omega=600.0, u_l_aa=77.3, u_r_aa=30.0, u_r_bb=30.0,
+        u_r_ab=30.0, t=1.0)
+    assert gp.link_params(statistics, 77.3, 30.0, -5.0).mu_l == 595.0
+    assert gp.link_params(statistics, 1.0, 0.01).omega == 1.0  # the floor of a weak link
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", [f.name for f in fields(gp.OnsiteParams)])
+def test_onsite_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match="link energies must be finite"):
+        replace(PB, **{name: value})
 
 
 def test_delta_property():

@@ -31,6 +31,7 @@ from plaqgate.pertgate import (
     effective_hamiltonian,
     gate_fidelity,
     gate_time,
+    phase_level,
     superplaquette_hamiltonian,
     sweep,
     validate_effective,
@@ -236,6 +237,18 @@ def test_allowed_ratio_1_1():
 def test_allowed_ratio_3_4():
     ratios = allowed_ratios(3, 4)
     assert any(abs(r - 0.43420855078697207) < 1e-10 for r in ratios)
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (3, 4), (4, 1)])
+def test_phase_level_is_tau(n, m):
+    assert phase_level(n, m) == float(Fraction(1, 8) + Fraction(2 * n - 1, 16 * m))
+
+
+@pytest.mark.parametrize("n,m", [(0, 1), (1, 0), (-1, 1)])
+def test_phase_level_needs_positive_n_and_m(n, m):
+    for level_user in (phase_level, allowed_ratios):
+        with pytest.raises(ValueError, match="positive integers"):
+            level_user(n, m)
 
 
 def _lambda_z_exact(r: Fraction) -> Fraction:
