@@ -19,9 +19,9 @@ from plaqgate.geophase import (
     link_tunneling_phase,
     resonance_table,
     schwinger_identity_check,
+    superexchange_hubbard_check,
     tunneling_phase,
 )
-from plaqgate.plaquette import superexchange_hubbard_check
 
 U0 = 50.0       # right-site repulsions, in units of the tunneling t
 OMEGA = 600.0   # band splitting

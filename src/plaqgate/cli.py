@@ -323,7 +323,7 @@ def _cmd_geophase_dynamics(config: RunConfig):
     p = config.params
     sectors = list(geophase.SECTORS) if p["sector"] == "all" else [p["sector"]]
     u = p["u"]
-    u_l_aa = p["u_l_aa"] if p["u_l_aa"] is not None else 1.546 * u
+    u_l_aa = p["u_l_aa"] if p["u_l_aa"] is not None else geophase.LEFT_REPULSION_RATIO * u
     rows = []
     for statistics in _statistics(p["statistics"]):
         params = geophase.link_params(statistics, u_l_aa, u)  # bad energies fail the run, not a row
@@ -340,8 +340,7 @@ def _cmd_geophase_dynamics(config: RunConfig):
 
 
 def _cmd_schwinger_check(config: RunConfig):
-    spaces = (geophase.TwoBandFockSpace("boson", total_number=n) for n in range(13))  # N = 0..12
-    residual = max(geophase.schwinger_identity_check(space) for space in spaces)
+    residual = geophase.fixed_number_schwinger_check()
     print(residual)
     return ["residual"], [{"residual": residual}], None
 
@@ -350,7 +349,7 @@ def _cmd_hubbard_check(config: RunConfig):
     p = config.params
     rows = []
     for stat in _statistics(p["statistics"]):
-        gap, ref = plaquette.superexchange_hubbard_check(p["t_over_u"], 1.0, stat)
+        gap, ref = geophase.superexchange_hubbard_check(p["t_over_u"], 1.0, stat)
         rows.append({"statistics": stat, "t_over_u": p["t_over_u"], "gap": gap,
                      "four_t2_over_u": ref, "rel_error": abs(gap - ref) / ref})
     return ["statistics", "t_over_u", "gap", "four_t2_over_u", "rel_error"], rows, None
@@ -446,7 +445,8 @@ COMMANDS = {
     "optctrl-liedim": (_cmd_optctrl_liedim, "dimension of the control Lie closure", ()),
     "geophase-table": (_cmd_geophase_table, "tunneling energy ledger", (
         ("--statistics", _STATISTICS),
-        ("--u-l-aa", {"type": float, "default": 77.3, "help": "in units of t"}),
+        ("--u-l-aa", {"type": float, "default": geophase.LEFT_REPULSION_RATIO * 50.0,
+                      "help": "in units of t"}),
         ("--u-r-ab", {"type": float, "default": 50.0, "help": "in units of t"}),
         ("--bias-surplus", {
             "type": float, "default": None,
@@ -457,7 +457,8 @@ COMMANDS = {
         ("--u", {"type": float, "default": 50.0, "help": "interaction scale in units of t"}),
         ("--u-l-aa", {
             "type": float, "default": None,
-            "help": "left repulsion in units of t (default 1.546 u, off accidental zeros)"}))),
+            "help": f"left repulsion in units of t (default {geophase.LEFT_REPULSION_RATIO} u, "
+                    "off accidental zeros)"}))),
     "schwinger-check": (_cmd_schwinger_check, "two-band spin identity residual", ()),
     "hubbard-check": (_cmd_hubbard_check, "superexchange gap vs 4t^2/U", (
         ("--t-over-u", {"type": float, "default": 0.02}),

@@ -36,6 +36,11 @@ two inter-plaquette links per logical sector is encoded in
 SECTOR_LINKS; tunneling_phase evolves each link exactly and combines the
 return phases.
 
+The module owns the truncated two-band Fock space and every model on it: the
+link Hamiltonians, the Schwinger spin identity (`fixed_number_schwinger_check`
+takes it block by block over the fixed particle numbers), and the two-site Hubbard
+model behind the plaquette's superexchange J ~ t^2/U (`superexchange_hubbard_check`).
+
 The return-time search is in-house (`_bounded_minimum`), bit-identical to scipy's
 bounded method, so this module runs on numpy alone.
 """
@@ -55,6 +60,9 @@ L_UP, L_DN, RA_UP, RA_DN, RB_UP, RB_DN = range(6)
 ORBITAL_PAIRS = ((L_UP, L_DN), (RA_UP, RA_DN), (RB_UP, RB_DN))
 RIGHT_ORBITAL_PAIRS = ((RA_UP, RA_DN), (RB_UP, RB_DN))
 STATISTICS = ("boson", "fermion")
+MODE_CAP = {"boson": 2, "fermion": 1}
+#: U_L^aa / U_R^ab of the CLI's links unless given, off accidental zeros of dE1
+LEFT_REPULSION_RATIO = 1.546
 
 
 #: Points of the |a(t)| scan that brackets a link's return time
@@ -306,13 +314,13 @@ class TwoBandFockSpace:
         counts = np.indices((self.cap + 1,) * modes).reshape(modes, -1).T
         if self.total_number is not None:
             counts = counts[counts.sum(axis=1) == self.total_number]
-        self.counts = counts
-        self._radix = (self.cap + 1) ** np.arange(modes - 1, -1, -1)
-        self._keys = counts @ self._radix
+        self.counts = read_only(counts)
+        self._radix = read_only((self.cap + 1) ** np.arange(modes - 1, -1, -1))
+        self._keys = read_only(counts @ self._radix)
 
     @property
     def cap(self) -> int:
-        return 1 if self.statistics == "fermion" else 2
+        return MODE_CAP[self.statistics]
 
     @property
     def dim(self) -> int:
@@ -374,7 +382,7 @@ class TwoBandFockSpace:
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonians
+# Hamiltonians, the spin identity and the two-site superexchange model (J ~ t^2/U)
 # ---------------------------------------------------------------------------
 
 def _exchange_strings(sign: float):
@@ -393,8 +401,8 @@ def _fock_setup(statistics: str, total_number: "int | None"):
 
     These are the parameter-free parts of every link Hamiltonian and initial
     state. The unit hop is sum_sigma a^dag_L,sigma b_R,sigma, the tunneling term
-    without its -t and its h.c. The arrays are read-only, and the shared space
-    must not be modified.
+    without its -t and its h.c. The arrays are read-only, those of the shared
+    space included.
     """
     space = TwoBandFockSpace(statistics, total_number=total_number)
     return (space, read_only(space.total_spin_squared()),
@@ -463,6 +471,57 @@ def schwinger_identity_check(space: TwoBandFockSpace) -> float:
     rhs[diagonal] -= half * (half + 1.0)
     safe = np.flatnonzero(n_ra + n_rb <= space.cap)
     return float(np.abs((lhs - rhs)[np.ix_(safe, safe)]).max(initial=0.0))
+
+
+def fixed_number_schwinger_check() -> float:
+    """schwinger_identity_check of the full boson space, in its fixed-N blocks N = 0 .. 6 cap."""
+    return max(schwinger_identity_check(TwoBandFockSpace("boson", total_number=n))
+               for n in range(len(MODE_LABELS) * MODE_CAP["boson"] + 1))
+
+
+@lru_cache(maxsize=2)
+def _two_site_setup(statistics: str):
+    """Read-only (n0, n1, hop at t = -1, S^2) of the two-site model; -t * hop is the hop at t.
+
+    The model is the R_b-empty block of the shared two-particle link space, where
+    the link's S^2 is that of the two sites.
+    """
+    space, spin_squared = _fock_setup(statistics, 2)[:2]
+    keep = np.flatnonzero(space.occupation(RB_UP, RB_DN) == 0)
+    hop = space.operator([(1.0, [(L_UP, +1), (RA_UP, -1)]), (1.0, [(L_DN, +1), (RA_DN, -1)])])
+    return tuple(read_only(a) for a in (space.occupation(L_UP, L_DN)[keep],
+                 space.occupation(RA_UP, RA_DN)[keep], hop[np.ix_(keep, keep)].real,
+                 spin_squared[np.ix_(keep, keep)]))
+
+
+def superexchange_hubbard_check(t: float, u: float, statistics: str) -> tuple[float, float]:
+    """Exact two-site singlet-triplet gap against the superexchange value 4t^2/U.
+
+    The two sites are the L_a and R_a orbitals of the two-particle link space
+    (`_two_site_setup`); the on-site energy (U/2) n(n-1) counts doubly occupied
+    orbitals for fermions too. For fermions the singlet lies below the triplet;
+    for bosons the ordering flips. The returned gap is positive in both cases and
+    approaches 4t^2/U with a relative error of order (t/U)^2. The sign of t is a
+    gauge choice (R_a -> -R_a), so the check runs at |t| and t, -t give the same result.
+
+    Returns:
+        (exact_gap, 4t^2/U)
+
+    Raises:
+        ValueError: unless 0 < |t|/U <= 0.1 (at t = 0 there is no gap to compare).
+    """
+    check_statistics(statistics)
+    if u <= 0:
+        raise ValueError("U must be positive")
+    if not 0 < abs(t) / u <= 0.1:
+        raise ValueError(f"t/U = {t / u:.3g} is outside the superexchange regime 0 < |t/U| <= 0.1")
+    n0, n1, unit_hop, s2 = _two_site_setup(statistics)
+    hop = -abs(t) * unit_hop
+    w, v = np.linalg.eigh(np.diag(0.5 * u * (n0 * (n0 - 1) + n1 * (n1 - 1))) + hop + hop.T)
+    s2vals = np.einsum("ik,ij,jk->k", v, s2, v).real
+    e_singlet, e_triplet = w[s2vals < 1.0].min(), w[s2vals >= 1.0].min()
+    gap = (e_triplet - e_singlet) if statistics == "fermion" else (e_singlet - e_triplet)
+    return float(gap), 4.0 * t * t / u
 
 
 # ---------------------------------------------------------------------------

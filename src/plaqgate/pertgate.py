@@ -93,6 +93,8 @@ class PertParams:
     m: int = 1
 
     def __post_init__(self) -> None:
+        if not np.all(np.isfinite((self.j, self.d, self.jp))):
+            raise ValueError(f"J, d and J' must be finite, got {self.j}, {self.d}, {self.jp}")
         if self.j <= 0:
             raise ValueError("J must be positive")
         if not 0 < self.d < self.j:
@@ -156,6 +158,8 @@ def effective_coeffs(j: float, d: float) -> EffectiveCoeffs:
     if j == 0:
         raise ValueError("J must be nonzero")
     r = d / j
+    if not np.isfinite(r):
+        raise ValueError(f"d/J must be finite, got {r}")
     _check_pole(r)
     lam = (9.0 / r - 8.0 / (r - 3.0) + 2.0 - 24.0 / (r + 1.0) + 1.0 / (2.0 - r)) / 48.0
     # gamma_z = (9/r + 8/(r-3) - 8 - 1/(2-r))/48 cancels near its root r = 0.7309 in
@@ -453,6 +457,8 @@ def validate_effective(p: PertParams, horizon: float) -> float:
     perturbative regime. The exact evolution runs in the 14-dim
     total-singlet sector, which holds all four states at every time.
     """
+    if not 0 < horizon < np.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     iso = _singlet_sector().isometry
     full = eig_hermitian(_sector_hamiltonian(p))
     eff = eig_hermitian(effective_hamiltonian(p))

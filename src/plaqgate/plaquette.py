@@ -19,6 +19,9 @@ the rotation generator:
 
 so a pulse of duration theta/(4 J) rotates the Bloch vector by 2*theta about
 the corresponding axis (the offsets only contribute global phase).
+
+The module is spin-only, built on spincore. The Hubbard model behind the
+exchange J ~ t^2/U lives with the Fock space in geophase.
 """
 from __future__ import annotations
 
@@ -27,7 +30,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geophase import L_DN, L_UP, RA_DN, RA_UP, RB_DN, RB_UP, TwoBandFockSpace, check_statistics
 from .spincore import (
     SpinRegister,
     eig_hermitian,
@@ -228,6 +230,8 @@ def prepare_plus(mode: str = "two_step", angle_scale: float = 1.0) -> np.ndarray
         The final 16-dim state. Leakage out of the singlet subspace is zero
         because exchange pulses commute with the total spin.
     """
+    if not np.isfinite(angle_scale):
+        raise ValueError(f"angle_scale must be finite, got {angle_scale}")
     basis = logical_basis()
     psi = basis.ket0.copy()
     if mode == "two_step":
@@ -257,60 +261,3 @@ def rotation_step_bound(axis1: BlochAxis, axis2: BlochAxis) -> int:
     ratio = np.pi / m
     k = int(np.ceil(ratio - 1e-12)) - 1
     return k + 2
-
-
-# ---------------------------------------------------------------------------
-# Two-site Hubbard oracle for the superexchange scale J = t^2/U
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=2)
-def _two_site_setup(statistics: str):
-    """Read-only (n0, n1, hop at t = -1, S^2) of the two-site model; -t * hop is the hop at t."""
-    space = TwoBandFockSpace(statistics, total_number=2)
-    keep = np.flatnonzero(space.occupation(RB_UP, RB_DN) == 0)
-    hop = space.operator([(1.0, [(L_UP, +1), (RA_UP, -1)]), (1.0, [(L_DN, +1), (RA_DN, -1)])])
-    s2 = space.total_spin_squared(((L_UP, L_DN), (RA_UP, RA_DN)))
-    return tuple(read_only(a) for a in (space.occupation(L_UP, L_DN)[keep],
-                 space.occupation(RA_UP, RA_DN)[keep], hop[np.ix_(keep, keep)].real,
-                 s2[np.ix_(keep, keep)]))
-
-
-def _two_site_hubbard(t: float, u: float, statistics: str) -> tuple[float, float]:
-    """Ground singlet and triplet energies of the two-site, two-particle model.
-
-    The two sites are the L_a and R_a orbitals of the two-particle link
-    space; the states with R_b empty span the model. The on-site energy
-    (U/2) n(n-1) counts doubly occupied orbitals for fermions too.
-    """
-    n0, n1, unit_hop, s2 = _two_site_setup(statistics)
-    onsite = 0.5 * u * (n0 * (n0 - 1) + n1 * (n1 - 1))
-    hop = -t * unit_hop
-    h = np.diag(onsite) + hop + hop.T
-
-    w, v = np.linalg.eigh(h)
-    s2vals = np.einsum("ik,ij,jk->k", v, s2, v).real
-    return float(w[s2vals < 1.0].min()), float(w[s2vals >= 1.0].min())
-
-
-def superexchange_hubbard_check(t: float, u: float, statistics: str) -> tuple[float, float]:
-    """Exact two-site singlet-triplet gap against the superexchange value 4t^2/U.
-
-    For fermions the singlet lies below the triplet; for bosons the ordering
-    flips. The returned gap is positive in both cases and approaches 4t^2/U
-    with a relative error of order (t/U)^2. The sign of t is a gauge choice
-    (R_a -> -R_a), so the check runs at |t| and t, -t give the same result.
-
-    Returns:
-        (exact_gap, 4t^2/U)
-
-    Raises:
-        ValueError: unless 0 < |t|/U <= 0.1 (at t = 0 there is no gap to compare).
-    """
-    check_statistics(statistics)
-    if u <= 0:
-        raise ValueError("U must be positive")
-    if not 0 < abs(t) / u <= 0.1:
-        raise ValueError(f"t/U = {t / u:.3g} is outside the superexchange regime 0 < |t/U| <= 0.1")
-    e_singlet, e_triplet = _two_site_hubbard(abs(t), u, statistics)
-    gap = (e_triplet - e_singlet) if statistics == "fermion" else (e_singlet - e_triplet)
-    return float(gap), 4.0 * t * t / u

@@ -344,5 +344,5 @@ def test_11_subspace_properties_and_hubbard_gap():
     # two-site superexchange gap against 4 t^2 / U
     for stat in ("boson", "fermion"):
         for t_over_u in (0.02, 0.05):
-            gap, ref = plaquette.superexchange_hubbard_check(t_over_u, 1.0, stat)
+            gap, ref = geophase.superexchange_hubbard_check(t_over_u, 1.0, stat)
             assert abs(gap - ref) <= 5.0 * t_over_u**2

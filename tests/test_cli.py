@@ -467,6 +467,21 @@ def test_exit_2_missing_required_flag(tmp_path):
                  id="dynamics-u-l-aa-nan"),
     pytest.param(("geophase-table", "--bias-surplus", "nan"), "link energies must be finite",
                  id="table-bias-surplus-nan"),
+    # non-finite pulse and coupling values: a NaN fidelity or deviation, or a failed solve
+    pytest.param(("prepare-plus", "--angle-scale", "nan"), "angle_scale must be finite",
+                 id="prepare-plus-angle-scale-nan"),
+    pytest.param(("prepare-plus", "--angle-scale", "inf"), "angle_scale must be finite",
+                 id="prepare-plus-angle-scale-inf"),
+    pytest.param(("pert-fidelity", "--Jp", "nan"), "J, d and J' must be finite",
+                 id="pert-fidelity-Jp-nan"),
+    pytest.param(("pert-fidelity", "--Jp", "inf"), "J, d and J' must be finite",
+                 id="pert-fidelity-Jp-inf"),
+    pytest.param(("pert-coeffs", "--dJ", "nan"), "d/J must be finite", id="pert-coeffs-nan"),
+    pytest.param(("pert-coeffs", "--dJ", "inf"), "d/J must be finite", id="pert-coeffs-inf"),
+    # a horizon of nan or 0 compares nothing and reports max_deviation = 0
+    *(pytest.param(("pert-validate", "--dJ", "0.3", "--Jp", "0.05", "--horizon-tc", h),
+                   "horizon must be positive and finite", id=f"pert-validate-horizon-{h}")
+      for h in ("nan", "inf", "0")),
 ])
 def test_exit_2_bad_value(tmp_path, capsys, argv, message):
     assert _run(tmp_path, *argv) == 2

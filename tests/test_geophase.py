@@ -1,6 +1,7 @@
 """Two-band ladder: energy ledgers, Fock-space algebra, and return phases."""
 from __future__ import annotations
 
+import ast
 import itertools
 import pathlib
 import random
@@ -212,10 +213,25 @@ def test_schwinger_identity_in_each_fixed_number_space():
     # `schwinger-check` takes the maximum over N: both sides conserve N
     residuals = [gp.schwinger_identity_check(gp.TwoBandFockSpace("boson", total_number=n))
                  for n in range(13)]
-    assert max(residuals) <= 1e-12
+    assert gp.fixed_number_schwinger_check() == max(residuals) <= 1e-12
     assert gp.schwinger_identity_check(gp.TwoBandFockSpace("boson")) <= 1e-12
     # from N = 7 on, every state holds more than 2 right-site bosons: nothing is compared
     assert residuals[7:] == [0.0] * 6
+
+
+def test_fock_space_decisions_have_one_owner():
+    """In src/, only geophase names TwoBandFockSpace or the left-repulsion ratio;
+    plaquette imports only spincore, and cli builds no fixed-N space."""
+    src = pathlib.Path(gp.__file__).parent
+    for path in src.glob("*.py"):
+        if path.name != "geophase.py":
+            text = path.read_text()
+            assert "TwoBandFockSpace" not in text and "1.546" not in text, path.name
+    tree = ast.parse((src / "plaquette.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert {node.module for node in imports if getattr(node, "level", 0)} == {"spincore"}
+    assert not any("plaqgate" in ast.unparse(node) for node in imports)
+    assert "total_number" not in (src / "cli.py").read_text()
 
 
 def test_schwinger_check_is_boson_only():
@@ -379,14 +395,15 @@ def test_link_setup_is_cached_read_only(statistics):
     np.testing.assert_array_equal(spin_squared, space.total_spin_squared())
     np.testing.assert_array_equal(exchange, space.operator(gp._exchange_strings(+1.0)))
     np.testing.assert_array_equal(unit_hop, space.operator(_hop_strings(1.0)))
-    for arr in (spin_squared, exchange, unit_hop):
+    # the shared space too: every link solve and the two-site model read it
+    for arr in (spin_squared, exchange, unit_hop, space.counts, space._keys, space._radix):
         with pytest.raises(ValueError, match="read-only"):
             arr += 0
     # bytes, not values: a -0.0 where the per-call build has +0.0 must show
     for total in (None, 1, 2, 3, 4):
         fixed = gp.TwoBandFockSpace(statistics, total_number=total)
         for t_hop in (1.0, 0.37, -2.1):
-            p = replace(gp.link_params(statistics, 1.546 * 50.0, 50.0), t=t_hop)
+            p = replace(gp.link_params(statistics, gp.LEFT_REPULSION_RATIO * 50.0, 50.0), t=t_hop)
             assert (gp.tunneling_hamiltonian(p, fixed).tobytes()
                     == _per_call_tunneling(p, fixed).tobytes())
     for stat, n_l, n_r_a, j in SECTOR_LINK_CHANNELS:
@@ -424,7 +441,7 @@ def test_link_sector_matches_full_space(statistics, n_l, n_r_a, j, full_spaces):
     assert np.abs(proj - np.outer(psi_full[sector], psi_full[sector].conj())).max() <= 1e-12
 
     for u in (25.0, 50.0, 100.0):
-        p = gp.link_params(statistics, 1.546 * u, u)
+        p = gp.link_params(statistics, gp.LEFT_REPULSION_RATIO * u, u)
         h_full = gp.onsite_hamiltonian(p, full) + gp.tunneling_hamiltonian(p, full)
         block = h_full[np.ix_(sector, sector)]
         h = gp.onsite_hamiltonian(p, space) + gp.tunneling_hamiltonian(p, space)
@@ -448,7 +465,7 @@ def test_link_sector_matches_full_space(statistics, n_l, n_r_a, j, full_spaces):
 def test_factored_scan_matches_direct_scan(statistics, n_l, n_r_a, j):
     """The factored |a(t_k)| agrees with the direct scan and picks the same bracket."""
     for u in (25.0, 40.0, 50.0, 57.3, 100.0):
-        p = gp.link_params(statistics, 1.546 * u, u)
+        p = gp.link_params(statistics, gp.LEFT_REPULSION_RATIO * u, u)
         evals, weights = gp._link_spectrum(n_l, n_r_a, j, p, statistics)
         kept = weights >= 1e-20
         ts_ref, mags_ref = _direct_scan(evals[kept], weights[kept], T)
@@ -525,7 +542,8 @@ def test_shared_link_solves_keep_sector_rows(tmp_path):
             (run_dir,) = out.iterdir()
             header, rows[stat, sector] = (run_dir / "data.csv").read_bytes().splitlines(True)
         assert header + b"".join(rows[point] for point in points) == golden
-    for arr in gp._link_eigensystem("boson", 4, gp.link_params("boson", 1.546 * 40.0, 40.0)):
+    params = gp.link_params("boson", gp.LEFT_REPULSION_RATIO * 40.0, 40.0)
+    for arr in gp._link_eigensystem("boson", 4, params):
         with pytest.raises(ValueError, match="read-only"):
             arr += 0
 
@@ -541,7 +559,7 @@ def test_return_figures_match_slope_root(statistics):
     leave a margin of 3.6x, 3.4x and 9x; this grid takes every second u from 20 to 120.
     """
     for u in np.linspace(20.0, 120.0, 51):
-        p = gp.link_params(statistics, 1.546 * u, u)
+        p = gp.link_params(statistics, gp.LEFT_REPULSION_RATIO * u, u)
         for stat, n_l, n_r_a, j in SECTOR_LINK_CHANNELS:
             if stat != statistics:
                 continue
@@ -587,7 +605,7 @@ def test_bounded_minimum_matches_scipy_on_link_objectives(monkeypatch):
         patch.setattr(gp, "_bounded_minimum", recording)
         for u in (25.0, 40.0, 50.0, 57.3, 100.0):
             for statistics, n_l, n_r_a, j in SECTOR_LINK_CHANNELS:
-                p = gp.link_params(statistics, 1.546 * u, u)
+                p = gp.link_params(statistics, gp.LEFT_REPULSION_RATIO * u, u)
                 gp.link_tunneling_phase(n_l, n_r_a, j, p, statistics)
     assert len(searches) == 5 * len(SECTOR_LINK_CHANNELS)
     for func, lo, hi, xatol in searches:

@@ -5,7 +5,17 @@ import numpy as np
 import pytest
 from oracles import logical_columns, logical_restriction, total_spin
 
-from plaqgate.geophase import L_DN, L_UP, RA_DN, RA_UP, RB_DN, RB_UP, TwoBandFockSpace
+from plaqgate.geophase import (
+    L_DN,
+    L_UP,
+    RA_DN,
+    RA_UP,
+    RB_DN,
+    RB_UP,
+    TwoBandFockSpace,
+    _two_site_setup,
+    superexchange_hubbard_check,
+)
 from plaqgate.plaquette import (
     AXIS_C,
     AXIS_H,
@@ -19,8 +29,6 @@ from plaqgate.plaquette import (
     prepare_plus,
     rotation_step_bound,
     singlet_pair,
-    superexchange_hubbard_check,
-    _two_site_setup,
 )
 from plaqgate.spincore import plaquette_register, unitary_evolve
 
@@ -231,6 +239,19 @@ def test_two_site_setup_is_cached_read_only(statistics):
     for arr in setup:
         with pytest.raises(ValueError, match="read-only"):
             arr += 0
+
+
+@pytest.mark.parametrize("statistics", ["fermion", "boson"])
+def test_two_site_setup_matches_own_space(statistics):
+    # the shared N = 2 link space and its S^2 give the arrays of a space of the two sites' own
+    space = TwoBandFockSpace(statistics, total_number=2)
+    keep = np.flatnonzero(space.occupation(RB_UP, RB_DN) == 0)
+    hop = space.operator([(1.0, [(L_UP, +1), (RA_UP, -1)]), (1.0, [(L_DN, +1), (RA_DN, -1)])])
+    s2 = space.total_spin_squared(((L_UP, L_DN), (RA_UP, RA_DN)))
+    own = (space.occupation(L_UP, L_DN)[keep], space.occupation(RA_UP, RA_DN)[keep],
+           hop[np.ix_(keep, keep)].real, s2[np.ix_(keep, keep)])
+    for arr, ref in zip(_two_site_setup(statistics), own, strict=True):
+        assert arr.dtype == ref.dtype and np.array_equal(arr, ref)
 
 
 @pytest.mark.parametrize("statistics", ["fermion", "boson"])
