@@ -432,7 +432,8 @@ COMMANDS = {
         ("--L", {"dest": "l", "type": int, "default": 20}),
         ("--t-horizon", {"type": float, "default": 1.0}),
         ("--restarts", {"type": int, "default": 10}),
-        ("--max-iter", {"type": int, "default": 2000}),
+        ("--max-iter", {"type": int, "default": 2000,
+                        "help": "L-BFGS iterations per descent; the polish takes min(300, this)"}),
         ("--target-eps", {"type": float, "default": 1e-7}),
         ("--steps", {"type": int, "default": 400}))),
     "optctrl-gradcheck": (_cmd_optctrl_gradcheck, "analytic vs finite-difference gradient", (

@@ -40,6 +40,8 @@ The module owns the truncated two-band Fock space and every model on it: the
 link Hamiltonians, the Schwinger spin identity (`fixed_number_schwinger_check`
 takes it block by block over the fixed particle numbers), and the two-site Hubbard
 model behind the plaquette's superexchange J ~ t^2/U (`superexchange_hubbard_check`).
+Each space holds its parameter-free operators (S^2, band exchange, unit hop), and
+`_link_space` shares one space per (statistics, N) among the link solves.
 
 The return-time search is in-house (`_bounded_minimum`), bit-identical to scipy's
 bounded method, so this module runs on numpy alone.
@@ -49,7 +51,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -298,6 +300,9 @@ class TwoBandFockSpace:
     basis must conserve the particle number. Operators act on all basis
     states at once; bosonic ladder algebra is exact except where a matrix
     element would leave the truncated space (occupation at the cap).
+
+    The parameter-free link operators `spin_squared`, `band_exchange` and
+    `unit_hop` are read-only attributes, each built on its first read.
     """
 
     statistics: str
@@ -380,35 +385,36 @@ class TwoBandFockSpace:
         del s_plus  # one dense matrix fewer alive during the products (peak memory)
         return s_x @ s_x + s_y @ s_y + s_z @ s_z
 
+    @cached_property
+    def spin_squared(self) -> np.ndarray:
+        """Read-only S^2 of the total link spin."""
+        return read_only(self.total_spin_squared())
+
+    @cached_property
+    def band_exchange(self) -> np.ndarray:
+        """Read-only right-site exchange sum_{s,s'} a^dag_s b^dag_s' b_s a_s'."""
+        return read_only(self.operator(_exchange_strings()))
+
+    @cached_property
+    def unit_hop(self) -> np.ndarray:
+        """Read-only sum_sigma a^dag_L,sigma b_R,sigma: the tunneling term without -t and h.c."""
+        return read_only(self.operator([(1.0, [(L_UP, +1), (RB_UP, -1)]),
+                                        (1.0, [(L_DN, +1), (RB_DN, -1)])]))
+
 
 # ---------------------------------------------------------------------------
 # Hamiltonians, the spin identity and the two-site superexchange model (J ~ t^2/U)
 # ---------------------------------------------------------------------------
 
-def _exchange_strings(sign: float):
+def _exchange_strings():
     """sum_{s,s'} a^dag_s b^dag_s' b_s a_s' on the right site."""
     spins = ((RA_UP, RB_UP), (RA_DN, RB_DN))
-    strings = []
-    for a_s, b_s in spins:  # sigma
-        for a_sp, b_sp in spins:  # sigma'
-            strings.append((sign, [(a_s, +1), (b_sp, +1), (b_s, -1), (a_sp, -1)]))
-    return strings
+    return [(1.0, [(a_s, +1), (b_sp, +1), (b_s, -1), (a_sp, -1)])
+            for a_s, b_s in spins for a_sp, b_sp in spins]  # sigma, then sigma'
 
 
-@lru_cache(maxsize=None)
-def _fock_setup(statistics: str, total_number: "int | None"):
-    """(space, S^2, band exchange, unit hop) of the (statistics, N) space, built once.
-
-    These are the parameter-free parts of every link Hamiltonian and initial
-    state. The unit hop is sum_sigma a^dag_L,sigma b_R,sigma, the tunneling term
-    without its -t and its h.c. The arrays are read-only, those of the shared
-    space included.
-    """
-    space = TwoBandFockSpace(statistics, total_number=total_number)
-    return (space, read_only(space.total_spin_squared()),
-            read_only(space.operator(_exchange_strings(+1.0))),
-            read_only(space.operator([(1.0, [(L_UP, +1), (RB_UP, -1)]),
-                                      (1.0, [(L_DN, +1), (RB_DN, -1)])])))
+#: _link_space(statistics, N): the shared space of the link solves, built once
+_link_space = cache(TwoBandFockSpace)
 
 
 def onsite_hamiltonian(params: OnsiteParams, space: TwoBandFockSpace) -> np.ndarray:
@@ -429,11 +435,11 @@ def onsite_hamiltonian(params: OnsiteParams, space: TwoBandFockSpace) -> np.ndar
         diag += params.u_l_aa * (n_l * (n_l - 1.0))
         diag += 0.5 * params.u_r_aa * (n_ra * (n_ra - 1.0))
         diag += 0.5 * params.u_r_bb * (n_rb * (n_rb - 1.0))
-        band += _fock_setup(space.statistics, space.total_number)[2]
+        band += space.band_exchange
     else:
         for (up, dn), u in zip(ORBITAL_PAIRS, (params.u_l_aa, params.u_r_aa, params.u_r_bb)):
             diag += u * (space.occupation(up) * space.occupation(dn))
-        band -= _fock_setup(space.statistics, space.total_number)[2]
+        band -= space.band_exchange
     h = np.diag(diag).astype(complex)
     h += params.u_r_ab * band
     return h
@@ -442,10 +448,10 @@ def onsite_hamiltonian(params: OnsiteParams, space: TwoBandFockSpace) -> np.ndar
 def tunneling_hamiltonian(params: OnsiteParams, space: TwoBandFockSpace) -> np.ndarray:
     """-t sum_sigma (a^dag_L,sigma b_R,sigma + h.c.): left ground <-> right excited.
 
-    Scales the cached unit hop of `_fock_setup`. The `+ 0.0` turns the -0.0 that
-    -t * 0 leaves into +0.0, so the matrix is bit for bit the per-call operator build.
+    Scales the space's cached `unit_hop`. The `+ 0.0` turns the -0.0 that -t * 0
+    leaves into +0.0, so the matrix is bit for bit the per-call operator build.
     """
-    hop = -params.t * _fock_setup(space.statistics, space.total_number)[3] + 0.0
+    hop = -params.t * space.unit_hop + 0.0
     return hop + hop.conj().T
 
 
@@ -460,7 +466,7 @@ def schwinger_identity_check(space: TwoBandFockSpace) -> float:
     """
     if space.statistics != "boson":
         raise ValueError("the spin-ladder identity applies to the bosonic space")
-    lhs = space.operator(_exchange_strings(+1.0))
+    lhs = space.band_exchange
     n_ra = space.occupation(RA_UP, RA_DN)
     n_rb = space.occupation(RB_UP, RB_DN)
     half = (n_ra + n_rb) / 2.0
@@ -486,12 +492,12 @@ def _two_site_setup(statistics: str):
     The model is the R_b-empty block of the shared two-particle link space, where
     the link's S^2 is that of the two sites.
     """
-    space, spin_squared = _fock_setup(statistics, 2)[:2]
+    space = _link_space(statistics, 2)
     keep = np.flatnonzero(space.occupation(RB_UP, RB_DN) == 0)
     hop = space.operator([(1.0, [(L_UP, +1), (RA_UP, -1)]), (1.0, [(L_DN, +1), (RA_DN, -1)])])
     return tuple(read_only(a) for a in (space.occupation(L_UP, L_DN)[keep],
                  space.occupation(RA_UP, RA_DN)[keep], hop[np.ix_(keep, keep)].real,
-                 spin_squared[np.ix_(keep, keep)]))
+                 space.spin_squared[np.ix_(keep, keep)]))
 
 
 def superexchange_hubbard_check(t: float, u: float, statistics: str) -> tuple[float, float]:
@@ -561,7 +567,7 @@ def _initial_channel_state(
     sub = np.flatnonzero(pattern & (np.abs(space.spin_z() - float(channel_spin)) < 1e-9))
     if not len(sub):
         raise ValueError(f"no m = {channel_spin} state for occupations ({n_l}, {n_r_a})")
-    block = _fock_setup(space.statistics, space.total_number)[1][np.ix_(sub, sub)]
+    block = space.spin_squared[np.ix_(sub, sub)]
     evals, evecs = np.linalg.eigh(block)
     target = float(channel_spin * (channel_spin + 1))
     hits = np.flatnonzero(np.abs(evals - target) < 1e-8)
@@ -577,7 +583,7 @@ def _initial_channel_state(
 @lru_cache(maxsize=None)
 def _channel_state(statistics: str, n_l: int, n_r_a: int, channel_spin: Fraction) -> np.ndarray:
     """Read-only `_initial_channel_state` on the shared (n_l + n_r_a)-particle space, built once."""
-    space = _fock_setup(statistics, n_l + n_r_a)[0]
+    space = _link_space(statistics, n_l + n_r_a)
     return read_only(_initial_channel_state(space, n_l, n_r_a, channel_spin))
 
 
@@ -592,7 +598,7 @@ def _link_eigensystem(
     channel, every link and every sector of one N share this solve. Eight
     entries hold one interaction scale (two statistics, N = 1..4).
     """
-    space = _fock_setup(statistics, total_number)[0]
+    space = _link_space(statistics, total_number)
     h = onsite_hamiltonian(params, space) + tunneling_hamiltonian(params, space)
     evals, evecs = np.linalg.eigh(h)
     return read_only(evals), read_only(evecs)

@@ -88,8 +88,8 @@ class PulseParams:
             raise ValueError(f"x must have shape ({N_CONTROLS}, L), got {self.x.shape}")
         if not np.all(np.isfinite(self.x)):
             raise ValueError("pulse coefficients must be finite")
-        if self.t_horizon <= 0:
-            raise ValueError("pulse horizon must be positive")
+        if not (np.isfinite(self.t_horizon) and self.t_horizon > 0):
+            raise ValueError(f"pulse horizon must be positive and finite, got {self.t_horizon}")
 
     @property
     def n_harmonics(self) -> int:
@@ -421,26 +421,9 @@ def _gate_overlap(block_unitaries) -> np.ndarray:
     return abs(_gate_trace(block_unitaries)) ** 2
 
 
-def propagate(pulse: PulseParams, steps: int = 2000, check: bool = False) -> np.ndarray:
-    """U(T; x) on the 16-dim register, from the ordered slice products of each block.
-
-    With check=True the slice count is doubled until halving the step moves
-    the gate fidelity against the target by no more than 1e-9, and the
-    converged (finer) result is returned; a RuntimeError reports
-    non-convergence.
-    """
+def propagate(pulse: PulseParams, steps: int = 2000) -> np.ndarray:
+    """U(T; x) on the 16-dim register, from the ordered slice products of each block."""
     blocks = _block_propagators(pulse.x, pulse.t_horizon, steps)
-    if check:
-        for _ in range(10):
-            steps *= 2
-            fine = _block_propagators(pulse.x, pulse.t_horizon, steps)
-            err = abs(_gate_overlap(fine) - _gate_overlap(blocks))
-            blocks = fine
-            if err <= 1e-9:
-                break
-        else:
-            raise RuntimeError(f"propagation not converged at {steps} steps: "
-                               f"step-halving still moves F by {err:.2e}")
     return sum(b.basis @ u @ b.basis.conj().T for b, u in zip(control_blocks(), blocks))
 
 
@@ -556,8 +539,8 @@ def optimize(
     to a few 1e-6). The descent stops as soon as the infidelity reaches
     `target_eps`, so the achieved baseline sits just at the requested
     level instead of overshooting to the optimizer's floor. The best pulse
-    is then re-converged on the `polish_steps` grid and the returned
-    infidelity is quoted at that resolution.
+    is then re-converged on the `polish_steps` grid in at most min(300, max_iter)
+    iterations, and the returned infidelity is quoted at that resolution.
     """
     if not (n_harmonics >= 1 and restarts >= 1):
         raise ValueError(f"need n_harmonics >= 1 and restarts >= 1, got {n_harmonics}, {restarts}")
@@ -598,7 +581,7 @@ def optimize(
         if best[0] <= target_eps:
             break
     if polish_steps and polish_steps != steps:
-        *best, nit = run(best[1].reshape(N_CONTROLS, n_harmonics), polish_steps, 300)
+        *best, nit = run(best[1].reshape(N_CONTROLS, n_harmonics), polish_steps, min(300, max_iter))
         total_iters += nit
     infid, x_flat, grad_norm = best
     return OptimizationResult(x_final=x_flat.reshape(N_CONTROLS, n_harmonics), infidelity=infid,
@@ -649,8 +632,15 @@ def result_json_text(result: OptimizationResult, t_horizon: float) -> str:
 
 
 def load_result_json(path) -> tuple[PulseParams, float, int]:
-    """Read back an exported result: (pulse, infidelity, seed)."""
+    """Read back an exported result: (pulse, infidelity, seed); a malformed one is a ValueError."""
     with open(path) as fh:
         payload = json.load(fh)
-    pulse = PulseParams(np.array(payload["x"], dtype=float), float(payload["T"]))
-    return pulse, float(payload["infidelity"]), int(payload["seed"])
+    if not isinstance(payload, dict):
+        raise ValueError(f"result {path} must be a JSON object, got {type(payload).__name__}")
+    try:
+        pulse = PulseParams(np.array(payload["x"], dtype=float), float(payload["T"]))
+        return pulse, float(payload["infidelity"]), int(payload["seed"])
+    except KeyError as exc:
+        raise ValueError(f"result {path} lacks the field {exc}") from None
+    except (TypeError, OverflowError) as exc:  # a null, a list or an infinite seed
+        raise ValueError(f"result {path} holds a bad value: {exc}") from None

@@ -256,6 +256,18 @@ def test_fast_commands_build_no_full_fock_space(tmp_path):
     assert _fresh_python(code, cwd=tmp_path).splitlines()[-1] == "[]"
 
 
+def test_hubbard_check_builds_only_the_operators_it_reads(tmp_path):
+    # per statistics S^2 and the two-site hop; the link exchange and unit hop are built
+    # only where a link Hamiltonian reads them. A fresh interpreter, so no cache hides a build.
+    code = ("from plaqgate import cli, geophase\n"
+            "calls, op = [], geophase.TwoBandFockSpace.operator\n"
+            "geophase.TwoBandFockSpace.operator = lambda self, s: calls.append(1) or op(self, s)\n"
+            "argv = ['hubbard-check', '--statistics', 'both', '--output-dir', 'out']\n"
+            "assert cli.run(argv) == 0\n"
+            "print(len(calls))\n")
+    assert _fresh_python(code, cwd=tmp_path).splitlines()[-1] == "4"
+
+
 def _scipy_modules_after(code):
     """The scipy modules that a fresh interpreter has loaded after running `code` (last line)."""
     code += "\nimport sys\nprint(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
@@ -427,6 +439,16 @@ def test_exit_2_missing_required_flag(tmp_path):
     assert _run(tmp_path, "spectrum") == 2
 
 
+_GOOD_RESULT = {"x": [[0.1]] * 5, "T": 1.0, "infidelity": 0.5, "seed": 0}
+#: Result files that optctrl-robustness must refuse, each one field or the type off a good one
+BAD_RESULTS = {
+    "horizon-nan.json": {**_GOOD_RESULT, "T": float("nan")},
+    "no-x.json": {k: v for k, v in _GOOD_RESULT.items() if k != "x"},
+    "list.json": list(_GOOD_RESULT.values()),
+    "seed-null.json": {**_GOOD_RESULT, "seed": None},
+}
+
+
 @pytest.mark.parametrize("argv, message", [
     # d/J = 3 sits on a pole of the perturbative coefficients
     pytest.param(("pert-coeffs", "--dJ", "3.0"), "is a pole", id="pert-coeffs-pole"),
@@ -482,8 +504,24 @@ def test_exit_2_missing_required_flag(tmp_path):
     *(pytest.param(("pert-validate", "--dJ", "0.3", "--Jp", "0.05", "--horizon-tc", h),
                    "horizon must be positive and finite", id=f"pert-validate-horizon-{h}")
       for h in ("nan", "inf", "0")),
+    # a non-finite horizon, given or read back, fails at the pulse and not in the propagation
+    pytest.param(("optctrl-optimize", "--t-horizon", "nan"),
+                 "pulse horizon must be positive and finite", id="optimize-t-horizon-nan"),
+    pytest.param(("optctrl-robustness", "--result", "horizon-nan.json"),
+                 "pulse horizon must be positive and finite", id="robustness-horizon-nan"),
+    # a result file of the wrong shape: a named field or type, not a traceback
+    pytest.param(("optctrl-robustness", "--result", "no-x.json"), "lacks the field 'x'",
+                 id="robustness-missing-x"),
+    pytest.param(("optctrl-robustness", "--result", "list.json"),
+                 "must be a JSON object, got list", id="robustness-not-object"),
+    pytest.param(("optctrl-robustness", "--result", "seed-null.json"), "holds a bad value",
+                 id="robustness-seed-null"),
 ])
-def test_exit_2_bad_value(tmp_path, capsys, argv, message):
+def test_exit_2_bad_value(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    for name, payload in BAD_RESULTS.items():
+        with open(name, "w") as fh:
+            json.dump(payload, fh)
     assert _run(tmp_path, *argv) == 2
     assert message in capsys.readouterr().err
 

@@ -296,8 +296,8 @@ def _reference_operator(space, strings):
 
 
 REFERENCE_STRINGS = {
-    "exchange+": gp._exchange_strings(+1.0),
-    "exchange-": gp._exchange_strings(-1.0),
+    "exchange+": gp._exchange_strings(),
+    "exchange-": [(-coef, ops) for coef, ops in gp._exchange_strings()],
     "spin_raising": [(1.0, [(up, +1), (dn, -1)]) for up, dn in gp.ORBITAL_PAIRS],
     "right_spin_raising": [(1.0, [(up, +1), (dn, -1)]) for up, dn in gp.RIGHT_ORBITAL_PAIRS],
     "hop": [(-0.7, [(gp.L_UP, +1), (gp.RB_UP, -1)]), (-0.7, [(gp.L_DN, +1), (gp.RB_DN, -1)])],
@@ -388,15 +388,19 @@ def _per_call_tunneling(params, space):
 
 @pytest.mark.parametrize("statistics", ["boson", "fermion"])
 def test_link_setup_is_cached_read_only(statistics):
-    setup = gp._fock_setup(statistics, 4)
-    assert gp._fock_setup(statistics, 4) is setup
-    space, spin_squared, exchange, unit_hop = setup
+    space = gp._link_space(statistics, 4)
+    assert gp._link_space(statistics, 4) is space
     assert np.array_equal(space.counts, gp.TwoBandFockSpace(statistics, total_number=4).counts)
-    np.testing.assert_array_equal(spin_squared, space.total_spin_squared())
-    np.testing.assert_array_equal(exchange, space.operator(gp._exchange_strings(+1.0)))
-    np.testing.assert_array_equal(unit_hop, space.operator(_hop_strings(1.0)))
+    per_call = {"spin_squared": space.total_spin_squared(),
+                "band_exchange": space.operator(gp._exchange_strings()),
+                "unit_hop": space.operator(_hop_strings(1.0))}
+    for name, ref in per_call.items():
+        arr = getattr(space, name)
+        assert getattr(space, name) is arr
+        np.testing.assert_array_equal(arr, ref)
     # the shared space too: every link solve and the two-site model read it
-    for arr in (spin_squared, exchange, unit_hop, space.counts, space._keys, space._radix):
+    for arr in (*(getattr(space, name) for name in per_call),
+                space.counts, space._keys, space._radix):
         with pytest.raises(ValueError, match="read-only"):
             arr += 0
     # bytes, not values: a -0.0 where the per-call build has +0.0 must show
