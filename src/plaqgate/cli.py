@@ -293,6 +293,8 @@ def _cmd_optctrl_robustness(config: RunConfig):
     p = config.params
     pulse, infid, seed = optctrl.load_result_json(p["result"])
     deltas = [float(d) for d in p["deltas"].split(",")]
+    if not np.isfinite(deltas).all():
+        raise ValueError(f"--deltas must be finite, got {p['deltas']!r}")
     infs = optctrl.robustness_sweep(pulse, deltas)
     rows = [{"delta": d, "infidelity": i} for d, i in zip(deltas, infs)]
     return ["delta", "infidelity"], rows, {"source_infidelity": infid, "source_seed": seed}
@@ -447,19 +449,20 @@ COMMANDS = {
     "geophase-table": (_cmd_geophase_table, "tunneling energy ledger", (
         ("--statistics", _STATISTICS),
         ("--u-l-aa", {"type": float, "default": geophase.LEFT_REPULSION_RATIO * 50.0,
-                      "help": "in units of t"}),
-        ("--u-r-ab", {"type": float, "default": 50.0, "help": "in units of t"}),
+                      "help": "in units of t, > 0"}),
+        ("--u-r-ab", {"type": float, "default": 50.0, "help": "in units of t, > 0"}),
         ("--bias-surplus", {
             "type": float, "default": None,
             "help": "Delta - omega in units of t (default: resonant per statistics)"}))),
     "geophase-dynamics": (_cmd_geophase_dynamics, "sector return phases", (
         ("--statistics", _STATISTICS),
         ("--sector", {"choices": (*geophase.SECTORS, "all"), "default": "all"}),
-        ("--u", {"type": float, "default": 50.0, "help": "interaction scale in units of t"}),
+        ("--u", {"type": float, "default": 50.0,
+                 "help": "interaction scale in units of t, > 0"}),
         ("--u-l-aa", {
             "type": float, "default": None,
-            "help": f"left repulsion in units of t (default {geophase.LEFT_REPULSION_RATIO} u, "
-                    "off accidental zeros)"}))),
+            "help": "left repulsion in units of t, > 0 "
+                    f"(default {geophase.LEFT_REPULSION_RATIO} u, off accidental zeros)"}))),
     "schwinger-check": (_cmd_schwinger_check, "two-band spin identity residual", ()),
     "hubbard-check": (_cmd_hubbard_check, "superexchange gap vs 4t^2/U", (
         ("--t-over-u", {"type": float, "default": 0.02}),

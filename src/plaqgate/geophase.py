@@ -43,8 +43,8 @@ model behind the plaquette's superexchange J ~ t^2/U (`superexchange_hubbard_che
 Each space holds its parameter-free operators (S^2, band exchange, unit hop), and
 `_link_space` shares one space per (statistics, N) among the link solves.
 
-The return-time search is in-house (`_bounded_minimum`), bit-identical to scipy's
-bounded method, so this module runs on numpy alone.
+A link's return time is the root of d|a|^2/dt (`_slope_root`, a safeguarded Newton
+search on numpy alone), and its phase lies in (-pi/2, 3pi/2], where pi is interior.
 """
 from __future__ import annotations
 
@@ -114,7 +114,11 @@ def link_params(statistics: str, u_l_aa: float, u_r_ab: float,
     """The CLI's links: omega = max(20 U_R^ab, 1), t = 1, mu_R = 0, U_R^aa = U_R^bb = U_R^ab.
 
     Delta - omega = bias_surplus, by default resonant: 0 for bosons, U_R^ab for fermions.
+    The links are repulsive: U_L^aa and U_R^ab must be positive.
     """
+    if u_l_aa <= 0 or u_r_ab <= 0:  # NaN fails in OnsiteParams, as a non-finite energy
+        raise ValueError(f"link repulsions must be positive, got U_L^aa = {u_l_aa}, "
+                         f"U_R^ab = {u_r_ab}")
     if bias_surplus is None:
         bias_surplus = 0.0 if statistics == "boson" else u_r_ab
     omega = max(20.0 * u_r_ab, 1.0)
@@ -596,11 +600,14 @@ def _link_eigensystem(
     The Hamiltonian depends on (statistics, N, params) only: not on a channel's
     spin, nor on how the N particles split between the sites. So every spin
     channel, every link and every sector of one N share this solve. Eight
-    entries hold one interaction scale (two statistics, N = 1..4).
+    entries hold one interaction scale (two statistics, N = 1..4). A spectrum that
+    overflows (U n(n-1) at U = 1e308) is refused.
     """
     space = _link_space(statistics, total_number)
     h = onsite_hamiltonian(params, space) + tunneling_hamiltonian(params, space)
     evals, evecs = np.linalg.eigh(h)
+    if not np.isfinite(evals).all():
+        raise ValueError(f"non-finite link spectrum, {statistics} N = {total_number}: {params}")
     return read_only(evals), read_only(evecs)
 
 
@@ -640,57 +647,29 @@ def _return_scan(
     return ts, np.abs(coarse @ fine.T).ravel()[:SCAN_POINTS]
 
 
-def _bounded_minimum(func, lo: float, hi: float, xatol: float) -> float:
-    """Brent's bounded minimizer of a scalar `func` on [lo, hi] (Brent 1973, ch. 5; `fminbound`).
+def _slope_root(rates: np.ndarray, weights: np.ndarray, lo: float, hi: float):
+    """(t, a(t)) at the root of d|a|^2/dt = 2 Re(conj(a) a') in [lo, hi], a = sum_k w_k e^{r_k t}.
 
-    The same steps, in the same order and arithmetic, as scipy 1.17's
-    `minimize_scalar(method="bounded")`, including its 500-evaluation cap, so it
-    evaluates the same points and returns the same x bit for bit (tested).
+    The rates r_k = -i (E_k - E0) count from E0 = sum_k w_k E_k, as in `_return_scan`.
+    Safeguarded Newton (Numerical Recipes, 3rd ed., section 9.4): each step keeps the side of
+    the root that the slope's sign shows, and bisects where a Newton step leaves the bracket.
+    A root, unlike the flat maximum of |a|, is located to about eps. The search stops once
+    |slope| reaches its rounding floor 16 eps sum_k w_k |E_k - E0|, or the bracket is spent.
     """
-    sqrt_eps, golden_mean = np.sqrt(2.2e-16), 0.5 * (3.0 - np.sqrt(5.0))
-    a, b = lo, hi
-    fulc = nfc = xf = a + golden_mean * (b - a)
-    rat = e = 0.0
-    fx = ffulc = fnfc = func(xf)
-    num = 1
-    while num < 500:
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if not np.abs(xf - xm) > tol2 - 0.5 * (b - a):
-            break
-        golden = True
-        if np.abs(e) > tol1:  # try a parabola through the three best points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = np.abs(q)
-            r, e = e, rat
-            if np.abs(p) < np.abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:  # keep tol1 off the bounds
-                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = golden_mean * e
-        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            a, b = (xf, b) if x >= xf else (a, xf)
-            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
-        else:
-            a, b = (x, b) if x < xf else (a, x)
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-    return xf
+    floor = 16.0 * np.finfo(float).eps * (weights @ np.abs(rates))
+    t = 0.5 * (lo + hi)
+    while True:
+        terms = weights * np.exp(rates * t)
+        amp, d_amp = terms.sum(), rates @ terms
+        slope = 2.0 * (np.conj(amp) * d_amp).real
+        lo, hi = (t, hi) if slope > 0.0 else (lo, t)
+        curvature = 2.0 * (abs(d_amp) ** 2 + (np.conj(amp) * (rates * rates @ terms)).real)
+        t_next = t - slope / curvature
+        if not lo < t_next < hi:
+            t_next = 0.5 * (lo + hi)
+        if abs(slope) <= floor or not lo < t_next < hi:
+            return t, amp
+        t = t_next
 
 
 def link_tunneling_phase(
@@ -706,22 +685,16 @@ def link_tunneling_phase(
     ground band, total spin `channel_spin`. The return amplitude
     a(t) = <psi0|exp(-iHt)|psi0> is gauged by exp(+i E0 t), E0 = <psi0|H|psi0>,
     so a resonant two-level cycle returns with phase exactly pi while
-    off-resonant links acquire only O((t/dE1)^2) phase. return_time is the
-    first local maximum of |a| after its first local minimum, refined by a
-    bounded Brent search; leakage is 1 - |a(return_time)|^2 and is bounded
-    by C (t/dE1)^2 with C = 4 n_L (bosonic enhancement included).
-    The factored scan only picks the bracket [t_{k-1}, t_{k+1}]; the search and the
-    figures use the exact `amplitude`, so they equal those of a direct e^{-iE t_k} scan
-    bit for bit whenever both pick the same k (tested for every `SECTOR_LINKS` link).
+    off-resonant links acquire only O((t/dE1)^2) phase. The phase lies in (-pi/2, 3pi/2],
+    so that pi is an interior value that no rounding flips to -pi. return_time is the
+    first local maximum of |a| after its first local minimum: the factored scan picks the
+    bracket [t_{k-1}, t_{k+1}], where `_slope_root` finds the root of d|a|^2/dt from the
+    exact eigenpairs. leakage is 1 - |a(return_time)|^2 and is bounded by C (t/dE1)^2
+    with C = 4 n_L (bosonic enhancement included).
     """
     if n_l < 1:
         return 0.0, 0.0, 0.0
     evals, weights = _link_spectrum(n_l, n_r_a, channel_spin, params, statistics)
-    e0 = float(weights @ evals)
-
-    def amplitude(t: float) -> complex:
-        return np.exp(1j * e0 * t) * np.sum(weights * np.exp(-1j * evals * t))
-
     # the bracketing scan skips eigencomponents that psi0 does not overlap
     # (weights below 1e-20 are rounding residue from other spin sectors)
     kept = weights >= 1e-20
@@ -733,12 +706,11 @@ def link_tunneling_phase(
         return 0.0, 0.0, 0.0
     maxima = np.flatnonzero((inner >= mags[:-2]) & (inner >= mags[2:])) + 1
     k = next((i for i in maxima if i > minima[0] + 1), last)
-    t_ret = float(_bounded_minimum(lambda t: -abs(amplitude(t)), ts[k - 1], ts[min(k + 1, last)],
-                                   ts[-1] * 1e-12))
-    a_ret = amplitude(t_ret)
-    phase = float(np.angle(a_ret))
+    rates = -1j * (evals - weights @ evals)
+    t_ret, a_ret = _slope_root(rates, weights, ts[k - 1], ts[min(k + 1, last)])
+    phase = float(np.angle(-1j * a_ret) + np.pi / 2)
     leakage = float(max(0.0, 1.0 - abs(a_ret) ** 2))
-    return t_ret, phase, leakage
+    return float(t_ret), phase, leakage
 
 
 def tunneling_phase(
@@ -750,12 +722,13 @@ def tunneling_phase(
     spin channels; phases add, return_time is the slowest link, and the
     combined leakage treats the links as independent amplitudes.
 
-    The sign of the returned phase is set by rounding in two places, so
-    only |phase| is meaningful. A resonant link's phase pi sits on the
-    +-pi branch cut of `np.angle`. Where two spin channels give equal and
-    opposite phases (fermion TT: +-0.0039196430157 at `geophase-dynamics
-    --u 40`, magnitudes 3e-14 apart), the tie-break below keeps whichever
-    magnitude rounds larger.
+    Each link's phase lies in (-pi/2, 3pi/2] (`link_tunneling_phase`), so a
+    resonant pi never reads -pi, and a sector of a resonant pi and an
+    off-resonant delta reads pi + delta on every kernel. The worst channel is
+    the one of largest |phase|. Where channels tie within 1e-9 relative in
+    |phase| (fermion TT: +-0.0039196430157 at `geophase-dynamics --u 40`,
+    magnitudes 3e-14 apart), the most positive phase is kept, so rounding
+    does not pick the sign.
     """
     if sector not in SECTORS:
         raise ValueError(f"sector must be one of {SECTORS}, got {sector!r}")
@@ -769,8 +742,9 @@ def tunneling_phase(
         if link not in solved:
             n_l, n_r_a, channels = link
             outs = [link_tunneling_phase(n_l, n_r_a, j, params, statistics) for j in channels]
-            # of the channels with the largest |phase|, the last one
-            solved[link] = max(reversed(outs), key=lambda out: abs(out[1]))
+            largest = max(abs(out[1]) for out in outs)
+            solved[link] = max((out for out in outs if abs(out[1]) >= (1.0 - 1e-9) * largest),
+                               key=lambda out: out[1])
         worst = solved[link]
         t_ret = max(t_ret, worst[0])
         total_phase += worst[1]

@@ -544,6 +544,10 @@ def optimize(
     """
     if not (n_harmonics >= 1 and restarts >= 1):
         raise ValueError(f"need n_harmonics >= 1 and restarts >= 1, got {n_harmonics}, {restarts}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not 0.0 <= target_eps < np.inf:  # 0: run until L-BFGS stops
+        raise ValueError(f"target_eps must be finite and >= 0, got {target_eps}")
     from scipy.optimize import minimize
 
     rng = np.random.default_rng(seed)

@@ -7,7 +7,7 @@ the real 7 + 3 + 6 blocks; `tests/test_optctrl.py` compares the two.
 
 The link references at the end check `plaqgate.geophase`: the Fock-space
 (anti)commutators, the transient leakage of a link, and its return time as
-the root of d|a|^2/dt instead of the program's search on the flat maximum of |a|.
+the root of d|a|^2/dt found by scipy's `brentq` instead of the program's Newton search.
 
 The whole-batch block propagator is the reference for the streamed one of
 `plaqgate.optctrl`: it exponentiates every slice at once and multiplies them
@@ -166,31 +166,40 @@ def link_peak_leakage(n_l: int, n_r_a: int, channel_spin, params: gp.OnsiteParam
     return float(max(0.0, 1.0 - mags.min() ** 2))
 
 
+def slope_root(evals: np.ndarray, weights: np.ndarray, lo: float, hi: float):
+    """(t, a(t)) at the root of d|a|^2/dt on [lo, hi], found by `brentq`.
+
+    a(t) = sum_k w_k e^{-i (E_k - E0) t} with E0 = sum_k w_k E_k, the program's gauge,
+    and d|a|^2/dt = 2 Re(conj(a) a') with a' = sum_k w_k (-i (E_k - E0)) e^{-i (E_k - E0) t}.
+    A rounding of the slope moves the root linearly, where it moves the maximum of the
+    flat |a| by its square root.
+    """
+    rates = -1j * (evals - weights @ evals)
+
+    def slope(t: float) -> float:
+        terms = weights * np.exp(rates * t)
+        return 2.0 * float(np.real(np.conj(terms.sum()) * (rates @ terms)))
+
+    t_root = brentq(slope, lo, hi, xtol=1e-15)
+    return t_root, np.sum(weights * np.exp(rates * t_root))
+
+
 def link_return_root(n_l: int, n_r_a: int, channel_spin, params: gp.OnsiteParams,
                      statistics: str) -> tuple[float, float, float]:
-    """(return_time, phase, leakage) of one link with the return time as a root.
+    """(return_time, phase, leakage) of one link with the return time found by `brentq`.
 
-    Same eigenpairs and scan bracket [t_{k-1}, t_{k+1}] as `link_tunneling_phase`,
-    but the maximum of |a| is the root of d|a|^2/dt = 2 Re(conj(a) a'), with
-    a' = sum_k w_k (-i E_k) e^{-i E_k t}, found by `brentq`. A rounding of the slope
-    moves the root linearly, where it moves the maximum of the flat |a| by its root.
-    Energies count from E0 = sum_k w_k E_k, the program's gauge.
+    Same eigenpairs and scan bracket [t_{k-1}, t_{k+1}] as `link_tunneling_phase`, but
+    the root of d|a|^2/dt is found by scipy (`slope_root`), not by the program's Newton
+    search. The phase is `np.angle`'s, in (-pi, pi].
     """
     evals, weights = gp._link_spectrum(n_l, n_r_a, channel_spin, params, statistics)
-    rates = -1j * (evals - weights @ evals)
     kept = weights >= 1e-20
     ts, mags = gp._return_scan(evals[kept], weights[kept], params)
     inner = mags[1:-1]
     first_min = np.flatnonzero((inner <= mags[:-2]) & (inner <= mags[2:]))[0] + 1
     maxima = np.flatnonzero((inner >= mags[:-2]) & (inner >= mags[2:])) + 1
     k = maxima[maxima > first_min + 1][0]
-
-    def slope(t: float) -> float:
-        terms = weights * np.exp(rates * t)
-        return 2.0 * float(np.real(np.conj(terms.sum()) * (rates @ terms)))
-
-    t_root = brentq(slope, ts[k - 1], ts[k + 1], xtol=1e-15)
-    a_root = np.sum(weights * np.exp(rates * t_root))
+    t_root, a_root = slope_root(evals, weights, ts[k - 1], ts[k + 1])
     return t_root, float(np.angle(a_root)), float(max(0.0, 1.0 - abs(a_root) ** 2))
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -345,6 +346,15 @@ def test_sweep_flags_failed_points(tmp_path, monkeypatch):
     assert [r["status"] for r in rows[:5] + rows[6:]] == ["ok"] * 7
 
 
+def test_overflowing_link_energy_flags_its_rows(tmp_path):
+    """U_L^aa = 1e308 is finite, but a boson doublon's 2 U_L^aa is not: no ok row holds a NaN."""
+    rows = _json_rows(tmp_path, "geophase-dynamics", "--statistics", "both", "--u-l-aa", "1e308")
+    for row in rows:
+        if row["statistics"] == "boson":
+            assert row["status"].startswith("error: ValueError: non-finite link spectrum")
+        assert row["status"] != "ok" or math.isfinite(row["phase"])
+
+
 def test_liedim_prints_dimension(tmp_path, capsys):
     assert _run(tmp_path, "optctrl-liedim") == 0
     assert capsys.readouterr().out.splitlines()[0] == "80"
@@ -489,6 +499,11 @@ BAD_RESULTS = {
                  id="dynamics-u-l-aa-nan"),
     pytest.param(("geophase-table", "--bias-surplus", "nan"), "link energies must be finite",
                  id="table-bias-surplus-nan"),
+    # attractive or vanishing links carry no physics here: boson SS read -2 pi at --u -1
+    *(pytest.param(("geophase-dynamics", "--u", u), f"U_R^ab = {float(u)}", id=f"dynamics-u{u}")
+      for u in ("0", "-1")),
+    *(pytest.param(("geophase-table", flag, u), f"{name} = {float(u)}", id=f"table{flag[1:]}{u}")
+      for flag, name in (("--u-l-aa", "U_L^aa"), ("--u-r-ab", "U_R^ab")) for u in ("0", "-1")),
     # non-finite pulse and coupling values: a NaN fidelity or deviation, or a failed solve
     pytest.param(("prepare-plus", "--angle-scale", "nan"), "angle_scale must be finite",
                  id="prepare-plus-angle-scale-nan"),
@@ -516,10 +531,19 @@ BAD_RESULTS = {
                  "must be a JSON object, got list", id="robustness-not-object"),
     pytest.param(("optctrl-robustness", "--result", "seed-null.json"), "holds a bad value",
                  id="robustness-seed-null"),
+    # no descent, or a target that no infidelity meets or every one does
+    pytest.param(("optctrl-optimize", "--max-iter", "0"), "max_iter must be >= 1",
+                 id="optimize-max-iter0"),
+    pytest.param(("optctrl-optimize", "--target-eps", "nan"),
+                 "target_eps must be finite and >= 0, got nan", id="optimize-target-eps-nan"),
+    # a non-finite scale of the Hamiltonian
+    *(pytest.param(("optctrl-robustness", "--result", "good.json", "--deltas", f"0,{d}"),
+                   f"--deltas must be finite, got '0,{d}'", id=f"robustness-deltas-{d}")
+      for d in ("nan", "inf")),
 ])
 def test_exit_2_bad_value(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
-    for name, payload in BAD_RESULTS.items():
+    for name, payload in {**BAD_RESULTS, "good.json": _GOOD_RESULT}.items():
         with open(name, "w") as fh:
             json.dump(payload, fh)
     assert _run(tmp_path, *argv) == 2

@@ -11,7 +11,7 @@ from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     commutation_residual,
@@ -19,8 +19,8 @@ from oracles import (
     link_return_root,
     physical_indices,
     sector_indices,
+    slope_root,
 )
-from scipy.optimize import minimize_scalar
 
 from plaqgate import cli
 from plaqgate import geophase as gp
@@ -359,20 +359,12 @@ def _bracket_indices(mags):
 
 
 def _reference_return_figures(evals, weights, t_hop):
-    """Return figures from a direct scan over every eigencomponent, then a bounded refinement."""
-    e0 = weights @ evals
-
-    def amplitude(t):
-        return np.exp(1j * e0 * t) * np.sum(weights * np.exp(-1j * evals * t))
-
+    """Return figures from a direct scan over every eigencomponent, then `brentq`'s slope root."""
     ts, mags = _direct_scan(evals, weights, t_hop)
-    t_max = ts[-1]
     _, k = _bracket_indices(mags)
-    res = minimize_scalar(lambda t: -abs(amplitude(t)), bounds=(ts[k - 1], ts[k + 1]),
-                          method="bounded", options={"xatol": t_max * 1e-12})
-    a_ret = amplitude(res.x)
+    t_ret, a_ret = slope_root(evals, weights, ts[k - 1], ts[k + 1])
     peak = max(0.0, 1.0 - mags.min() ** 2)
-    return res.x, np.angle(a_ret), max(0.0, 1.0 - abs(a_ret) ** 2), peak
+    return t_ret, np.angle(a_ret), max(0.0, 1.0 - abs(a_ret) ** 2), peak
 
 
 def _hop_strings(coef):
@@ -554,13 +546,11 @@ def test_shared_link_solves_keep_sector_rows(tmp_path):
 
 @pytest.mark.parametrize("statistics", ["boson", "fermion"])
 def test_return_figures_match_slope_root(statistics):
-    """return_time, phase and leakage against the root of d|a|^2/dt (`link_return_root`).
+    """return_time, phase and leakage against scipy's root of d|a|^2/dt (`link_return_root`).
 
-    The program locates the flat maximum of |a|, where a rounding of about 1e-16 in |a|
-    moves the time by about its square root. Over 1,001 values of u in [20, 120] the
-    worst errors were 2.8e-6 relative in return_time (boson (2, 2, 1) at u = 106.1),
-    1.45e-9 in phase (same channel, u = 25.8) and 1.1e-15 in leakage. The bounds
-    leave a margin of 3.6x, 3.4x and 9x; this grid takes every second u from 20 to 120.
+    Both search the same slope from the same eigenpairs, the program by Newton steps and
+    the oracle by `brentq`. Over this grid (every second u from 20 to 120) the worst
+    errors were 1.7e-14 relative in return_time and 4.4e-16 in phase (SkylakeX kernel).
     """
     for u in np.linspace(20.0, 120.0, 51):
         p = gp.link_params(statistics, gp.LEFT_REPULSION_RATIO * u, u)
@@ -569,78 +559,37 @@ def test_return_figures_match_slope_root(statistics):
                 continue
             t_ret, phase, leak = gp.link_tunneling_phase(n_l, n_r_a, j, p, statistics)
             t_root, phase_root, leak_root = link_return_root(n_l, n_r_a, j, p, statistics)
-            assert abs(t_ret - t_root) <= 1e-5 * t_root
-            assert abs(np.angle(np.exp(1j * (phase - phase_root)))) <= 5e-9
+            assert abs(t_ret - t_root) <= 1e-12 * t_root
+            assert abs(np.angle(np.exp(1j * (phase - phase_root)))) <= 1e-12
             assert abs(leak - leak_root) <= 1e-14
 
 
-def _search_trace(minimize, func, lo, hi, xatol):
-    """The x that `minimize(func, lo, hi, xatol)` returns and every point it evaluates."""
-    points = []
-
-    def recording(t):
-        points.append(t)
-        return func(t)
-
-    return minimize(recording, lo, hi, xatol), points
-
-
-def _scipy_bounded(func, lo, hi, xatol):
-    return minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": xatol}).x
+@pytest.mark.parametrize("u", [20.0, 25.8, 40.0, 57.3, 80.0, 106.1, 120.0])
+def test_link_phases_lie_in_one_interval(u):
+    """Every link phase lies in (-pi/2, 3pi/2]; a resonant link reads +pi, never -pi."""
+    for statistics, n_l, n_r_a, j in SECTOR_LINK_CHANNELS:
+        p = gp.link_params(statistics, gp.LEFT_REPULSION_RATIO * u, u)
+        _, phase, _ = gp.link_tunneling_phase(n_l, n_r_a, j, p, statistics)
+        assert -np.pi / 2 < phase <= 3 * np.pi / 2
+        if (statistics, n_l, n_r_a) in {("boson", 1, 0), ("boson", 1, 1), ("fermion", 1, 2)}:
+            assert abs(phase - np.pi) <= 1e-2
 
 
-def _assert_same_search(func, lo, hi, xatol):
-    """`_bounded_minimum` returns scipy's x with `==` after evaluating the same points."""
-    x, points = _search_trace(gp._bounded_minimum, func, lo, hi, xatol)
-    x_ref, points_ref = _search_trace(_scipy_bounded, func, lo, hi, xatol)
-    assert x == x_ref
-    assert points == points_ref
-
-
-def test_bounded_minimum_matches_scipy_on_link_objectives(monkeypatch):
-    """The return-time search of every `SECTOR_LINKS` channel equals scipy's, step for step."""
-    searches, search = [], gp._bounded_minimum
-
-    def recording(func, lo, hi, xatol):
-        searches.append((func, lo, hi, xatol))
-        return search(func, lo, hi, xatol)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(gp, "_bounded_minimum", recording)
-        for u in (25.0, 40.0, 50.0, 57.3, 100.0):
-            for statistics, n_l, n_r_a, j in SECTOR_LINK_CHANNELS:
-                p = gp.link_params(statistics, gp.LEFT_REPULSION_RATIO * u, u)
-                gp.link_tunneling_phase(n_l, n_r_a, j, p, statistics)
-    assert len(searches) == 5 * len(SECTOR_LINK_CHANNELS)
-    for func, lo, hi, xatol in searches:
-        _assert_same_search(func, lo, hi, xatol)
-
-
-def _search_objective(kind, c):
-    """A test objective of one family, with coefficients c: parabolic and golden steps."""
-    if kind == "quadratic":
-        return lambda t: (abs(c[0]) + 0.1) * (t - 3.0 * c[1]) ** 2
-    if kind == "cos":
-        return lambda t: -abs(np.cos((abs(c[0]) + 0.1) * t + c[1]))
-    if kind == "constant":
-        return lambda t: c[0]
-    return lambda t: ((c[0] * t + c[1]) * t + c[2]) * t + c[3]
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    kind=st.sampled_from(["quadratic", "cos", "constant", "cubic"]),
-    lo=st.floats(-10.0, 10.0),
-    width=st.floats(1e-6, 20.0),
-    c=st.tuples(*[st.floats(-5.0, 5.0)] * 4),
-    tol_exp=st.floats(-12.0, -3.0),
-)
-# a parabolic step to rat == 0 exactly (step sign), an equal fu == fx, a clamped step
-@example(kind="quadratic", lo=0.0, width=4.0, c=(3.0, 1.0, 0.0, 0.0), tol_exp=-3.0)
-@example(kind="constant", lo=0.0, width=1.0, c=(1.0, 0.0, 0.0, 0.0), tol_exp=-6.0)
-@example(kind="cubic", lo=0.0, width=1.0, c=(1.0, -1.0, 0.0, 0.0), tol_exp=-6.0)
-def test_bounded_minimum_matches_scipy(kind, lo, width, c, tol_exp):
-    _assert_same_search(_search_objective(kind, c), lo, lo + width, 10.0 ** tol_exp)
+@pytest.mark.parametrize("u", [40.0, 57.3])
+def test_tied_channels_keep_the_positive_phase(u, monkeypatch):
+    """Fermion TT's two channels tie in |phase| with opposite signs; their order picks nothing."""
+    p = gp.link_params("fermion", gp.LEFT_REPULSION_RATIO * u, u)
+    figures = gp.tunneling_phase("TT", p, "fermion")
+    assert figures[1] > 0.0
+    ((n_l, n_r_a, channels), _) = gp.SECTOR_LINKS["fermion"]["TT"]
+    for order in (channels, channels[::-1]):
+        monkeypatch.setitem(gp.SECTOR_LINKS["fermion"], "TT", [(n_l, n_r_a, order)] * 2)
+        assert gp.tunneling_phase("TT", p, "fermion") == figures
+        # the negative phase larger by a rounding: the tie still keeps the positive one
+        outs = {Fr(0): (0.1, -0.004, 0.0), Fr(1): (0.2, 0.004 * (1.0 - 1e-13), 0.0)}
+        with monkeypatch.context() as patch:
+            patch.setattr(gp, "link_tunneling_phase", lambda n_l, n_r_a, j, *_: outs[j])
+            assert gp.tunneling_phase("TT", p, "fermion") == (0.2, 0.008 * (1.0 - 1e-13), 0.0)
 
 
 # ---------------------------------------------------------------------------
