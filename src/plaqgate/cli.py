@@ -292,7 +292,10 @@ def _cmd_optctrl_gradcheck(config: RunConfig):
 def _cmd_optctrl_robustness(config: RunConfig):
     p = config.params
     pulse, infid, seed = optctrl.load_result_json(p["result"])
-    deltas = [float(d) for d in p["deltas"].split(",")]
+    try:
+        deltas = [float(d) for d in p["deltas"].split(",")]
+    except ValueError:
+        raise ValueError(f"--deltas must be comma-separated numbers, got {p['deltas']!r}") from None
     if not np.isfinite(deltas).all():
         raise ValueError(f"--deltas must be finite, got {p['deltas']!r}")
     infs = optctrl.robustness_sweep(pulse, deltas)
@@ -493,16 +496,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: list) -> tuple[str, argparse.Namespace]:
+    """(command, its options). A known command's own parser reads the rest of argv once; the
+    top-level parser handles no command, an unknown one and --help, and reports leftovers."""
+    parser = _build_parser()
+    if not argv or argv[0] not in COMMANDS:
+        args = parser.parse_args(argv)
+        return args.command, args
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    args, extras = sub.choices[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return argv[0], args
+
+
 def run(argv) -> int:
     """Parse argv, execute the subcommand, write dataset + manifest."""
     try:
-        args = _build_parser().parse_args(argv)
+        command, args = _parse(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    params = {key: getattr(args, key) for key in _param_keys(args.command)}
+    params = {key: getattr(args, key) for key in _param_keys(command)}
     try:
         config = RunConfig(
-            command=args.command,
+            command=command,
             params=params,
             seed=args.seed,
             output_dir=(
@@ -516,7 +533,7 @@ def run(argv) -> int:
             return 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fields, rows, extra = COMMANDS[args.command][0](config)
+            fields, rows, extra = COMMANDS[command][0](config)
         run_dir = write_dataset(config, fields, rows, extra)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,14 +37,12 @@ SECTOR_LINKS; tunneling_phase evolves each link exactly and combines the
 return phases.
 
 The module owns the truncated two-band Fock space and every model on it: the
-link Hamiltonians, the Schwinger spin identity (`fixed_number_schwinger_check`
-takes it block by block over the fixed particle numbers), and the two-site Hubbard
-model behind the plaquette's superexchange J ~ t^2/U (`superexchange_hubbard_check`).
-Each space holds its parameter-free operators (S^2, band exchange, unit hop), and
-`_link_space` shares one space per (statistics, N) among the link solves.
-
-A link's return time is the root of d|a|^2/dt (`_slope_root`, a safeguarded Newton
-search on numpy alone), and its phase lies in (-pi/2, 3pi/2], where pi is interior.
+link Hamiltonians, the Schwinger spin identity (`fixed_number_schwinger_check`,
+over the fixed particle numbers) and the two-site Hubbard model behind the
+plaquette's superexchange J ~ t^2/U (`superexchange_hubbard_check`). Every operator
+is real. A link is solved by a real `eigh` of the S_z block of its channel
+(`_link_eigensystem`); its return time is the root of d|a|^2/dt (`_slope_root`, safeguarded
+Newton on numpy alone) and its phase lies in (-pi/2, 3pi/2], where pi is interior.
 """
 from __future__ import annotations
 
@@ -65,8 +63,6 @@ STATISTICS = ("boson", "fermion")
 MODE_CAP = {"boson": 2, "fermion": 1}
 #: U_L^aa / U_R^ab of the CLI's links unless given, off accidental zeros of dE1
 LEFT_REPULSION_RATIO = 1.546
-
-
 #: Points of the |a(t)| scan that brackets a link's return time
 SCAN_POINTS = 8000
 
@@ -305,8 +301,9 @@ class TwoBandFockSpace:
     states at once; bosonic ladder algebra is exact except where a matrix
     element would leave the truncated space (occupation at the cap).
 
-    The parameter-free link operators `spin_squared`, `band_exchange` and
-    `unit_hop` are read-only attributes, each built on its first read.
+    Every operator is real. The parameter-free link operators `spin_squared`,
+    `band_exchange` and `unit_hop`, and the S_z block indices `spin_z_blocks`, are
+    read-only attributes, each built on its first read.
     """
 
     statistics: str
@@ -363,8 +360,8 @@ class TwoBandFockSpace:
         return amp
 
     def operator(self, strings) -> np.ndarray:
-        """Dense matrix of sum_i coef_i * string_i on this basis."""
-        mat = np.zeros((self.dim, self.dim), dtype=complex)
+        """Dense real matrix of sum_i coef_i * string_i on this basis (real coefficients)."""
+        mat = np.zeros((self.dim, self.dim))
         for coef, ops in strings:
             amp = self.apply_string(ops)
             cols = np.flatnonzero(amp)
@@ -381,18 +378,25 @@ class TwoBandFockSpace:
         return 0.5 * (self.occupation(*ups) - self.occupation(*dns))
 
     def total_spin_squared(self, orbital_pairs=ORBITAL_PAIRS) -> np.ndarray:
-        """S^2 of the spin summed over the given orbitals, spin-1/2 per particle."""
+        """S^2 = (S+ S- + S- S+)/2 + S_z^2 of the spin summed over the given orbitals.
+
+        Spin-1/2 per particle. S+ is real, so S- = S+^T and S^2 is real.
+        """
         s_plus = self.operator([(1.0, [(up, +1), (dn, -1)]) for up, dn in orbital_pairs])
-        s_z = np.diag(self.spin_z(orbital_pairs)).astype(complex)
-        s_x = (s_plus + s_plus.conj().T) / 2.0
-        s_y = (s_plus - s_plus.conj().T) / 2.0j
-        del s_plus  # one dense matrix fewer alive during the products (peak memory)
-        return s_x @ s_x + s_y @ s_y + s_z @ s_z
+        s_squared = (s_plus @ s_plus.T + s_plus.T @ s_plus) / 2.0
+        s_squared[np.diag_indices(self.dim)] += self.spin_z(orbital_pairs) ** 2
+        return s_squared
 
     @cached_property
     def spin_squared(self) -> np.ndarray:
         """Read-only S^2 of the total link spin."""
         return read_only(self.total_spin_squared())
+
+    @cached_property
+    def spin_z_blocks(self) -> dict:
+        """Read-only ascending basis indices of each S_z block, keyed by the integer 2 S_z."""
+        two_m = (2 * self.spin_z()).astype(int)
+        return {int(m): read_only(np.flatnonzero(two_m == m)) for m in np.unique(two_m)}
 
     @cached_property
     def band_exchange(self) -> np.ndarray:
@@ -434,18 +438,17 @@ def onsite_hamiltonian(params: OnsiteParams, space: TwoBandFockSpace) -> np.ndar
     # float also for integer energies: the terms below are added in place
     diag = (params.mu_l * n_l + params.mu_r * n_ra + (params.mu_r + params.omega) * n_rb
             ).astype(float, copy=False)
-    band = np.diag(n_ra * n_rb).astype(complex)
     if space.statistics == "boson":
         diag += params.u_l_aa * (n_l * (n_l - 1.0))
         diag += 0.5 * params.u_r_aa * (n_ra * (n_ra - 1.0))
         diag += 0.5 * params.u_r_bb * (n_rb * (n_rb - 1.0))
-        band += space.band_exchange
+        exchange = space.band_exchange
     else:
         for (up, dn), u in zip(ORBITAL_PAIRS, (params.u_l_aa, params.u_r_aa, params.u_r_bb)):
             diag += u * (space.occupation(up) * space.occupation(dn))
-        band -= space.band_exchange
-    h = np.diag(diag).astype(complex)
-    h += params.u_r_ab * band
+        exchange = -space.band_exchange
+    h = np.diag(diag)
+    h += params.u_r_ab * (np.diag(n_ra * n_rb) + exchange)
     return h
 
 
@@ -456,7 +459,7 @@ def tunneling_hamiltonian(params: OnsiteParams, space: TwoBandFockSpace) -> np.n
     leaves into +0.0, so the matrix is bit for bit the per-call operator build.
     """
     hop = -params.t * space.unit_hop + 0.0
-    return hop + hop.conj().T
+    return hop + hop.T
 
 
 def schwinger_identity_check(space: TwoBandFockSpace) -> float:
@@ -500,7 +503,7 @@ def _two_site_setup(statistics: str):
     keep = np.flatnonzero(space.occupation(RB_UP, RB_DN) == 0)
     hop = space.operator([(1.0, [(L_UP, +1), (RA_UP, -1)]), (1.0, [(L_DN, +1), (RA_DN, -1)])])
     return tuple(read_only(a) for a in (space.occupation(L_UP, L_DN)[keep],
-                 space.occupation(RA_UP, RA_DN)[keep], hop[np.ix_(keep, keep)].real,
+                 space.occupation(RA_UP, RA_DN)[keep], hop[np.ix_(keep, keep)],
                  space.spin_squared[np.ix_(keep, keep)]))
 
 
@@ -528,7 +531,7 @@ def superexchange_hubbard_check(t: float, u: float, statistics: str) -> tuple[fl
     n0, n1, unit_hop, s2 = _two_site_setup(statistics)
     hop = -abs(t) * unit_hop
     w, v = np.linalg.eigh(np.diag(0.5 * u * (n0 * (n0 - 1) + n1 * (n1 - 1))) + hop + hop.T)
-    s2vals = np.einsum("ik,ij,jk->k", v, s2, v).real
+    s2vals = np.einsum("ik,ij,jk->k", v, s2, v)
     e_singlet, e_triplet = w[s2vals < 1.0].min(), w[s2vals >= 1.0].min()
     gap = (e_triplet - e_singlet) if statistics == "fermion" else (e_singlet - e_triplet)
     return float(gap), 4.0 * t * t / u
@@ -559,27 +562,21 @@ SECTOR_LINKS = {
 SECTORS = ("SS", "ST", "TS", "TT")
 
 
-def _initial_channel_state(
-    space: TwoBandFockSpace, n_l: int, n_r_a: int, channel_spin: Fraction
-) -> np.ndarray:
+def _initial_channel_state(space: TwoBandFockSpace, n_l: int, n_r_a: int,
+                           channel_spin: Fraction) -> np.ndarray:
     """Highest-weight state with the given occupations and total link spin."""
     pattern = ((space.occupation(L_UP, L_DN) == n_l)
                & (space.occupation(RA_UP, RA_DN) == n_r_a)
                & (space.occupation(RB_UP, RB_DN) == 0))
-    if not pattern.any():
-        raise ValueError(f"occupations ({n_l}, {n_r_a}) not representable")
     sub = np.flatnonzero(pattern & (np.abs(space.spin_z() - float(channel_spin)) < 1e-9))
     if not len(sub):
-        raise ValueError(f"no m = {channel_spin} state for occupations ({n_l}, {n_r_a})")
-    block = space.spin_squared[np.ix_(sub, sub)]
-    evals, evecs = np.linalg.eigh(block)
+        raise ValueError(f"no m = {channel_spin} state with occupations ({n_l}, {n_r_a})")
+    evals, evecs = np.linalg.eigh(space.spin_squared[np.ix_(sub, sub)])
     target = float(channel_spin * (channel_spin + 1))
     hits = np.flatnonzero(np.abs(evals - target) < 1e-8)
     if len(hits) == 0:
-        raise ValueError(
-            f"total spin {channel_spin} unavailable for occupations ({n_l}, {n_r_a})"
-        )
-    psi = np.zeros(space.dim, dtype=complex)
+        raise ValueError(f"total spin {channel_spin} unavailable for occupations ({n_l}, {n_r_a})")
+    psi = np.zeros(space.dim)
     psi[sub] = evecs[:, hits[0]]
     return psi
 
@@ -592,44 +589,57 @@ def _channel_state(statistics: str, n_l: int, n_r_a: int, channel_spin: Fraction
 
 
 @lru_cache(maxsize=8)
-def _link_eigensystem(
-    statistics: str, total_number: int, params: OnsiteParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (evals, evecs) of the link Hamiltonian on the N-particle basis.
+def _link_hamiltonian(statistics: str, total_number: int, params: OnsiteParams) -> np.ndarray:
+    """Read-only real link Hamiltonian of one (statistics, N, params), on the N-particle basis.
 
-    The Hamiltonian depends on (statistics, N, params) only: not on a channel's
-    spin, nor on how the N particles split between the sites. So every spin
-    channel, every link and every sector of one N share this solve. Eight
-    entries hold one interaction scale (two statistics, N = 1..4). A spectrum that
-    overflows (U n(n-1) at U = 1e308) is refused.
+    No channel spin or split of N between the sites enters: eight entries hold one scale.
     """
     space = _link_space(statistics, total_number)
-    h = onsite_hamiltonian(params, space) + tunneling_hamiltonian(params, space)
-    evals, evecs = np.linalg.eigh(h)
-    if not np.isfinite(evals).all():
+    return read_only(onsite_hamiltonian(params, space) + tunneling_hamiltonian(params, space))
+
+
+@lru_cache(maxsize=12)
+def _link_eigensystem(
+    statistics: str, total_number: int, two_m: int, params: OnsiteParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only real (evals, evecs) of the link Hamiltonian on its S_z block 2 S_z = two_m.
+
+    The Hamiltonian is real and conserves S_z, so each block is one real `eigh` (Sandvik, AIP
+    Conf. Proc. 1297, 135 (2010), sec. 4), shared by every channel, link and sector whose
+    state lies in it: 12 blocks of 3 to 36 states per interaction scale. S^2 is not conserved
+    for bosons at the mode cap, so there is no finer block. Refused: a non-finite spectrum
+    (U n(n-1) at U = 1e308), and one whose rounding eps max|E| exceeds 1e-6 |t|, since the
+    return figures carry errors of order eps max|E| / |t|.
+    """
+    block = _link_space(statistics, total_number).spin_z_blocks[two_m]
+    h = _link_hamiltonian(statistics, total_number, params)
+    evals, evecs = np.linalg.eigh(h[np.ix_(block, block)])
+    rounding = np.finfo(float).eps * np.abs(evals).max()
+    if not np.isfinite(rounding):
         raise ValueError(f"non-finite link spectrum, {statistics} N = {total_number}: {params}")
+    if rounding > 1e-6 * abs(params.t):
+        raise ValueError(f"ill-conditioned link spectrum, {statistics} N = {total_number}: "
+                         f"eps max|E| = {rounding:.3g} exceeds 1e-6 |t|: {params}")
     return read_only(evals), read_only(evecs)
 
 
-def _link_spectrum(
-    n_l: int, n_r_a: int, channel_spin, params: OnsiteParams, statistics: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of one link and the weights |<k|psi0>|^2 of its initial state.
+def _link_spectrum(n_l: int, n_r_a: int, channel_spin, params: OnsiteParams,
+                   statistics: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of one link's S_z block and the weights |<k|psi0>|^2 of its initial state.
 
-    The Hamiltonian conserves the particle number, so it lives on the
-    (n_l + n_r_a)-particle basis only, and `_link_eigensystem` solves it once per
-    (statistics, N, params). The space, its S^2, band exchange and unit hop are
-    built once per (statistics, N), and the initial state once per channel; only
-    the overlaps are computed here. The eigenvalues are the cached read-only array.
+    psi0, the channel's highest-weight state (S_z = j), lies in the block 2 S_z = 2j of the
+    (n_l + n_r_a)-particle basis; only the overlaps on that block are computed here. The
+    eigenvalues are the cached read-only array of `_link_eigensystem`.
     """
-    evals, evecs = _link_eigensystem(statistics, n_l + n_r_a, params)
-    psi0 = _channel_state(statistics, n_l, n_r_a, _as_half_integer(channel_spin))
-    return evals, np.abs(evecs.conj().T @ psi0) ** 2
+    j = _as_half_integer(channel_spin)
+    total_number, two_m = n_l + n_r_a, int(2 * j)
+    evals, evecs = _link_eigensystem(statistics, total_number, two_m, params)
+    block = _link_space(statistics, total_number).spin_z_blocks[two_m]
+    return evals, (evecs.T @ _channel_state(statistics, n_l, n_r_a, j)[block]) ** 2
 
 
-def _return_scan(
-    evals: np.ndarray, weights: np.ndarray, params: OnsiteParams
-) -> tuple[np.ndarray, np.ndarray]:
+def _return_scan(evals: np.ndarray, weights: np.ndarray,
+                 params: OnsiteParams) -> tuple[np.ndarray, np.ndarray]:
     """Grid t_k = k t_max / SCAN_POINTS up to t_max = 1.25 pi / |t|, and |a(t_k)|.
 
     The grid is uniform, so for j = qB + r with B = ceil(sqrt(N)) every factor splits as
@@ -672,31 +682,24 @@ def _slope_root(rates: np.ndarray, weights: np.ndarray, lo: float, hi: float):
         t = t_next
 
 
-def link_tunneling_phase(
-    n_l: int,
-    n_r_a: int,
-    channel_spin,
-    params: OnsiteParams,
-    statistics: str,
-) -> tuple[float, float, float]:
+def link_tunneling_phase(n_l: int, n_r_a: int, channel_spin, params: OnsiteParams,
+                         statistics: str) -> tuple[float, float, float]:
     """Exact return dynamics of one link: (return_time, phase, leakage).
 
-    The initial state has n_l particles on the left, n_r_a in the right
-    ground band, total spin `channel_spin`. The return amplitude
-    a(t) = <psi0|exp(-iHt)|psi0> is gauged by exp(+i E0 t), E0 = <psi0|H|psi0>,
-    so a resonant two-level cycle returns with phase exactly pi while
-    off-resonant links acquire only O((t/dE1)^2) phase. The phase lies in (-pi/2, 3pi/2],
-    so that pi is an interior value that no rounding flips to -pi. return_time is the
-    first local maximum of |a| after its first local minimum: the factored scan picks the
-    bracket [t_{k-1}, t_{k+1}], where `_slope_root` finds the root of d|a|^2/dt from the
-    exact eigenpairs. leakage is 1 - |a(return_time)|^2 and is bounded by C (t/dE1)^2
-    with C = 4 n_L (bosonic enhancement included).
+    The initial state has n_l particles on the left, n_r_a in the right ground band, total
+    spin `channel_spin`. The return amplitude a(t) = <psi0|exp(-iHt)|psi0> is gauged by
+    exp(+i E0 t), E0 = <psi0|H|psi0>, so a resonant two-level cycle returns with phase exactly
+    pi, and off-resonant links acquire only O((t/dE1)^2) phase. The phase lies in
+    (-pi/2, 3pi/2], so no rounding flips pi to -pi. return_time is the first local maximum
+    of |a| after its first local minimum: the factored scan brackets it by [t_{k-1}, t_{k+1}],
+    and `_slope_root` finds the root of d|a|^2/dt from the exact eigenpairs. leakage is
+    1 - |a(return_time)|^2, bounded by 4 n_L (t/dE1)^2 (bosonic enhancement included).
     """
     if n_l < 1:
         return 0.0, 0.0, 0.0
     evals, weights = _link_spectrum(n_l, n_r_a, channel_spin, params, statistics)
-    # the bracketing scan skips eigencomponents that psi0 does not overlap
-    # (weights below 1e-20 are rounding residue from other spin sectors)
+    # the scan skips the block's other (n_R_a, S^2) sectors: their weights are rounding
+    # residue, of order 1e-20 and below, far below an ulp of |a|; 2 to 5 of up to 36 remain
     kept = weights >= 1e-20
     ts, mags = _return_scan(evals[kept], weights[kept], params)
     # first local minimum, then the next local maximum (else the end of the grid)
@@ -718,25 +721,21 @@ def tunneling_phase(
 ) -> tuple[float, float, float]:
     """Combined return figures of both links of a logical sector.
 
-    Each active link is evolved exactly, taking the worst case over its
-    spin channels; phases add, return_time is the slowest link, and the
-    combined leakage treats the links as independent amplitudes.
+    Each active link is evolved exactly, taking the worst case over its spin channels;
+    phases add, return_time is the slowest link, and the combined leakage treats the links
+    as independent amplitudes.
 
-    Each link's phase lies in (-pi/2, 3pi/2] (`link_tunneling_phase`), so a
-    resonant pi never reads -pi, and a sector of a resonant pi and an
-    off-resonant delta reads pi + delta on every kernel. The worst channel is
-    the one of largest |phase|. Where channels tie within 1e-9 relative in
-    |phase| (fermion TT: +-0.0039196430157 at `geophase-dynamics --u 40`,
-    magnitudes 3e-14 apart), the most positive phase is kept, so rounding
-    does not pick the sign.
+    Each link's phase lies in (-pi/2, 3pi/2] (`link_tunneling_phase`), so a resonant pi never
+    reads -pi, and a sector of a resonant pi and an off-resonant delta reads pi + delta on
+    every kernel. The worst channel is the one of largest |phase|. Where channels tie within
+    1e-9 relative in |phase| (fermion TT: +-0.00391964302 at `geophase-dynamics --u 40`),
+    the most positive phase is kept, so rounding does not pick the sign.
     """
     if sector not in SECTORS:
         raise ValueError(f"sector must be one of {SECTORS}, got {sector!r}")
     check_statistics(statistics)
     links = SECTOR_LINKS[statistics][sector]
-    total_phase = 0.0
-    t_ret = 0.0
-    survival = 1.0
+    total_phase, t_ret, survival = 0.0, 0.0, 1.0
     solved = {}  # equal links (boson SS, fermion TT) are solved once
     for link in links:
         if link not in solved:

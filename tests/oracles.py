@@ -8,6 +8,8 @@ the real 7 + 3 + 6 blocks; `tests/test_optctrl.py` compares the two.
 The link references at the end check `plaqgate.geophase`: the Fock-space
 (anti)commutators, the transient leakage of a link, and its return time as
 the root of d|a|^2/dt found by scipy's `brentq` instead of the program's Newton search.
+The last two read the program's eigenpairs of the channel's S_z block (`_link_spectrum`);
+`tests/make_truth.py` computes the same figures at 40 digits without them.
 
 The whole-batch block propagator is the reference for the streamed one of
 `plaqgate.optctrl`: it exponentiates every slice at once and multiplies them
@@ -155,7 +157,7 @@ def commutation_residual(space: gp.TwoBandFockSpace) -> float:
 
 def link_peak_leakage(n_l: int, n_r_a: int, channel_spin, params: gp.OnsiteParams,
                       statistics: str) -> float:
-    """Worst transient depletion 1 - |a(t)|^2 of one link over a return cycle.
+    """Worst transient depletion 1 - |a(t)|^2 of one link over a return cycle, on its S_z block.
 
     For an off-resonant link this is bounded by C (t/dE1)^2 with C = 4 n_L:
     a detuned two-level system transfers at most 4 g^2/dE^2 of population,

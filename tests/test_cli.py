@@ -355,6 +355,20 @@ def test_overflowing_link_energy_flags_its_rows(tmp_path):
         assert row["status"] != "ok" or math.isfinite(row["phase"])
 
 
+def test_ill_conditioned_link_spectrum_flags_its_rows(tmp_path):
+    """At U_L^aa = 1e20 rounding eps max|E| swamps t: fermion TS read a phase of 0.143 where pi
+    is due. Such rows are errors; at 1e4 every row stays ok and resonant TS reads pi."""
+    rows = _json_rows(tmp_path / "1e20", "geophase-dynamics", "--statistics", "fermion",
+                      "--u-l-aa", "1e20")
+    assert len(rows) == 4
+    assert all(r["status"].startswith("error: ValueError: ill-conditioned link spectrum")
+               for r in rows)
+    rows = _json_rows(tmp_path / "1e4", "geophase-dynamics", "--statistics", "both",
+                      "--u-l-aa", "1e4")
+    assert [r["status"] for r in rows] == ["ok"] * 8
+    assert abs(rows[6]["phase"] - math.pi) <= 1e-2  # fermion TS: (1, 0) off, (1, 2) resonant
+
+
 def test_liedim_prints_dimension(tmp_path, capsys):
     assert _run(tmp_path, "optctrl-liedim") == 0
     assert capsys.readouterr().out.splitlines()[0] == "80"
@@ -449,6 +463,28 @@ def test_exit_2_missing_required_flag(tmp_path):
     assert _run(tmp_path, "spectrum") == 2
 
 
+def _parsed_by_top_level_parser(argv) -> int:
+    """The exit code of the top-level parser reading the whole argv: `run`'s reference."""
+    try:
+        _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    return 0
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["nope"], ["spectrum", "--bogus"],
+                                  ["spectrum"], ["spectrum", "--help"],
+                                  ["spectrum", "--dJ", "0.2", "extra", "--bogus"]])
+def test_parsing_once_keeps_messages_and_exit_codes(argv, capsys):
+    """`run` hands a known command straight to its own parser; what it prints and returns
+    is byte for byte what the top-level parser gives for the same argv."""
+    code = _parsed_by_top_level_parser(argv)
+    expected = capsys.readouterr()
+    assert code == (0 if "--help" in argv else 2)
+    assert run(argv) == code
+    assert capsys.readouterr() == expected
+
+
 _GOOD_RESULT = {"x": [[0.1]] * 5, "T": 1.0, "infidelity": 0.5, "seed": 0}
 #: Result files that optctrl-robustness must refuse, each one field or the type off a good one
 BAD_RESULTS = {
@@ -536,10 +572,13 @@ BAD_RESULTS = {
                  id="optimize-max-iter0"),
     pytest.param(("optctrl-optimize", "--target-eps", "nan"),
                  "target_eps must be finite and >= 0, got nan", id="optimize-target-eps-nan"),
-    # a non-finite scale of the Hamiltonian
+    # a non-finite scale of the Hamiltonian, or no number at all
     *(pytest.param(("optctrl-robustness", "--result", "good.json", "--deltas", f"0,{d}"),
                    f"--deltas must be finite, got '0,{d}'", id=f"robustness-deltas-{d}")
       for d in ("nan", "inf")),
+    pytest.param(("optctrl-robustness", "--result", "good.json", "--deltas", "0,abc"),
+                 "--deltas must be comma-separated numbers, got '0,abc'",
+                 id="robustness-deltas-abc"),
 ])
 def test_exit_2_bad_value(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)

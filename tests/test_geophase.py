@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import csv
 import itertools
 import pathlib
 import random
@@ -392,7 +393,7 @@ def test_link_setup_is_cached_read_only(statistics):
         np.testing.assert_array_equal(arr, ref)
     # the shared space too: every link solve and the two-site model read it
     for arr in (*(getattr(space, name) for name in per_call),
-                space.counts, space._keys, space._radix):
+                space.counts, space._keys, space._radix, *space.spin_z_blocks.values()):
         with pytest.raises(ValueError, match="read-only"):
             arr += 0
     # bytes, not values: a -0.0 where the per-call build has +0.0 must show
@@ -424,14 +425,18 @@ def full_spaces():
     ids=[f"{s}-{n_l}-{n_r_a}-2j{2 * j}" for s, n_l, n_r_a, j in SECTOR_LINK_CHANNELS],
 )
 def test_link_sector_matches_full_space(statistics, n_l, n_r_a, j, full_spaces):
-    """Link figures on the fixed-number basis equal those of the full-space block."""
+    """Link figures on the fixed-number basis equal those of the full-space block.
+
+    The reference solves the full space restricted to the channel's (N, S_z) block.
+    """
     full = full_spaces[statistics]
     space = gp.TwoBandFockSpace(statistics, total_number=n_l + n_r_a)
     sector = sector_indices(full, n_l + n_r_a)
     assert np.array_equal(full.counts[sector], space.counts)
+    sz_block = sector[full.spin_z()[sector] == j]
 
     psi_full = gp._initial_channel_state(full, n_l, n_r_a, j)
-    assert np.abs(np.delete(psi_full, sector)).max() == 0.0
+    assert np.abs(np.delete(psi_full, sz_block)).max() == 0.0
     psi = gp._initial_channel_state(space, n_l, n_r_a, j)
     proj = np.outer(psi, psi.conj())
     assert np.abs(proj - np.outer(psi_full[sector], psi_full[sector].conj())).max() <= 1e-12
@@ -439,12 +444,11 @@ def test_link_sector_matches_full_space(statistics, n_l, n_r_a, j, full_spaces):
     for u in (25.0, 50.0, 100.0):
         p = gp.link_params(statistics, gp.LEFT_REPULSION_RATIO * u, u)
         h_full = gp.onsite_hamiltonian(p, full) + gp.tunneling_hamiltonian(p, full)
-        block = h_full[np.ix_(sector, sector)]
         h = gp.onsite_hamiltonian(p, space) + gp.tunneling_hamiltonian(p, space)
-        assert np.abs(h - block).max() <= 1e-12
+        assert np.abs(h - h_full[np.ix_(sector, sector)]).max() <= 1e-12
 
-        evals, evecs = np.linalg.eigh(block)
-        weights = np.abs(evecs.conj().T @ psi_full[sector]) ** 2
+        evals, evecs = np.linalg.eigh(h_full[np.ix_(sz_block, sz_block)])
+        weights = np.abs(evecs.conj().T @ psi_full[sz_block]) ** 2
         t_ref, phase_ref, leak_ref, peak_ref = _reference_return_figures(evals, weights, T)
         t_ret, phase, leak = gp.link_tunneling_phase(n_l, n_r_a, j, p, statistics)
         assert abs(t_ret - t_ref) <= 1e-12
@@ -508,12 +512,13 @@ def _eigh_sizes(monkeypatch, runs):
 
 
 def test_one_link_solve_per_statistics_and_number(tmp_path, monkeypatch):
-    """One eigensolve per (statistics, N) at an interaction scale, whatever the channels.
+    """One eigensolve per (statistics, N, S_z) block in use at an interaction scale.
 
-    Boson N = 1..4 has 6, 21, 50 and 90 states, fermion N = 1..4 has 6, 15, 20 and 15.
-    A solve per spin channel would make 15, with three of size 90 and four of size 50.
+    The 12 blocks are boson (N, S_z) = (1, 1/2), (2, 0), (3, 1/2), (3, 3/2), (4, 0), (4, 1),
+    (4, 2) and fermion (1, 1/2), (2, 0), (2, 1), (3, 1/2), (4, 0). The whole N spaces had
+    6, 21, 50 and 90 (bosons) and 6, 15, 20 and 15 (fermions) states.
     """
-    solves = [6, 6, 15, 15, 20, 21, 50, 90]
+    solves = [3, 3, 3, 6, 7, 9, 9, 9, 9, 18, 21, 36]
     # the channel states are built once, at the first interaction scale
     assert cli.run(_dynamics("31.94", "both", "all", tmp_path)) == 0
     assert _eigh_sizes(monkeypatch, [_dynamics("32.94", "both", "all", tmp_path)]) == solves
@@ -539,9 +544,31 @@ def test_shared_link_solves_keep_sector_rows(tmp_path):
             header, rows[stat, sector] = (run_dir / "data.csv").read_bytes().splitlines(True)
         assert header + b"".join(rows[point] for point in points) == golden
     params = gp.link_params("boson", gp.LEFT_REPULSION_RATIO * 40.0, 40.0)
-    for arr in gp._link_eigensystem("boson", 4, params):
+    for arr in (*gp._link_eigensystem("boson", 4, 0, params),
+                gp._link_hamiltonian("boson", 4, params)):
         with pytest.raises(ValueError, match="read-only"):
             arr += 0
+
+
+@pytest.mark.parametrize("statistics", ["boson", "fermion"])
+def test_link_hamiltonian_has_no_element_between_spin_z_blocks(statistics):
+    """Each N-particle link Hamiltonian is real and S_z block diagonal; each channel state
+    lies in the block 2 S_z = 2j that `_link_spectrum` solves for it."""
+    p = gp.link_params(statistics, gp.LEFT_REPULSION_RATIO * 40.0, 40.0)
+    for n in range(6 * gp.MODE_CAP[statistics] + 1):
+        space = gp.TwoBandFockSpace(statistics, total_number=n)
+        h = gp.onsite_hamiltonian(p, space) + gp.tunneling_hamiltonian(p, space)
+        two_m = (2 * space.spin_z()).astype(int)
+        assert h.dtype == np.float64 and np.all(h[two_m[:, None] != two_m] == 0.0)
+        blocks = space.spin_z_blocks
+        assert np.array_equal(np.sort(np.concatenate(list(blocks.values()))), np.arange(space.dim))
+        assert all(np.all(two_m[block] == m) for m, block in blocks.items())
+    for stat, n_l, n_r_a, j in SECTOR_LINK_CHANNELS:
+        if stat == statistics:
+            psi = gp._channel_state(statistics, n_l, n_r_a, j)
+            block = gp._link_space(statistics, n_l + n_r_a).spin_z_blocks[int(2 * j)]
+            assert psi.dtype == np.float64 and not np.delete(psi, block).any()
+            assert abs(np.linalg.norm(psi[block]) - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize("statistics", ["boson", "fermion"])
@@ -562,6 +589,62 @@ def test_return_figures_match_slope_root(statistics):
             assert abs(t_ret - t_root) <= 1e-12 * t_root
             assert abs(np.angle(np.exp(1j * (phase - phase_root)))) <= 1e-12
             assert abs(leak - leak_root) <= 1e-14
+
+
+#: 40-digit link figures of every SECTOR_LINK_CHANNELS channel at u = 25.8, 40, 57.3 and
+#: 106.1, written by `tests/make_truth.py` (mpmath) and read here without it
+TRUTH = {(row["statistics"], int(row["n_L"]), int(row["n_R_a"]), Fr(row["j"]), row["u"]): row
+         for row in csv.DictReader((pathlib.Path(__file__).parent / "golden"
+                                    / "link_truth.csv").read_text().splitlines())}
+#: Each figure lies within TRUTH_BOUND eps ||H|| t of the truth, ||H|| = max |E| of the channel's
+#: S_z block and t its return time: an eigensolve resolves the energies to about eps ||H||, and
+#: the phase takes that error over t. Largest seen: 6.0 (a phase), with complex full-N and real
+#: S_z-block solves alike, on the SkylakeX, Haswell, Sandybridge and Prescott OpenBLAS kernels.
+TRUTH_BOUND = 16.0
+TRUTH_U_VALUES = ("25.8", "40", "57.3", "106.1")
+
+
+def _truth(statistics, n_l, n_r_a, j, u):
+    """(return_time, phase, leakage) of the truth table and the bound on each figure."""
+    row = TRUTH[statistics, n_l, n_r_a, j, u]
+    figures = tuple(float(row[k]) for k in ("return_time", "phase", "leakage"))
+    return figures, TRUTH_BOUND * np.finfo(float).eps * float(row["block_norm"]) * figures[0]
+
+
+def test_truth_table_covers_every_channel():
+    assert set(TRUTH) == {(*channel, u) for channel in SECTOR_LINK_CHANNELS
+                          for u in TRUTH_U_VALUES}
+
+
+@pytest.mark.parametrize("u", TRUTH_U_VALUES)
+def test_link_figures_lie_within_the_truth_bound(u):
+    for statistics, n_l, n_r_a, j in SECTOR_LINK_CHANNELS:
+        p = gp.link_params(statistics, gp.LEFT_REPULSION_RATIO * float(u), float(u))
+        truth, bound = _truth(statistics, n_l, n_r_a, j, u)
+        figures = gp.link_tunneling_phase(n_l, n_r_a, j, p, statistics)
+        assert np.abs(np.subtract(figures, truth)).max() <= bound, (statistics, n_l, n_r_a, j)
+
+
+@pytest.mark.parametrize("u", TRUTH_U_VALUES)
+def test_sector_figures_lie_within_the_truth_bound(u):
+    """Sector rows against the truth of their links, combined as `tunneling_phase` states:
+    the channel of largest |phase| (the most positive where tied), phases added, the slowest
+    return time, independent leakages. The bound is the sum of the links' bounds."""
+    for statistics in gp.STATISTICS:
+        p = gp.link_params(statistics, gp.LEFT_REPULSION_RATIO * float(u), float(u))
+        for sector in gp.SECTORS:
+            t_ret, phase, survival, bound = 0.0, 0.0, 1.0, 0.0
+            for n_l, n_r_a, channels in gp.SECTOR_LINKS[statistics][sector]:
+                outs = [_truth(statistics, n_l, n_r_a, j, u) for j in channels]
+                largest = max(abs(figures[1]) for figures, _ in outs)
+                figures, link_bound = max((out for out in outs
+                                           if abs(out[0][1]) >= (1.0 - 1e-9) * largest),
+                                          key=lambda out: out[0][1])
+                t_ret, phase = max(t_ret, figures[0]), phase + figures[1]
+                survival, bound = survival * (1.0 - figures[2]), bound + link_bound
+            got = gp.tunneling_phase(sector, p, statistics)
+            assert np.abs(np.subtract(got, (t_ret, phase, 1.0 - survival))).max() <= bound, (
+                statistics, sector)
 
 
 @pytest.mark.parametrize("u", [20.0, 25.8, 40.0, 57.3, 80.0, 106.1, 120.0])
