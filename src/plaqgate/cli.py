@@ -38,6 +38,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import warnings
@@ -214,7 +215,15 @@ def _coeff_row(r: float) -> dict:
 
 def _cmd_pert_coeffs(config: RunConfig):
     rows = [_coeff_row(config.params["dJ"])]
+    if not all(map(math.isfinite, rows[0].values())):  # 8(J - d) overflows at |d/J| ~ 1e308
+        raise ValueError(f"--dJ = {config.params['dJ']} gives non-finite coefficients: {rows[0]}")
     return list(rows[0]), rows, None
+
+
+def _check_jp_square(jp: float) -> None:
+    """J'^2 sets the gate time: a finite --Jp must not overflow it (`PertParams` owns nan, inf)."""
+    if math.isfinite(jp) and not math.isfinite(jp * jp):
+        raise ValueError(f"--Jp = {jp} is too large: J'^2 overflows")
 
 
 def _cmd_pert_fidelity(config: RunConfig):
@@ -223,8 +232,12 @@ def _cmd_pert_fidelity(config: RunConfig):
         raise ValueError(f"--dJ-step must be positive, got {p['dJ_step']}")
     if not p["dJ_min"] <= p["dJ_max"]:
         raise ValueError(f"--dJ-min must not exceed --dJ-max, got {p['dJ_min']} > {p['dJ_max']}")
+    _check_jp_square(p["jp"])
     d_values = np.round(np.arange(p["dJ_min"], p["dJ_max"] + 1e-12, p["dJ_step"]), 10)
     rows = pertgate.sweep(d_values, [p["jp"]], n=p["n"], m=p["m"], target=p["target"])
+    if not rows:  # the sweep skips d/J outside (0, 1), the poles and lambda_z = 1/8
+        raise ValueError(f"--dJ-min {p['dJ_min']} to --dJ-max {p['dJ_max']} holds no d/J in "
+                         "(0, 1) off the poles and lambda_z = 1/8")
     return list(pertgate.SWEEP_FIELDS), rows, None
 
 
@@ -246,6 +259,7 @@ def _cmd_pert_allowed(config: RunConfig):
 def _cmd_pert_validate(config: RunConfig):
     p = config.params
     params = pertgate.PertParams(j=1.0, d=p["dJ"], jp=p["jp"])
+    _check_jp_square(p["jp"])
     horizon = p["horizon_tc"] * pertgate.gate_time(params)
     dev = pertgate.validate_effective(params, horizon)
     rows = [{"d_over_J": p["dJ"], "Jp_over_J": p["jp"], "horizon": horizon, "max_deviation": dev}]

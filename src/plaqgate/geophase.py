@@ -42,14 +42,19 @@ over the fixed particle numbers) and the two-site Hubbard model behind the
 plaquette's superexchange J ~ t^2/U (`superexchange_hubbard_check`). Every operator
 is real. A link is solved by a real `eigh` of the S_z block of its channel
 (`_link_eigensystem`); its return time is the root of d|a|^2/dt (`_slope_root`, safeguarded
-Newton on numpy alone) and its phase lies in (-pi/2, 3pi/2], where pi is interior.
+Newton on numpy alone) and its phase lies in (-pi/2, 3pi/2], where pi is interior. One
+cache holds the link solves: `_link_pass` solves every channel of one (statistics, params)
+at once, building each N-particle Hamiltonian and solving each S_z block once, and every
+sector call of that interaction scale reads its figures.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -90,7 +95,7 @@ class OnsiteParams:
     t: float
 
     def __post_init__(self) -> None:
-        if not np.all(np.isfinite(list(vars(self).values()))):
+        if not all(map(math.isfinite, vars(self).values())):
             raise ValueError(f"link energies must be finite, got {self}")
         if self.omega < 10.0 * self.u_r_ab:
             warnings.warn(
@@ -588,31 +593,28 @@ def _channel_state(statistics: str, n_l: int, n_r_a: int, channel_spin: Fraction
     return read_only(_initial_channel_state(space, n_l, n_r_a, channel_spin))
 
 
-@lru_cache(maxsize=8)
 def _link_hamiltonian(statistics: str, total_number: int, params: OnsiteParams) -> np.ndarray:
     """Read-only real link Hamiltonian of one (statistics, N, params), on the N-particle basis.
 
-    No channel spin or split of N between the sites enters: eight entries hold one scale.
+    No channel spin or split of N between the sites enters, so `_link_pass` builds one per N.
     """
     space = _link_space(statistics, total_number)
     return read_only(onsite_hamiltonian(params, space) + tunneling_hamiltonian(params, space))
 
 
-@lru_cache(maxsize=12)
-def _link_eigensystem(
-    statistics: str, total_number: int, two_m: int, params: OnsiteParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only real (evals, evecs) of the link Hamiltonian on its S_z block 2 S_z = two_m.
+def _link_eigensystem(h: np.ndarray, statistics: str, total_number: int, two_m: int,
+                      params: OnsiteParams) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only real (evals, evecs) of the link Hamiltonian h on its S_z block 2 S_z = two_m.
 
-    The Hamiltonian is real and conserves S_z, so each block is one real `eigh` (Sandvik, AIP
-    Conf. Proc. 1297, 135 (2010), sec. 4), shared by every channel, link and sector whose
-    state lies in it: 12 blocks of 3 to 36 states per interaction scale. S^2 is not conserved
-    for bosons at the mode cap, so there is no finer block. Refused: a non-finite spectrum
-    (U n(n-1) at U = 1e308), and one whose rounding eps max|E| exceeds 1e-6 |t|, since the
-    return figures carry errors of order eps max|E| / |t|.
+    h is `_link_hamiltonian(statistics, total_number, params)`. It is real and conserves S_z,
+    so each block is one real `eigh` (Sandvik, AIP Conf. Proc. 1297, 135 (2010), sec. 4),
+    which `_link_pass` shares by every channel, link and sector whose state lies in it: 12
+    blocks of 3 to 36 states per interaction scale. S^2 is not conserved for bosons at the
+    mode cap, so there is no finer block. Refused: a non-finite spectrum (U n(n-1) at
+    U = 1e308), and one whose rounding eps max|E| exceeds 1e-6 |t|, since the return figures
+    carry errors of order eps max|E| / |t|.
     """
     block = _link_space(statistics, total_number).spin_z_blocks[two_m]
-    h = _link_hamiltonian(statistics, total_number, params)
     evals, evecs = np.linalg.eigh(h[np.ix_(block, block)])
     rounding = np.finfo(float).eps * np.abs(evals).max()
     if not np.isfinite(rounding):
@@ -623,19 +625,24 @@ def _link_eigensystem(
     return read_only(evals), read_only(evecs)
 
 
+def _channel_weights(statistics: str, n_l: int, n_r_a: int, j: Fraction,
+                     evecs: np.ndarray) -> np.ndarray:
+    """|<k|psi0>|^2 of the channel state psi0 (S_z = j) on the eigenvectors of its block 2j."""
+    block = _link_space(statistics, n_l + n_r_a).spin_z_blocks[int(2 * j)]
+    return (evecs.T @ _channel_state(statistics, n_l, n_r_a, j)[block]) ** 2
+
+
 def _link_spectrum(n_l: int, n_r_a: int, channel_spin, params: OnsiteParams,
                    statistics: str) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of one link's S_z block and the weights |<k|psi0>|^2 of its initial state.
 
-    psi0, the channel's highest-weight state (S_z = j), lies in the block 2 S_z = 2j of the
-    (n_l + n_r_a)-particle basis; only the overlaps on that block are computed here. The
-    eigenvalues are the cached read-only array of `_link_eigensystem`.
+    One channel alone: its Hamiltonian is built and its block solved for this call.
     """
     j = _as_half_integer(channel_spin)
-    total_number, two_m = n_l + n_r_a, int(2 * j)
-    evals, evecs = _link_eigensystem(statistics, total_number, two_m, params)
-    block = _link_space(statistics, total_number).spin_z_blocks[two_m]
-    return evals, (evecs.T @ _channel_state(statistics, n_l, n_r_a, j)[block]) ** 2
+    total_number = n_l + n_r_a
+    h = _link_hamiltonian(statistics, total_number, params)
+    evals, evecs = _link_eigensystem(h, statistics, total_number, int(2 * j), params)
+    return evals, _channel_weights(statistics, n_l, n_r_a, j, evecs)
 
 
 def _return_scan(evals: np.ndarray, weights: np.ndarray,
@@ -697,7 +704,12 @@ def link_tunneling_phase(n_l: int, n_r_a: int, channel_spin, params: OnsiteParam
     """
     if n_l < 1:
         return 0.0, 0.0, 0.0
-    evals, weights = _link_spectrum(n_l, n_r_a, channel_spin, params, statistics)
+    return _return_figures(*_link_spectrum(n_l, n_r_a, channel_spin, params, statistics), params)
+
+
+def _return_figures(evals: np.ndarray, weights: np.ndarray,
+                    params: OnsiteParams) -> tuple[float, float, float]:
+    """(return_time, phase, leakage) of `link_tunneling_phase` from a channel's block spectrum."""
     # the scan skips the block's other (n_R_a, S^2) sectors: their weights are rounding
     # residue, of order 1e-20 and below, far below an ulp of |a|; 2 to 5 of up to 36 remain
     kept = weights >= 1e-20
@@ -716,6 +728,32 @@ def link_tunneling_phase(n_l: int, n_r_a: int, channel_spin, params: OnsiteParam
     return float(t_ret), phase, leakage
 
 
+@lru_cache(maxsize=2)
+def _link_pass(statistics: str, params: OnsiteParams) -> MappingProxyType:
+    """Read-only {(n_L, n_R_a, j): figures} of every channel of SECTOR_LINKS[statistics].
+
+    One interaction scale in one pass: each N-particle Hamiltonian is built once and each S_z
+    block in use solved once (8 Hamiltonians and 12 blocks per scale over both statistics),
+    and the per-sector calls of the scale read the result. Figures are those of
+    `link_tunneling_phase`, bit for bit; a channel that fails holds its exception instead,
+    which `tunneling_phase` raises for every sector that reads it. The cache holds one scale
+    of both statistics.
+    """
+    hamiltonian = cache(lambda n: _link_hamiltonian(statistics, n, params))
+    eigensystem = cache(lambda n, two_m: _link_eigensystem(hamiltonian(n), statistics, n,
+                                                           two_m, params))
+    figures = dict.fromkeys((n_l, n_r_a, j) for links in SECTOR_LINKS[statistics].values()
+                            for n_l, n_r_a, channels in links for j in channels)
+    for n_l, n_r_a, j in figures:
+        try:
+            evals, evecs = eigensystem(n_l + n_r_a, int(2 * j))
+            figures[n_l, n_r_a, j] = _return_figures(
+                evals, _channel_weights(statistics, n_l, n_r_a, j, evecs), params)
+        except Exception as exc:  # deferred to the sectors that read the channel
+            figures[n_l, n_r_a, j] = exc
+    return MappingProxyType(figures)
+
+
 def tunneling_phase(
     sector: str, params: OnsiteParams, statistics: str
 ) -> tuple[float, float, float]:
@@ -723,7 +761,8 @@ def tunneling_phase(
 
     Each active link is evolved exactly, taking the worst case over its spin channels;
     phases add, return_time is the slowest link, and the combined leakage treats the links
-    as independent amplitudes.
+    as independent amplitudes. The channel figures come from `_link_pass`, computed once per
+    (statistics, params) for all four sectors; a channel's error is raised again here.
 
     Each link's phase lies in (-pi/2, 3pi/2] (`link_tunneling_phase`), so a resonant pi never
     reads -pi, and a sector of a resonant pi and an off-resonant delta reads pi + delta on
@@ -734,17 +773,16 @@ def tunneling_phase(
     if sector not in SECTORS:
         raise ValueError(f"sector must be one of {SECTORS}, got {sector!r}")
     check_statistics(statistics)
-    links = SECTOR_LINKS[statistics][sector]
+    solved = _link_pass(statistics, params)
     total_phase, t_ret, survival = 0.0, 0.0, 1.0
-    solved = {}  # equal links (boson SS, fermion TT) are solved once
-    for link in links:
-        if link not in solved:
-            n_l, n_r_a, channels = link
-            outs = [link_tunneling_phase(n_l, n_r_a, j, params, statistics) for j in channels]
-            largest = max(abs(out[1]) for out in outs)
-            solved[link] = max((out for out in outs if abs(out[1]) >= (1.0 - 1e-9) * largest),
-                               key=lambda out: out[1])
-        worst = solved[link]
+    for n_l, n_r_a, channels in SECTOR_LINKS[statistics][sector]:
+        outs = [solved[n_l, n_r_a, j] for j in channels]
+        for out in outs:
+            if isinstance(out, Exception):
+                raise out.with_traceback(None)
+        largest = max(abs(out[1]) for out in outs)
+        worst = max((out for out in outs if abs(out[1]) >= (1.0 - 1e-9) * largest),
+                    key=lambda out: out[1])
         t_ret = max(t_ret, worst[0])
         total_phase += worst[1]
         survival *= 1.0 - worst[2]

@@ -43,6 +43,7 @@ operators on all 256 dimensions.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -93,7 +94,7 @@ class PertParams:
     m: int = 1
 
     def __post_init__(self) -> None:
-        if not np.all(np.isfinite((self.j, self.d, self.jp))):
+        if not all(map(math.isfinite, (self.j, self.d, self.jp))):
             raise ValueError(f"J, d and J' must be finite, got {self.j}, {self.d}, {self.jp}")
         if self.j <= 0:
             raise ValueError("J must be positive")

@@ -202,6 +202,7 @@ def test_05_lie_closure_dimension_and_product_membership():
 # 6. Pulse optimization to the entangling gate, plus the gradient check
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_06_optimization_and_gradient_check():
     t0 = time.monotonic()
     result = optctrl.optimize(6)  # K = 5 controls, L = 20 harmonics
@@ -224,6 +225,7 @@ def test_06_optimization_and_gradient_check():
 # 7. Robustness of the optimized pulse under global coupling miscalibration
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_07_robustness_plateau_and_quadratic_slope():
     # 1 - F(delta) ~ eps0 + C delta^2 with eps0 ~ 2e-6, because the descent
     # is stopped at 2e-6. C depends on which optimum L-BFGS reaches, and that

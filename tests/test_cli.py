@@ -551,6 +551,16 @@ BAD_RESULTS = {
                  id="pert-fidelity-Jp-inf"),
     pytest.param(("pert-coeffs", "--dJ", "nan"), "d/J must be finite", id="pert-coeffs-nan"),
     pytest.param(("pert-coeffs", "--dJ", "inf"), "d/J must be finite", id="pert-coeffs-inf"),
+    # finite input with a non-finite cell, no row, or an overflow reported as non-convergence
+    pytest.param(("pert-coeffs", "--dJ", "1e308"), "--dJ = 1e+308 gives non-finite coefficients",
+                 id="pert-coeffs-1e308"),
+    pytest.param(("pert-fidelity", "--Jp", "0.05", "--dJ-min", "1.5", "--dJ-max", "2"),
+                 "--dJ-min 1.5 to --dJ-max 2.0 holds no d/J in (0, 1)",
+                 id="pert-fidelity-no-ratio-in-range"),
+    pytest.param(("pert-fidelity", "--Jp", "1e308"), "--Jp = 1e+308 is too large",
+                 id="pert-fidelity-Jp-1e308"),
+    pytest.param(("pert-validate", "--dJ", "0.3", "--Jp", "1e308"), "--Jp = 1e+308 is too large",
+                 id="pert-validate-Jp-1e308"),
     # a horizon of nan or 0 compares nothing and reports max_deviation = 0
     *(pytest.param(("pert-validate", "--dJ", "0.3", "--Jp", "0.05", "--horizon-tc", h),
                    "horizon must be positive and finite", id=f"pert-validate-horizon-{h}")

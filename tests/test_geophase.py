@@ -544,10 +544,56 @@ def test_shared_link_solves_keep_sector_rows(tmp_path):
             header, rows[stat, sector] = (run_dir / "data.csv").read_bytes().splitlines(True)
         assert header + b"".join(rows[point] for point in points) == golden
     params = gp.link_params("boson", gp.LEFT_REPULSION_RATIO * 40.0, 40.0)
-    for arr in (*gp._link_eigensystem("boson", 4, 0, params),
-                gp._link_hamiltonian("boson", 4, params)):
+    h = gp._link_hamiltonian("boson", 4, params)
+    for arr in (*gp._link_eigensystem(h, "boson", 4, 0, params), h):
         with pytest.raises(ValueError, match="read-only"):
             arr += 0
+
+
+def test_per_sector_error_rows_match_one_all_sector_run(tmp_path):
+    """At --u-l-aa 1e12 every row is an error row. The eight per-sector runs of the scale,
+    whose errors come from the stored link pass, write the bytes of one fresh `--sector all`
+    run, messages included."""
+    def data(argv, out):
+        assert cli.run([*argv, "--u-l-aa", "1e12", "--output-dir", str(out)]) == 0
+        (run_dir,) = out.iterdir()
+        return (run_dir / "data.csv").read_bytes().splitlines(True)
+
+    gp._link_pass.cache_clear()
+    rows = [data(["geophase-dynamics", "--statistics", stat, "--sector", sector],
+                 tmp_path / stat / sector)
+            for stat in ("boson", "fermion") for sector in gp.SECTORS]
+    gp._link_pass.cache_clear()
+    every = data(["geophase-dynamics", "--statistics", "both", "--sector", "all"],
+                 tmp_path / "all")
+    assert len(every) == 9
+    assert [every[0], *(row for _, row in rows)] == every
+    assert all(header == every[0] for header, _ in rows)
+    # each row holds the first error of its own sector's channels, taken one by one
+    for row, (stat, sector) in zip(every[1:], itertools.product(gp.STATISTICS, gp.SECTORS)):
+        p = gp.link_params(stat, 1e12, 50.0)
+        with pytest.raises(ValueError) as first:
+            for n_l, n_r_a, channels in gp.SECTOR_LINKS[stat][sector]:
+                for j in channels:
+                    gp.link_tunneling_phase(n_l, n_r_a, j, p, stat)
+        assert row.rstrip().endswith(f',"error: ValueError: {first.value}"'.encode())
+
+
+def test_second_sector_reads_the_link_pass(monkeypatch):
+    """Once one sector of a (statistics, params) has run, the others solve nothing; the
+    stored figures are read-only and equal those of `link_tunneling_phase` bit for bit."""
+    p = gp.link_params("fermion", gp.LEFT_REPULSION_RATIO * 44.4, 44.4)
+    gp.tunneling_phase("SS", p, "fermion")
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", lambda *_: pytest.fail("a second sector solved"))
+        for sector in ("ST", "TS", "TT"):
+            gp.tunneling_phase(sector, p, "fermion")
+    solved = gp._link_pass("fermion", p)
+    with pytest.raises(TypeError):
+        solved[1, 0, Fr(1, 2)] = (0.0, 0.0, 0.0)
+    for (n_l, n_r_a, j), figures in solved.items():
+        assert isinstance(figures, tuple)
+        assert figures == gp.link_tunneling_phase(n_l, n_r_a, j, p, "fermion")
 
 
 @pytest.mark.parametrize("statistics", ["boson", "fermion"])
@@ -671,7 +717,9 @@ def test_tied_channels_keep_the_positive_phase(u, monkeypatch):
         # the negative phase larger by a rounding: the tie still keeps the positive one
         outs = {Fr(0): (0.1, -0.004, 0.0), Fr(1): (0.2, 0.004 * (1.0 - 1e-13), 0.0)}
         with monkeypatch.context() as patch:
-            patch.setattr(gp, "link_tunneling_phase", lambda n_l, n_r_a, j, *_: outs[j])
+            # the stubbed channel figures reach the tie-break through the link pass
+            patch.setattr(gp, "_link_pass",
+                          lambda *_: {(n_l, n_r_a, j): outs[j] for j in channels})
             assert gp.tunneling_phase("TT", p, "fermion") == (0.2, 0.008 * (1.0 - 1e-13), 0.0)
 
 
