@@ -131,7 +131,7 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def write_dataset(config: RunConfig, fieldnames, rows, extra=None) -> str:
+def write_dataset(config: RunConfig, fieldnames, rows, extra) -> str:
     """Atomically write the artifacts, the dataset, then the manifest; returns the run directory.
 
     `extra` joins the manifest; its "artifacts" (file name -> text) become files listed by name.
@@ -495,8 +495,8 @@ def _param_keys(command: str) -> list[str]:
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once; parsing leaves it unchanged."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its command parsers by name, built once; parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(prog="plaqgate", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, options) in COMMANDS.items():
@@ -507,18 +507,17 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--force", action="store_true", help="recompute even if complete")
         for flag, kwargs in options:
             sp.add_argument(flag, **kwargs)
-    return parser
+    return parser, sub.choices
 
 
 def _parse(argv: list) -> tuple[str, argparse.Namespace]:
     """(command, its options). A known command's own parser reads the rest of argv once; the
     top-level parser handles no command, an unknown one and --help, and reports leftovers."""
-    parser = _build_parser()
+    parser, commands = _build_parser()
     if not argv or argv[0] not in COMMANDS:
         args = parser.parse_args(argv)
         return args.command, args
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    args, extras = sub.choices[argv[0]].parse_known_args(argv[1:])
+    args, extras = commands[argv[0]].parse_known_args(argv[1:])
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
     return argv[0], args

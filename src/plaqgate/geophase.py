@@ -212,16 +212,6 @@ def fermion_eta(n_a: int, n_b: int, j) -> Fraction:
     return Fraction(0)
 
 
-def _validate_for_statistics(config: NumberConfig, statistics: str) -> None:
-    check_statistics(statistics)
-    if config.n_l < 1:
-        raise ValueError("the ledger describes a tunneling event; need n_L >= 1")
-    if config.n_r_b != 1:
-        raise ValueError("ledger rows have exactly one excited-band particle (n_R_b = 1)")
-    if statistics == "fermion" and config.n_r_a == 2 and config.j_r != Fraction(1, 2):
-        raise ValueError("a filled fermion band is a spin singlet; (2, 1) forces j_R = 1/2")
-
-
 def delta_e1(
     config: NumberConfig, params: OnsiteParams, statistics: str
 ) -> tuple[float, EnergyLedgerEntry]:
@@ -239,7 +229,13 @@ def delta_e1(
 
 def _ledger_entry(config: NumberConfig, statistics: str) -> EnergyLedgerEntry:
     """The ledger row of `config` with the coefficients of `delta_e1`, flagged off resonance."""
-    _validate_for_statistics(config, statistics)
+    check_statistics(statistics)
+    if config.n_l < 1:
+        raise ValueError("the ledger describes a tunneling event; need n_L >= 1")
+    if config.n_r_b != 1:
+        raise ValueError("ledger rows have exactly one excited-band particle (n_R_b = 1)")
+    if statistics == "fermion" and config.n_r_a == 2 and config.j_r != Fraction(1, 2):
+        raise ValueError("a filled fermion band is a spin singlet; (2, 1) forces j_R = 1/2")
     c0 = Fraction(1)
     if statistics == "boson":
         c1 = Fraction(2 * (config.n_l - 1))

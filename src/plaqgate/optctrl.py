@@ -421,7 +421,7 @@ def _gate_overlap(block_unitaries) -> np.ndarray:
     return abs(_gate_trace(block_unitaries)) ** 2
 
 
-def propagate(pulse: PulseParams, steps: int = 2000) -> np.ndarray:
+def propagate(pulse: PulseParams, steps: int) -> np.ndarray:
     """U(T; x) on the 16-dim register, from the ordered slice products of each block."""
     blocks = _block_propagators(pulse.x, pulse.t_horizon, steps)
     return sum(b.basis @ u @ b.basis.conj().T for b, u in zip(control_blocks(), blocks))
@@ -457,9 +457,7 @@ def _exp_adjoint(a: np.ndarray, theta: float, powers: list[np.ndarray], m: np.nd
     return z
 
 
-def fidelity_and_gradient(
-    pulse: PulseParams, steps: int = 2000
-) -> tuple[float, np.ndarray]:
+def fidelity_and_gradient(pulse: PulseParams, steps: int) -> tuple[float, np.ndarray]:
     """F = |Tr(U_g^dag U(T;x))/16|^2 and its exact gradient w.r.t. x.
 
     The blocks' product trees give f = sum_b Tr(G_b^T U_b) / 16; their

@@ -117,10 +117,6 @@ class PertParams:
                 stacklevel=3,
             )
 
-    @property
-    def ratio(self) -> float:
-        return self.d / self.j
-
 
 @dataclass(frozen=True)
 class EffectiveCoeffs:
@@ -144,12 +140,6 @@ class GateReport:
 # Second-order coefficients and effective Hamiltonians
 # ---------------------------------------------------------------------------
 
-def _check_pole(ratio: float) -> None:
-    for pole in COEFF_POLES:
-        if abs(ratio - pole) < 1e-12:
-            raise ValueError(f"d/J = {ratio} is a pole of the second-order coefficients")
-
-
 def effective_coeffs(j: float, d: float) -> EffectiveCoeffs:
     """Closed-form lambda_z, gamma_z and logical splitting dE = 8(J-d).
 
@@ -161,7 +151,9 @@ def effective_coeffs(j: float, d: float) -> EffectiveCoeffs:
     r = d / j
     if not np.isfinite(r):
         raise ValueError(f"d/J must be finite, got {r}")
-    _check_pole(r)
+    for pole in COEFF_POLES:
+        if abs(r - pole) < 1e-12:
+            raise ValueError(f"d/J = {r} is a pole of the second-order coefficients")
     lam = (9.0 / r - 8.0 / (r - 3.0) + 2.0 - 24.0 / (r + 1.0) + 1.0 / (2.0 - r)) / 48.0
     # gamma_z = (9/r + 8/(r-3) - 8 - 1/(2-r))/48 cancels near its root r = 0.7309 in
     # floats; one quotient of exact integers (r = n/q) is correctly rounded
@@ -368,13 +360,6 @@ def _target_cphase(n: "int | None" = None) -> np.ndarray:
     return np.diag(phases)
 
 
-def _effective_echoed_evolution(p: PertParams, t_c: float, lambda_z: float) -> np.ndarray:
-    """exp[-i t_c (b s.s' + c sz sz')], the echoed second-order prediction."""
-    b_coef = -p.jp**2 / (8.0 * p.j)
-    c_coef = -(p.jp**2 / p.j) * (lambda_z - 0.125)
-    return unitary_evolve(b_coef * _HEIS_4 + c_coef * _ZZ_4, t_c)
-
-
 def _gate_target(p: PertParams, target: str, t_c: float, lambda_z: float) -> np.ndarray:
     """The 4x4 target that gate_fidelity scores against (see its docstring)."""
     if target == "corrected_cphase":
@@ -382,7 +367,10 @@ def _gate_target(p: PertParams, target: str, t_c: float, lambda_z: float) -> np.
     if target == "cphase_literal":
         return _target_cphase()
     if target == "effective":
-        return _effective_echoed_evolution(p, t_c, lambda_z)
+        # exp[-i t_c (b s.s' + c sz sz')], the echoed second-order prediction
+        b_coef = -p.jp**2 / (8.0 * p.j)
+        c_coef = -(p.jp**2 / p.j) * (lambda_z - 0.125)
+        return unitary_evolve(b_coef * _HEIS_4 + c_coef * _ZZ_4, t_c)
     raise ValueError(f"unknown target {target!r}")
 
 

@@ -218,7 +218,7 @@ def _rotation_pulse(j_h: float, j_v: float, theta: float) -> np.ndarray:
     return unitary_evolve(h, theta / 4.0)
 
 
-def prepare_plus(mode: str = "two_step", angle_scale: float = 1.0) -> np.ndarray:
+def prepare_plus(mode: str, angle_scale: float = 1.0) -> np.ndarray:
     """Prepare |+> = (|0> + |1>)/sqrt2 from |0> with physical exchange pulses.
 
     Args:

@@ -88,13 +88,6 @@ def assert_hermitian(op: np.ndarray) -> None:
         raise ValueError(f"operator is not Hermitian (max |A - A^dag| = {dev:.3e})")
 
 
-def _embed(op2: np.ndarray, position: int, site_count: int) -> np.ndarray:
-    out = np.array([[1.0 + 0.0j]])
-    for k in range(site_count):
-        out = np.kron(op2 if k == position else IDENTITY_2, out)
-    return out
-
-
 def pauli_site(reg: SpinRegister, site: str, axis: str) -> np.ndarray:
     """Pauli matrix on one site, identity elsewhere.
 
@@ -105,7 +98,11 @@ def pauli_site(reg: SpinRegister, site: str, axis: str) -> np.ndarray:
     """
     if axis not in _PAULI_BY_AXIS:
         raise ValueError(f"axis must be x, y or z, got {axis!r}")
-    return _embed(_PAULI_BY_AXIS[axis], reg.index(site), reg.site_count)
+    op2, position = _PAULI_BY_AXIS[axis], reg.index(site)
+    out = np.array([[1.0 + 0.0j]])
+    for k in range(reg.site_count):
+        out = np.kron(op2 if k == position else IDENTITY_2, out)
+    return out
 
 
 def pauli_vector(reg: SpinRegister, site: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

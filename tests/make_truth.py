@@ -29,7 +29,8 @@ import numpy as np
 try:
     from mpmath import mp
 except ImportError:
-    sys.exit("make_truth.py needs mpmath, which is not installed; the table was not written")
+    sys.exit("make_truth.py needs mpmath (the truth extra), which is not installed; "
+             "the table was not written")
 
 from plaqgate import geophase as gp
 

@@ -13,7 +13,13 @@ The last two read the program's eigenpairs of the channel's S_z block (`_link_sp
 
 The whole-batch block propagator is the reference for the streamed one of
 `plaqgate.optctrl`: it exponentiates every slice at once and multiplies them
-in one pairwise tree, and the two must agree bit for bit.
+in one pairwise tree, and the two must agree bit for bit. The fourth-order
+commutator-free product (`cf4_fidelity`) is the continuous-time reference for
+the program's second-order midpoint slices.
+
+The all-orders logical Hamiltonian (`all_orders_logical_hamiltonian`) is the
+reference for `plaqgate.pertgate`'s second-order H_rwa, and the cap-4 boson
+space (`Cap4FockSpace`) for the cap of 2 of `plaqgate.geophase`'s links.
 
 Last come the all-pairs Lie closure, which `plaqgate.optctrl.lie_closure`
 (brackets with the generators only) is checked against, and small helpers
@@ -30,10 +36,12 @@ import numpy as np
 from scipy.optimize import brentq
 
 from plaqgate import geophase as gp
+from plaqgate import pertgate as pg
 from plaqgate.optctrl import (
     FULL_DIM,
     PulseParams,
     _block_hamiltonians,
+    _gate_overlap,
     _product_tree,
     _slice_amplitudes,
     _slice_powers,
@@ -129,6 +137,60 @@ def whole_batch_block_propagators(x: np.ndarray, t_horizon: float, steps: int) -
     dt, _, alphas = _slice_amplitudes(x, t_horizon, steps)
     slices = (slice_exponentials(_block_hamiltonians(alphas, b), dt) for b in control_blocks())
     return [_product_tree(u)[-1][..., 0, :, :] for u in slices]
+
+
+def cf4_fidelity(pulse: PulseParams, steps: int) -> float:
+    """F of the fourth-order commutator-free product of `steps` steps of length dt = T / steps.
+
+    Each step is exp(-i dt (a1 H- + a2 H+)) exp(-i dt (a2 H- + a1 H+)), with H-+ = H at the
+    Gauss points t_n + (1/2 -+ sqrt3/6) dt and a1,2 = (3 -+ 2 sqrt3)/12 (Blanes & Moan, Appl.
+    Numer. Math. 56, 1519 (2006)). H is linear in the controls, so each factor is one slice
+    of length dt with mixed amplitudes, exponentiated and multiplied as the program's are.
+    """
+    dt, r3 = pulse.t_horizon / steps, np.sqrt(3.0)
+    a1, a2 = (3.0 - 2.0 * r3) / 12.0, (3.0 + 2.0 * r3) / 12.0
+    start = np.arange(steps) * dt
+    minus, plus = (pulse.amplitudes(start + (0.5 + sign * r3 / 6.0) * dt) for sign in (-1, 1))
+    # K x S x 2 -> 2S x K, the earlier slice of each step first
+    alphas = np.stack([a2 * minus + a1 * plus, a1 * minus + a2 * plus], axis=-1)
+    alphas = alphas.reshape(len(alphas), -1).T
+    return float(_gate_overlap([_product_tree(slice_exponentials(
+        _block_hamiltonians(alphas, b), dt))[-1][0] for b in control_blocks()]))
+
+
+def all_orders_logical_hamiltonian(p: pg.PertParams) -> np.ndarray:
+    """The 4x4 Bloch (des Cloizeaux) effective Hamiltonian of the logical qubits, to all orders.
+
+    Q holds the 4 eigenvectors of the S = 0 sector Hamiltonian with the largest weight on the
+    logical isometry P, E their energies, and W the unitary polar factor of P^dag Q; then
+    H_eff = W diag(E) W^dag in the basis of `effective_hamiltonian`. It equals the
+    Schrieffer-Wolff direct rotation (Bravyi, DiVincenzo & Loss, Ann. Phys. 326, 2793 (2011)).
+    """
+    energies, vectors = np.linalg.eigh(pg._sector_hamiltonian(p))
+    iso = pg._singlet_sector().isometry
+    kept = np.sort(np.argsort(-np.sum(np.abs(iso.conj().T @ vectors) ** 2, axis=0))[:4])
+    left, _, right = np.linalg.svd(iso.conj().T @ vectors[:, kept])
+    w = left @ right
+    return (w * energies[kept]) @ w.conj().T
+
+
+class Cap4FockSpace(gp.TwoBandFockSpace):
+    """The boson link space with up to 4 bosons per mode instead of 2 (56 and 126 states at
+    N = 3 and 4, against 50 and 90), where no hop of N <= 4 particles meets the cap."""
+
+    @property
+    def cap(self) -> int:
+        return 4
+
+
+def cap4_link_figures(n_l: int, n_r_a: int, channel_spin, params: gp.OnsiteParams):
+    """(return_time, phase, leakage) of one boson link on the cap-4 space's S_z block."""
+    space = Cap4FockSpace("boson", n_l + n_r_a)
+    h = gp.onsite_hamiltonian(params, space) + gp.tunneling_hamiltonian(params, space)
+    block = space.spin_z_blocks[int(2 * channel_spin)]
+    evals, evecs = np.linalg.eigh(h[np.ix_(block, block)])
+    psi = gp._initial_channel_state(space, n_l, n_r_a, channel_spin)[block]
+    return gp._return_figures(evals, (evecs.T @ psi) ** 2, params)
 
 
 def commutation_residual(space: gp.TwoBandFockSpace) -> float:
