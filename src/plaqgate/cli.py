@@ -220,10 +220,11 @@ def _cmd_pert_coeffs(config: RunConfig):
     return list(rows[0]), rows, None
 
 
-def _check_jp_square(jp: float) -> None:
-    """J'^2 sets the gate time: a finite --Jp must not overflow it (`PertParams` owns nan, inf)."""
-    if math.isfinite(jp) and not math.isfinite(jp * jp):
-        raise ValueError(f"--Jp = {jp} is too large: J'^2 overflows")
+def _check_jp(jp: float) -> None:
+    """J' is the weak coupling: --Jp = J'/J must not exceed 1 (`PertParams` owns nan, inf
+    and the sign). Far above it t_c underflows and the 256-dim operator loses Hermiticity."""
+    if math.isfinite(jp) and jp > 1.0:
+        raise ValueError(f"--Jp = {jp} is too large: J'/J must be at most 1")
 
 
 def _cmd_pert_fidelity(config: RunConfig):
@@ -232,7 +233,7 @@ def _cmd_pert_fidelity(config: RunConfig):
         raise ValueError(f"--dJ-step must be positive, got {p['dJ_step']}")
     if not p["dJ_min"] <= p["dJ_max"]:
         raise ValueError(f"--dJ-min must not exceed --dJ-max, got {p['dJ_min']} > {p['dJ_max']}")
-    _check_jp_square(p["jp"])
+    _check_jp(p["jp"])
     d_values = np.round(np.arange(p["dJ_min"], p["dJ_max"] + 1e-12, p["dJ_step"]), 10)
     rows = pertgate.sweep(d_values, [p["jp"]], n=p["n"], m=p["m"], target=p["target"])
     if not rows:  # the sweep skips d/J outside (0, 1), the poles and lambda_z = 1/8
@@ -259,7 +260,7 @@ def _cmd_pert_allowed(config: RunConfig):
 def _cmd_pert_validate(config: RunConfig):
     p = config.params
     params = pertgate.PertParams(j=1.0, d=p["dJ"], jp=p["jp"])
-    _check_jp_square(p["jp"])
+    _check_jp(p["jp"])
     horizon = p["horizon_tc"] * pertgate.gate_time(params)
     dev = pertgate.validate_effective(params, horizon)
     rows = [{"d_over_J": p["dJ"], "Jp_over_J": p["jp"], "horizon": horizon, "max_deviation": dev}]
@@ -419,6 +420,10 @@ def _cmd_report(config: RunConfig):
 
 _STATISTICS = {"choices": (*geophase.STATISTICS, "both"), "default": "both"}
 
+#: --Jp of pert-fidelity and pert-validate; `_check_jp` holds its domain
+_JP_FLAG = ("--Jp", {"dest": "jp", "type": float, "required": True,
+                     "help": "coupling ratio J'/J, in (0, 1]"})
+
 #: name -> (handler, help, options). Each option is (flag, argparse kwargs);
 #: its params key is the argparse dest, the flag with "-" changed to "_"
 #: unless the kwargs give `dest`.
@@ -435,7 +440,7 @@ COMMANDS = {
         ("--dJ-min", {"type": float, "default": 0.05}),
         ("--dJ-max", {"type": float, "default": 0.95}),
         ("--dJ-step", {"type": float, "default": 0.01}),
-        ("--Jp", {"dest": "jp", "type": float, "required": True, "help": "coupling ratio J'/J"}),
+        _JP_FLAG,
         ("--n", {"type": int, "default": 1}),
         ("--m", {"type": int, "default": 1}),
         ("--target", {"choices": ("effective", "corrected_cphase", "cphase_literal"),
@@ -445,7 +450,7 @@ COMMANDS = {
         ("--m", {"type": int, "default": 1}))),
     "pert-validate": (_cmd_pert_validate, "full vs effective dynamics deviation", (
         ("--dJ", {"type": float, "required": True}),
-        ("--Jp", {"dest": "jp", "type": float, "required": True}),
+        _JP_FLAG,
         ("--horizon-tc", {"type": float, "default": 0.1, "help": "horizon as a fraction of t_c"}))),
     "optctrl-optimize": (_cmd_optctrl_optimize, "pulse optimization for the 4-site gate", (
         ("--L", {"dest": "l", "type": int, "default": 20}),

@@ -26,13 +26,21 @@ the target and the propagator in block b, and `propagate` still returns the
 16x16 U. The full-space complex path is the test oracle (tests/oracles.py).
 
 Gradient scheme: U(T) is the pairwise product tree of midpoint-rule slices
-U_s = exp(-i H_s dt), all from `_slice_powers`: cos - i sin of the real
-A = H_s dt / 2^s as real Taylor sums, then s squarings, with theta and s
-from the whole batch (`_slice_scale`). `propagate` streams aligned chunks of
-_CHUNK = 256 slices: each chunk's exponentials and tree, then the tree of
-the chunk roots. An aligned power-of-two chunk is a whole subtree of the
-full tree, and the last chunk lacks only padding identities, which multiply
-exactly; so U keeps the whole-batch bits without (S, d, d) temporaries.
+U_s = exp(-i H_s dt) = (cos A - i sin A)^(2^s), A = H_s dt / 2^s, with theta
+and s from the whole batch (`_slice_scale`); one routine, `_slice_cos_sin`,
+gives cos A and sin A as real Taylor sums. The gradient multiplies complex
+slices (`_slice_powers`). `propagate` multiplies their real forms
+[[cos A, sin A], [-sin A, cos A]] under X + iY -> [[X, -Y], [Y, X]]
+(`_embedded_slices`) and reads U = X + iY from the root's left block column:
+numpy batches small real matmuls in one vectorized loop but complex ones as
+a zgemm call per matrix, so a real 14x14 product costs about half a complex
+7x7 one. The two U agree to rounding (~5e-15), not bit for bit. A real
+gradient saved about what assembling its embeddings cost and raised its
+memory peak by half. `propagate` streams aligned chunks of _CHUNK = 256
+slices: each chunk's exponentials and tree, then the tree of the chunk
+roots. An aligned power-of-two chunk is a whole subtree of the full tree,
+and the last chunk lacks only padding identities, which multiply exactly;
+so U keeps the whole-batch bits without (S, 2d, 2d) temporaries.
 A batch of pulses (`gradient_check`) streams in groups of at most _CHUNK
 slices in all, one pulse at a time from _CHUNK slices up, with theta and s
 from the whole batch; so the working set does not grow with the batch.
@@ -316,18 +324,16 @@ def _slice_scale(hs: Iterable[np.ndarray], dt: float) -> tuple[float, int]:
     return theta / 2.0 ** squarings, squarings
 
 
-def _slice_powers(h: np.ndarray, dt: float, theta: float, squarings: int):
-    """A = h dt / 2^s and E_j = exp(-iA)^(2^j), j = 0..s, for a batch h[..., d, d]
-    of real symmetric slice Hamiltonians, with (theta, s) from `_slice_scale`;
-    E_s = exp(-i h dt).
+def _slice_cos_sin(h: np.ndarray, dt: float, theta: float, squarings: int):
+    """A = h dt / 2^s, cos A and sin A for a batch h[..., d, d] of real symmetric
+    slice Hamiltonians, with (theta, s) from `_slice_scale`.
 
-    exp(-iA) = cos A - i sin A, where cos A = sum_k (-1)^k A^2k / (2k)! and
-    sin A = A sum_k (-1)^k A^2k / (2k+1)! are Horner sums in A^2, all real
-    matmuls, of degree `_tail_order(theta, 1)` (Al-Mohy & Higham, SIAM J.
-    Matrix Anal. Appl. 31, 970, 2010); s complex squarings undo the scaling.
-    A drawn start pulse has theta ~ 0.04 at 400 slices (s = 0, degree 8) and
-    ~ 0.007 at 2000 (degree 6). Each slice's result depends only on its own
-    h and on (theta, s), so any run of slices gives the bits of the batch.
+    cos A = sum_k (-1)^k A^2k / (2k)! and sin A = A sum_k (-1)^k A^2k / (2k+1)!
+    are Horner sums in A^2, all real matmuls, of degree `_tail_order(theta, 1)`
+    (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2010). A drawn
+    start pulse has theta ~ 0.04 at 400 slices (s = 0, degree 8) and ~ 0.007
+    at 2000 (degree 6). Each slice's result depends only on its own h and on
+    (theta, s), so any run of slices gives the bits of the batch.
     """
     a = h * dt
     if squarings:
@@ -336,13 +342,38 @@ def _slice_powers(h: np.ndarray, dt: float, theta: float, squarings: int):
     b = a @ a
     cos, sin = (_horner(b, [(-1) ** (k // 2) / math.factorial(k)
                             for k in range(odd, degree + 1, 2)]) for odd in (0, 1))
+    return a, cos, a @ sin
+
+
+def _slice_powers(h: np.ndarray, dt: float, theta: float, squarings: int):
+    """A = h dt / 2^s and E_j = exp(-iA)^(2^j), j = 0..s, for the gradient:
+    E_0 = cos A - i sin A (`_slice_cos_sin`), then s complex squarings undo
+    the scaling, so E_s = exp(-i h dt).
+    """
+    a, cos, sin = _slice_cos_sin(h, dt, theta, squarings)
     u = np.empty(a.shape, dtype=complex)
-    u.real, u.imag = cos, a @ sin
+    u.real, u.imag = cos, sin
     u.imag *= -1.0
     powers = [u]
     for _ in range(squarings):
         powers.append(powers[-1] @ powers[-1])
     return a, powers
+
+
+def _embedded_slices(h: np.ndarray, dt: float, theta: float, squarings: int) -> np.ndarray:
+    """exp(-i h dt) = X + iY of each slice as its real 2d x 2d form [[X, -Y], [Y, X]]:
+    [[cos A, sin A], [-sin A, cos A]] from `_slice_cos_sin`, then s real squarings.
+    The map keeps products, so a product of these holds X + iY in its left block column.
+    """
+    _, cos, sin = _slice_cos_sin(h, dt, theta, squarings)
+    d = cos.shape[-1]
+    e = np.empty((*cos.shape[:-2], 2 * d, 2 * d))
+    e[..., :d, :d] = e[..., d:, d:] = cos
+    e[..., :d, d:] = sin
+    np.negative(sin, out=e[..., d:, :d])
+    for _ in range(squarings):
+        e = e @ e
+    return e
 
 
 def _product_tree(mats: np.ndarray) -> list[np.ndarray]:
@@ -387,7 +418,8 @@ def _block_propagators(x: np.ndarray, t_horizon: float, steps: int) -> list[np.n
     The pulses stream in groups of max(1, _CHUNK // steps), and each pulse's
     slices through aligned chunks of _CHUNK (module docstring), with theta and
     s from a first pass over every group. The first group's h is kept, so a
-    lone group builds it once.
+    lone group builds it once. The trees multiply real embeddings
+    (`_embedded_slices`); U_b = X + iY is the root's left block column.
     """
     dt, _, alphas = _slice_amplitudes(x, t_horizon, steps)
     pulses = alphas.reshape(-1, steps, N_CONTROLS)
@@ -403,10 +435,11 @@ def _block_propagators(x: np.ndarray, t_horizon: float, steps: int) -> list[np.n
 
         theta, squarings = _slice_scale(hamiltonians(), dt)
         roots = np.concatenate([np.concatenate(
-            [_product_tree(_slice_powers(h[:, i:i + _CHUNK], dt, theta, squarings)[1][-1])[-1]
+            [_product_tree(_embedded_slices(h[:, i:i + _CHUNK], dt, theta, squarings))[-1]
              for i in range(0, steps, _CHUNK)], axis=1) for h in hamiltonians()])
-        u = _product_tree(roots)[-1][:, 0]
-        unitaries.append(u.reshape(*x.shape[:-2], *u.shape[-2:]))
+        root, d = _product_tree(roots)[-1][:, 0], block.target.shape[0]
+        u = root[:, :d, :d] + 1j * root[:, d:, :d]
+        unitaries.append(u.reshape(*x.shape[:-2], d, d))
     return unitaries
 
 

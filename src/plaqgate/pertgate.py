@@ -177,7 +177,8 @@ def effective_hamiltonian(p: PertParams) -> np.ndarray:
     """H_rwa of the module docstring, 4x4 in the {|box>,|cross>}^(x2) basis."""
     c = effective_coeffs(p.j, p.d)
     g = p.jp**2 / p.j
-    z1, z2 = _two_qubit(PAULI_Z, np.eye(2)), _two_qubit(np.eye(2), PAULI_Z)
+    sigma_z = -PAULI_Z  # |cross><cross| - |box><box| in the (|box>, |cross>) order
+    z1, z2 = _two_qubit(sigma_z, np.eye(2)), _two_qubit(np.eye(2), sigma_z)
     return (c.delta_e / 2.0 - g * c.gamma_z) * (z1 + z2) - g * (
         _HEIS_4 / 8.0 + (c.lambda_z - 0.125) * _ZZ_4
     )

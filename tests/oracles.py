@@ -12,8 +12,8 @@ The last two read the program's eigenpairs of the channel's S_z block (`_link_sp
 `tests/make_truth.py` computes the same figures at 40 digits without them.
 
 The whole-batch block propagator is the reference for the streamed one of
-`plaqgate.optctrl`: it exponentiates every slice at once and multiplies them
-in one pairwise tree, and the two must agree bit for bit. The fourth-order
+`plaqgate.optctrl`: it exponentiates every slice at once and multiplies their
+real embeddings in one pairwise tree, and the two must agree bit for bit. The fourth-order
 commutator-free product (`cf4_fidelity`) is the continuous-time reference for
 the program's second-order midpoint slices.
 
@@ -41,6 +41,7 @@ from plaqgate.optctrl import (
     FULL_DIM,
     PulseParams,
     _block_hamiltonians,
+    _embedded_slices,
     _gate_overlap,
     _product_tree,
     _slice_amplitudes,
@@ -133,10 +134,18 @@ def slice_exponentials(h: np.ndarray, dt: float) -> np.ndarray:
 
 
 def whole_batch_block_propagators(x: np.ndarray, t_horizon: float, steps: int) -> list[np.ndarray]:
-    """U_b(T; x) of each block from all slice exponentials at once and one product tree."""
+    """U_b(T; x) of each block from all slice exponentials at once and one product tree.
+
+    As in the program, the slices are real 2d x 2d embeddings [[X, -Y], [Y, X]] of
+    exp(-i h dt) = X + iY, and U_b = X + iY is read from the root's left block column.
+    """
     dt, _, alphas = _slice_amplitudes(x, t_horizon, steps)
-    slices = (slice_exponentials(_block_hamiltonians(alphas, b), dt) for b in control_blocks())
-    return [_product_tree(u)[-1][..., 0, :, :] for u in slices]
+    unitaries = []
+    for block in control_blocks():
+        h = _block_hamiltonians(alphas, block)
+        root, d = _product_tree(_embedded_slices(h, dt, *_slice_scale([h], dt)))[-1], h.shape[-1]
+        unitaries.append(root[..., 0, :d, :d] + 1j * root[..., 0, d:, :d])
+    return unitaries
 
 
 def cf4_fidelity(pulse: PulseParams, steps: int) -> float:

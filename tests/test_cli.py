@@ -568,6 +568,12 @@ BAD_RESULTS = {
                  id="pert-fidelity-Jp-1e308"),
     pytest.param(("pert-validate", "--dJ", "0.3", "--Jp", "1e308"), "--Jp = 1e+308 is too large",
                  id="pert-validate-Jp-1e308"),
+    # J' is the weak coupling: above J'/J = 1 t_c underflows and H loses Hermiticity
+    pytest.param(("pert-validate", "--dJ", "0.3", "--Jp", "1e154"), "--Jp = 1e+154 is too large",
+                 id="pert-validate-Jp-1e154"),
+    *(pytest.param(("pert-fidelity", "--Jp", jp, "--dJ-min", "0.3", "--dJ-max", "0.3"),
+                   f"--Jp = {float(jp)} is too large", id=f"pert-fidelity-Jp-{jp}")
+      for jp in ("1e154", "1e100")),
     # a horizon of nan or 0 compares nothing and reports max_deviation = 0
     *(pytest.param(("pert-validate", "--dJ", "0.3", "--Jp", "0.05", "--horizon-tc", h),
                    "horizon must be positive and finite", id=f"pert-validate-horizon-{h}")

@@ -18,6 +18,7 @@ from oracles import (
     span_contains,
     whole_batch_block_propagators,
 )
+from plaqgate import optctrl
 from plaqgate.optctrl import (
     _CHUNK,
     BLOCK_LABELS,
@@ -27,6 +28,7 @@ from plaqgate.optctrl import (
     _block_propagators,
     _draw_start,
     _gate_overlap,
+    _product_tree,
     _slice_amplitudes,
     _slice_scale,
     _slice_sine_basis,
@@ -230,6 +232,7 @@ def test_block_lie_closures_sum_to_80():
     assert sum(dims) == 80
 
 
+@pytest.mark.slow
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     x=st.integers(1, 20).flatmap(
@@ -410,6 +413,25 @@ def test_pulse_groups_match_whole_batch(shape, steps):
     for u, ref in zip(streamed, whole_batch_block_propagators(xs, 1.0, steps)):
         assert u.shape == ref.shape == (*shape, *ref.shape[-2:])
         assert np.array_equal(u, ref)
+
+
+@pytest.mark.parametrize("kind", ["drawn", "scaled-x40", "batch"])
+def test_real_propagator_matches_complex_slice_product(kind):
+    # U_b read from the root of the real 2d x 2d embeddings against the complex
+    # product tree of the same slices, theta and s from the whole batch. The
+    # x40 pulse needs 2 or 3 squarings per block. Measured at most 6.9e-15, bound 1e-13
+    rng = np.random.default_rng(8)
+    x = {"drawn": _draw_start(rng, 20), "scaled-x40": 40.0 * _draw_start(rng, 20),
+         "batch": rng.uniform(-0.6, 0.6, size=(2, 3, 5, 4))}[kind]
+    steps = 400
+    dt, _, alphas = _slice_amplitudes(x, 1.0, steps)
+    for block, u in zip(control_blocks(), _block_propagators(x, 1.0, steps)):
+        h = _block_hamiltonians(alphas, block)
+        if kind == "scaled-x40":
+            assert _slice_scale([h], dt)[1] >= 2
+        ref = _product_tree(slice_exponentials(h, dt))[-1][..., 0, :, :]
+        assert u.shape == ref.shape == (*x.shape[:-2], *block.target.shape)
+        assert np.abs(u - ref).max() <= 1e-13
 
 
 def test_gradient_check_working_set_is_bounded():
@@ -622,12 +644,29 @@ def test_optimize_iterations_are_lbfgs_iterations(monkeypatch, target_eps):
 
 
 @pytest.mark.parametrize("steps", [1, 2, 7, 131, 400, _CHUNK + 1, 2000])
-def test_gradient_and_propagator_share_one_slice_path(steps):
-    # the objective and the propagator must multiply the same slice
-    # exponentials; two slice paths differ in the last bits
+def test_gradient_and_propagator_share_one_slice_path(monkeypatch, steps):
+    # the objective and the propagator must exponentiate the slices with one
+    # Taylor routine and get its cos A and sin A bit for bit; two series differ
+    # in the last bits. The propagator multiplies the slices as real 2d x 2d
+    # embeddings, which round otherwise than the gradient's complex products,
+    # so F agrees to rounding only: at most 5.6e-16 (measured), bound 1e-14
+    cos_sin, calls = optctrl._slice_cos_sin, []
+
+    def recording(*args):
+        calls.append(cos_sin(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(optctrl, "_slice_cos_sin", recording)
     pulse = _random_pulse(10, n_harmonics=6)
     f, _ = fidelity_and_gradient(pulse, steps=steps)
-    assert f == _gate_overlap(_block_propagators(pulse.x, pulse.t_horizon, steps))
+    f_streamed = _gate_overlap(_block_propagators(pulse.x, pulse.t_horizon, steps))
+    gradient, streamed = calls[:len(control_blocks())], calls[len(control_blocks()):]
+    for _, cos, sin in gradient:
+        chunks = [c for c in streamed if c[1].shape[-1] == cos.shape[-1]]
+        assert len(chunks) == -(-steps // _CHUNK)
+        for k, whole in ((1, cos), (2, sin)):
+            assert np.array_equal(np.concatenate([c[k] for c in chunks], axis=-3)[0], whole)
+    assert abs(f - f_streamed) <= 1e-14
 
 
 def test_robustness_sweep_baseline():

@@ -120,14 +120,15 @@ def test_lambda_eighth_root_location():
                                        (1.3, 0.9, 0.05), (2.5, 2.2, 0.3)])
 def test_effective_hamiltonian_is_h_rwa(j, d, jp):
     # H_rwa of the module docstring, with (1/8) s.s' + (lambda_z - 1/8) sz sz'
-    # expanded to (sx sx' + sy sy') / 8 + lambda_z sz sz'; qubit 1 is the low bit
+    # expanded to (sx sx' + sy sy') / 8 + lambda_z sz sz'; qubit 1 is the low bit,
+    # and sz = |cross><cross| - |box><box| is -PAULI_Z in the (|box>, |cross>) order
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", WeakCouplingWarning)
         p = PertParams(j=j, d=d, jp=jp)
     c = effective_coeffs(j, d)
     g = jp**2 / j
     eye = np.eye(2)
-    h = (c.delta_e / 2.0 - g * c.gamma_z) * (np.kron(eye, PAULI_Z) + np.kron(PAULI_Z, eye))
+    h = (c.delta_e / 2.0 - g * c.gamma_z) * (np.kron(eye, -PAULI_Z) + np.kron(-PAULI_Z, eye))
     h -= g * ((np.kron(PAULI_X, PAULI_X) + np.kron(PAULI_Y, PAULI_Y)) / 8.0
               + c.lambda_z * np.kron(PAULI_Z, PAULI_Z))
     assert np.abs(effective_hamiltonian(p) - h).max() <= 1e-14
@@ -373,6 +374,20 @@ def test_all_orders_hamiltonian_leaves_h_rwa_at_the_stated_orders(n, m):
     assert abs(exponent["dropped"] - 2.0) <= 0.1, exponent
 
 
+@pytest.mark.parametrize("n, m", RED_POINTS)
+def test_h_rwa_single_qubit_terms_match_all_orders(n, m):
+    """The sz and sz' components of H_eff - H_rwa, over J'/J in {0.0125, 0.025, 0.05}, are
+    third order: at most 8.4e-6 dE/2 (bound 1e-4 dE/2). With sz = |box><box| - |cross><cross|,
+    the opposite of the module docstring's sign, each is -2 dE/2."""
+    strings = {"z1": _two_qubit(PAULI_Z, IDENTITY_2), "1z": _two_qubit(IDENTITY_2, PAULI_Z)}
+    for jp in (0.0125, 0.025, 0.05):
+        p = _allowed_params(n, m, jp)
+        diff = all_orders_logical_hamiltonian(p) - effective_hamiltonian(p)
+        half_gap = effective_coeffs(p.j, p.d).delta_e / 2.0
+        for key, s in strings.items():
+            assert abs(np.trace(s @ diff) / 4.0) <= 1e-4 * half_gap, (jp, key)
+
+
 # ---------------------------------------------------------------------------
 # The 14-dim total-singlet sector against the full 256-dim space
 # ---------------------------------------------------------------------------
@@ -442,6 +457,7 @@ def test_sector_spans_the_logical_states_and_is_invariant():
     np.testing.assert_allclose(block @ q, q @ _sector_hamiltonian(p), atol=1e-13)
 
 
+@pytest.mark.slow
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     d=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
@@ -486,6 +502,7 @@ def test_sector_gate_is_unitary(d, jp, physical_x):
     assert abs(norm + leakage - 4.0) <= 1e-13 * max(1.0, t_c)
 
 
+@pytest.mark.slow
 def test_sweep_matches_full_space_on_pertfid_grid():
     # every (d/J, J'/J) point of report --figure pertfid
     for jp in (0.05, 0.1, 0.2):
