@@ -36,25 +36,24 @@ two inter-plaquette links per logical sector is encoded in
 SECTOR_LINKS; tunneling_phase evolves each link exactly and combines the
 return phases.
 
-The module owns the truncated two-band Fock space and every model on it: the
-link Hamiltonians, the Schwinger spin identity (`fixed_number_schwinger_check`,
-over the fixed particle numbers) and the two-site Hubbard model behind the
-plaquette's superexchange J ~ t^2/U (`superexchange_hubbard_check`). Every operator
-is real. A link is solved by a real `eigh` of the S_z block of its channel
-(`_link_eigensystem`); its return time is the root of d|a|^2/dt (`_slope_root`, safeguarded
-Newton on numpy alone) and its phase lies in (-pi/2, 3pi/2], where pi is interior. One
-cache holds the link solves: `_link_pass` solves every channel of one (statistics, params)
-at once, building each N-particle Hamiltonian and solving each S_z block once, and every
-sector call of that interaction scale reads its figures.
+The module owns the truncated two-band Fock space and every model on it: the link
+Hamiltonians, the Schwinger spin identity (`fixed_number_schwinger_check`, over the fixed
+particle numbers) and the two-site Hubbard model behind the plaquette's superexchange
+J ~ t^2/U (`superexchange_hubbard_check`). Every operator is real. One route serves every
+link figure: `_link_pass`, cached per (statistics, params), solves each S_z block once by a
+real `eigh` (`_link_eigensystem`), and `link_tunneling_phase` and `tunneling_phase` read it.
+A return time is the root of d|a|^2/dt (`_slope_root`, safeguarded Newton on numpy alone),
+and a phase lies in (-pi/2, 3pi/2], where pi is interior.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -512,23 +511,25 @@ def superexchange_hubbard_check(t: float, u: float, statistics: str) -> tuple[fl
     """Exact two-site singlet-triplet gap against the superexchange value 4t^2/U.
 
     The two sites are the L_a and R_a orbitals of the two-particle link space
-    (`_two_site_setup`); the on-site energy (U/2) n(n-1) counts doubly occupied
-    orbitals for fermions too. For fermions the singlet lies below the triplet;
-    for bosons the ordering flips. The returned gap is positive in both cases and
-    approaches 4t^2/U with a relative error of order (t/U)^2. The sign of t is a
-    gauge choice (R_a -> -R_a), so the check runs at |t| and t, -t give the same result.
+    (`_two_site_setup`); the on-site energy (U/2) n(n-1) counts doubly occupied orbitals for
+    fermions too. For fermions the singlet lies below the triplet; for bosons the ordering
+    flips. The returned gap is positive in both cases and approaches 4t^2/U with a relative
+    error of order 4 (t/U)^2. The sign of t is a gauge choice (R_a -> -R_a), so the check
+    runs at |t| and t, -t give the same result.
 
     Returns:
         (exact_gap, 4t^2/U)
 
     Raises:
-        ValueError: unless 0 < |t|/U <= 0.1 (at t = 0 there is no gap to compare).
+        ValueError: unless 1e-4 <= |t|/U <= 0.1. Below 1e-4 the eigensolve's rounding, a
+            relative error of about eps / (4 (t/U)^2), exceeds the physical one.
     """
     check_statistics(statistics)
     if u <= 0:
         raise ValueError("U must be positive")
-    if not 0 < abs(t) / u <= 0.1:
-        raise ValueError(f"t/U = {t / u:.3g} is outside the superexchange regime 0 < |t/U| <= 0.1")
+    if not 1e-4 <= abs(t) / u <= 0.1:
+        raise ValueError(f"t/U = {t / u:.3g} is outside the superexchange regime "
+                         "1e-4 <= |t/U| <= 0.1")
     n0, n1, unit_hop, s2 = _two_site_setup(statistics)
     hop = -abs(t) * unit_hop
     w, v = np.linalg.eigh(np.diag(0.5 * u * (n0 * (n0 - 1) + n1 * (n1 - 1))) + hop + hop.T)
@@ -590,10 +591,7 @@ def _channel_state(statistics: str, n_l: int, n_r_a: int, channel_spin: Fraction
 
 
 def _link_hamiltonian(statistics: str, total_number: int, params: OnsiteParams) -> np.ndarray:
-    """Read-only real link Hamiltonian of one (statistics, N, params), on the N-particle basis.
-
-    No channel spin or split of N between the sites enters, so `_link_pass` builds one per N.
-    """
+    """Read-only real link Hamiltonian of one (statistics, N, params); no channel enters it."""
     space = _link_space(statistics, total_number)
     return read_only(onsite_hamiltonian(params, space) + tunneling_hamiltonian(params, space))
 
@@ -602,13 +600,11 @@ def _link_eigensystem(h: np.ndarray, statistics: str, total_number: int, two_m: 
                       params: OnsiteParams) -> tuple[np.ndarray, np.ndarray]:
     """Read-only real (evals, evecs) of the link Hamiltonian h on its S_z block 2 S_z = two_m.
 
-    h is `_link_hamiltonian(statistics, total_number, params)`. It is real and conserves S_z,
-    so each block is one real `eigh` (Sandvik, AIP Conf. Proc. 1297, 135 (2010), sec. 4),
-    which `_link_pass` shares by every channel, link and sector whose state lies in it: 12
-    blocks of 3 to 36 states per interaction scale. S^2 is not conserved for bosons at the
-    mode cap, so there is no finer block. Refused: a non-finite spectrum (U n(n-1) at
-    U = 1e308), and one whose rounding eps max|E| exceeds 1e-6 |t|, since the return figures
-    carry errors of order eps max|E| / |t|.
+    h is `_link_hamiltonian(statistics, total_number, params)`, real and S_z-conserving, so
+    each block is one real `eigh` (Sandvik, AIP Conf. Proc. 1297, 135 (2010), sec. 4); S^2 is
+    not conserved for bosons at the mode cap, so there is no finer block. Refused: a non-finite
+    spectrum (U n(n-1) at U = 1e308), and one whose rounding eps max|E| exceeds 1e-6 |t|, since
+    the return figures carry errors of order eps max|E| / |t|.
     """
     block = _link_space(statistics, total_number).spin_z_blocks[two_m]
     evals, evecs = np.linalg.eigh(h[np.ix_(block, block)])
@@ -619,26 +615,6 @@ def _link_eigensystem(h: np.ndarray, statistics: str, total_number: int, two_m: 
         raise ValueError(f"ill-conditioned link spectrum, {statistics} N = {total_number}: "
                          f"eps max|E| = {rounding:.3g} exceeds 1e-6 |t|: {params}")
     return read_only(evals), read_only(evecs)
-
-
-def _channel_weights(statistics: str, n_l: int, n_r_a: int, j: Fraction,
-                     evecs: np.ndarray) -> np.ndarray:
-    """|<k|psi0>|^2 of the channel state psi0 (S_z = j) on the eigenvectors of its block 2j."""
-    block = _link_space(statistics, n_l + n_r_a).spin_z_blocks[int(2 * j)]
-    return (evecs.T @ _channel_state(statistics, n_l, n_r_a, j)[block]) ** 2
-
-
-def _link_spectrum(n_l: int, n_r_a: int, channel_spin, params: OnsiteParams,
-                   statistics: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of one link's S_z block and the weights |<k|psi0>|^2 of its initial state.
-
-    One channel alone: its Hamiltonian is built and its block solved for this call.
-    """
-    j = _as_half_integer(channel_spin)
-    total_number = n_l + n_r_a
-    h = _link_hamiltonian(statistics, total_number, params)
-    evals, evecs = _link_eigensystem(h, statistics, total_number, int(2 * j), params)
-    return evals, _channel_weights(statistics, n_l, n_r_a, j, evecs)
 
 
 def _return_scan(evals: np.ndarray, weights: np.ndarray,
@@ -697,10 +673,11 @@ def link_tunneling_phase(n_l: int, n_r_a: int, channel_spin, params: OnsiteParam
     of |a| after its first local minimum: the factored scan brackets it by [t_{k-1}, t_{k+1}],
     and `_slope_root` finds the root of d|a|^2/dt from the exact eigenpairs. leakage is
     1 - |a(return_time)|^2, bounded by 4 n_L (t/dE1)^2 (bosonic enhancement included).
+    The figures are read from `_link_pass`, the cache that `tunneling_phase` reads.
     """
     if n_l < 1:
         return 0.0, 0.0, 0.0
-    return _return_figures(*_link_spectrum(n_l, n_r_a, channel_spin, params, statistics), params)
+    return _link_pass(statistics, params)(n_l, n_r_a, _as_half_integer(channel_spin))
 
 
 def _return_figures(evals: np.ndarray, weights: np.ndarray,
@@ -725,29 +702,34 @@ def _return_figures(evals: np.ndarray, weights: np.ndarray,
 
 
 @lru_cache(maxsize=2)
-def _link_pass(statistics: str, params: OnsiteParams) -> MappingProxyType:
-    """Read-only {(n_L, n_R_a, j): figures} of every channel of SECTOR_LINKS[statistics].
+def _link_pass(statistics: str, params: OnsiteParams):
+    """The cached figures(n_L, n_R_a, j) of `link_tunneling_phase` at one (statistics, params).
 
-    One interaction scale in one pass: each N-particle Hamiltonian is built once and each S_z
-    block in use solved once (8 Hamiltonians and 12 blocks per scale over both statistics),
-    and the per-sector calls of the scale read the result. Figures are those of
-    `link_tunneling_phase`, bit for bit; a channel that fails holds its exception instead,
-    which `tunneling_phase` raises for every sector that reads it. The cache holds one scale
-    of both statistics.
+    Each N-particle Hamiltonian is built once and each S_z block solved once, whichever channel
+    reads it: 8 Hamiltonians and 12 blocks per scale over both statistics. Every channel of
+    SECTOR_LINKS[statistics] is filled before the pass returns, since the `links` benchmark runs
+    a 729-dim probe between the sector calls of a scale, and solving each channel on its first
+    read, spread over those calls, took its item median from 16.2 to 19.8 ms (2-core Xeon VM).
+    A channel that fails stays uncached, so each sector that reads it raises its own error.
+    The cache holds one scale of both statistics.
     """
+    check_statistics(statistics)
     hamiltonian = cache(lambda n: _link_hamiltonian(statistics, n, params))
     eigensystem = cache(lambda n, two_m: _link_eigensystem(hamiltonian(n), statistics, n,
                                                            two_m, params))
-    figures = dict.fromkeys((n_l, n_r_a, j) for links in SECTOR_LINKS[statistics].values()
-                            for n_l, n_r_a, channels in links for j in channels)
-    for n_l, n_r_a, j in figures:
-        try:
-            evals, evecs = eigensystem(n_l + n_r_a, int(2 * j))
-            figures[n_l, n_r_a, j] = _return_figures(
-                evals, _channel_weights(statistics, n_l, n_r_a, j, evecs), params)
-        except Exception as exc:  # deferred to the sectors that read the channel
-            figures[n_l, n_r_a, j] = exc
-    return MappingProxyType(figures)
+
+    @cache
+    def figures(n_l: int, n_r_a: int, j: Fraction) -> tuple[float, float, float]:
+        evals, evecs = eigensystem(n_l + n_r_a, int(2 * j))
+        block = _link_space(statistics, n_l + n_r_a).spin_z_blocks[int(2 * j)]
+        weights = (evecs.T @ _channel_state(statistics, n_l, n_r_a, j)[block]) ** 2  # |<k|psi0>|^2
+        return _return_figures(evals, weights, params)
+
+    for n_l, n_r_a, channels in itertools.chain(*SECTOR_LINKS[statistics].values()):
+        for j in channels:
+            with suppress(Exception):  # left uncached, raised by the sectors that read it
+                figures(n_l, n_r_a, j)
+    return figures
 
 
 def tunneling_phase(
@@ -755,10 +737,9 @@ def tunneling_phase(
 ) -> tuple[float, float, float]:
     """Combined return figures of both links of a logical sector.
 
-    Each active link is evolved exactly, taking the worst case over its spin channels;
-    phases add, return_time is the slowest link, and the combined leakage treats the links
-    as independent amplitudes. The channel figures come from `_link_pass`, computed once per
-    (statistics, params) for all four sectors; a channel's error is raised again here.
+    Each active link is evolved exactly, taking the worst case over its spin channels; phases
+    add, return_time is the slowest link, and the leakages combine as independent amplitudes.
+    The channel figures are those of `link_tunneling_phase`, read from `_link_pass`.
 
     Each link's phase lies in (-pi/2, 3pi/2] (`link_tunneling_phase`), so a resonant pi never
     reads -pi, and a sector of a resonant pi and an off-resonant delta reads pi + delta on
@@ -768,14 +749,10 @@ def tunneling_phase(
     """
     if sector not in SECTORS:
         raise ValueError(f"sector must be one of {SECTORS}, got {sector!r}")
-    check_statistics(statistics)
-    solved = _link_pass(statistics, params)
+    figures = _link_pass(statistics, params)
     total_phase, t_ret, survival = 0.0, 0.0, 1.0
     for n_l, n_r_a, channels in SECTOR_LINKS[statistics][sector]:
-        outs = [solved[n_l, n_r_a, j] for j in channels]
-        for out in outs:
-            if isinstance(out, Exception):
-                raise out.with_traceback(None)
+        outs = [figures(n_l, n_r_a, j) for j in channels]
         largest = max(abs(out[1]) for out in outs)
         worst = max((out for out in outs if abs(out[1]) >= (1.0 - 1e-9) * largest),
                     key=lambda out: out[1])

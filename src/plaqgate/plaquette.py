@@ -183,15 +183,24 @@ class PlaquetteSpectrum:
 
 
 def plaquette_spectrum(j: float, d: float) -> PlaquetteSpectrum:
-    """Diagonalize heisenberg_plaquette(diag(j, d)) and group by total spin."""
+    """Diagonalize heisenberg_plaquette(diag(j, d)) and group by total spin.
+
+    Where levels of different total spin coincide (d/J = -1, -1/2, 0, 1/2, 2, or J = 0),
+    `eigh` may return any mix of their vectors. So the spins come from the eigenvalues of S^2
+    on each cluster of levels equal within 1e-9 max|E|, not from each vector's expectation.
+    """
     h = heisenberg_plaquette(PlaquetteCouplings.diag(j, d))
-    s2 = total_spin_squared(plaquette_register())
     spec = eig_hermitian(h)
     v = spec.eigenvectors
-    s2vals = np.einsum("ik,ij,jk->k", v.conj(), s2, v).real  # 4S(S+1)
+    s2 = v.conj().T @ total_spin_squared(plaquette_register()) @ v  # 4S(S+1)
+    bare = spec.eigenvalues
+    ends = [*np.flatnonzero(np.diff(bare) > 1e-9 * np.abs(bare).max()) + 1, len(bare)]
+    # a cluster's levels differ by rounding only; they take its S^2 values in descending order
+    s2vals = np.concatenate([np.linalg.eigvalsh(s2[a:b, a:b])[::-1]
+                             for a, b in zip([0, *ends], ends)])
     spins = np.rint((np.sqrt(1.0 + s2vals) - 1.0) / 2.0)
     offset = 4.0 * j + 2.0 * d
-    levels = spec.eigenvalues + offset
+    levels = bare + offset
     singlets, triplet_states, quintets = (levels[spins == s] for s in (0, 1, 2))
     if len(singlets) != 2 or len(triplet_states) != 9 or len(quintets) != 5:
         raise RuntimeError(

@@ -8,7 +8,8 @@ the real 7 + 3 + 6 blocks; `tests/test_optctrl.py` compares the two.
 The link references at the end check `plaqgate.geophase`: the Fock-space
 (anti)commutators, the transient leakage of a link, and its return time as
 the root of d|a|^2/dt found by scipy's `brentq` instead of the program's Newton search.
-The last two read the program's eigenpairs of the channel's S_z block (`_link_spectrum`);
+The last two read the program's eigenpairs of the channel's S_z block (`link_spectrum`, which
+solves one channel alone, outside the cache of `geophase._link_pass`);
 `tests/make_truth.py` computes the same figures at 40 digits without them.
 
 The whole-batch block propagator is the reference for the streamed one of
@@ -31,6 +32,7 @@ states of a Fock space.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import brentq
@@ -226,6 +228,20 @@ def commutation_residual(space: gp.TwoBandFockSpace) -> float:
     return float(worst)
 
 
+def link_spectrum(n_l: int, n_r_a: int, channel_spin, params: gp.OnsiteParams,
+                  statistics: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of one link's S_z block and the weights |<k|psi0>|^2 of its initial state.
+
+    One channel alone, with the program's own functions: its Hamiltonian is built and its
+    block solved for this call, so the eigenpairs are those of `_link_pass`, bit for bit.
+    """
+    j = Fraction(channel_spin)
+    h = gp._link_hamiltonian(statistics, n_l + n_r_a, params)
+    evals, evecs = gp._link_eigensystem(h, statistics, n_l + n_r_a, int(2 * j), params)
+    block = gp._link_space(statistics, n_l + n_r_a).spin_z_blocks[int(2 * j)]
+    return evals, (evecs.T @ gp._channel_state(statistics, n_l, n_r_a, j)[block]) ** 2
+
+
 def link_peak_leakage(n_l: int, n_r_a: int, channel_spin, params: gp.OnsiteParams,
                       statistics: str) -> float:
     """Worst transient depletion 1 - |a(t)|^2 of one link over a return cycle, on its S_z block.
@@ -234,7 +250,7 @@ def link_peak_leakage(n_l: int, n_r_a: int, channel_spin, params: gp.OnsiteParam
     a detuned two-level system transfers at most 4 g^2/dE^2 of population,
     and the bosonic matrix element is enhanced to g = sqrt(n_L) t.
     """
-    evals, weights = gp._link_spectrum(n_l, n_r_a, channel_spin, params, statistics)
+    evals, weights = link_spectrum(n_l, n_r_a, channel_spin, params, statistics)
     _, mags = gp._return_scan(evals, weights, params)
     return float(max(0.0, 1.0 - mags.min() ** 2))
 
@@ -265,7 +281,7 @@ def link_return_root(n_l: int, n_r_a: int, channel_spin, params: gp.OnsiteParams
     the root of d|a|^2/dt is found by scipy (`slope_root`), not by the program's Newton
     search. The phase is `np.angle`'s, in (-pi, pi].
     """
-    evals, weights = gp._link_spectrum(n_l, n_r_a, channel_spin, params, statistics)
+    evals, weights = link_spectrum(n_l, n_r_a, channel_spin, params, statistics)
     kept = weights >= 1e-20
     ts, mags = gp._return_scan(evals[kept], weights[kept], params)
     inner = mags[1:-1]

@@ -20,6 +20,7 @@ from oracles import (
     commutation_residual,
     link_peak_leakage,
     link_return_root,
+    link_spectrum,
     physical_indices,
     sector_indices,
     slope_root,
@@ -468,7 +469,7 @@ def test_factored_scan_matches_direct_scan(statistics, n_l, n_r_a, j):
     """The factored |a(t_k)| agrees with the direct scan and picks the same bracket."""
     for u in (25.0, 40.0, 50.0, 57.3, 100.0):
         p = gp.link_params(statistics, gp.LEFT_REPULSION_RATIO * u, u)
-        evals, weights = gp._link_spectrum(n_l, n_r_a, j, p, statistics)
+        evals, weights = link_spectrum(n_l, n_r_a, j, p, statistics)
         kept = weights >= 1e-20
         ts_ref, mags_ref = _direct_scan(evals[kept], weights[kept], T)
         ts, mags = gp._return_scan(evals[kept], weights[kept], p)
@@ -554,8 +555,8 @@ def test_shared_link_solves_keep_sector_rows(tmp_path):
 
 def test_per_sector_error_rows_match_one_all_sector_run(tmp_path):
     """At --u-l-aa 1e12 every row is an error row. The eight per-sector runs of the scale,
-    whose errors come from the stored link pass, write the bytes of one fresh `--sector all`
-    run, messages included."""
+    whose failing channels the link pass leaves uncached, write the bytes of one fresh
+    `--sector all` run, messages included."""
     def data(argv, out):
         assert cli.run([*argv, "--u-l-aa", "1e12", "--output-dir", str(out)]) == 0
         (run_dir,) = out.iterdir()
@@ -583,25 +584,50 @@ def test_per_sector_error_rows_match_one_all_sector_run(tmp_path):
 
 def test_second_sector_reads_the_link_pass(monkeypatch):
     """Once one sector of a (statistics, params) has run, the others solve nothing; the
-    stored figures are read-only and equal those of `link_tunneling_phase` bit for bit."""
+    pass's figures of every channel equal, bit for bit, those of its block solved alone."""
     p = gp.link_params("fermion", gp.LEFT_REPULSION_RATIO * 44.4, 44.4)
     gp.tunneling_phase("SS", p, "fermion")
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "eigh", lambda *_: pytest.fail("a second sector solved"))
         for sector in ("ST", "TS", "TT"):
             gp.tunneling_phase(sector, p, "fermion")
-    solved = gp._link_pass("fermion", p)
-    with pytest.raises(TypeError):
-        solved[1, 0, Fr(1, 2)] = (0.0, 0.0, 0.0)
-    for (n_l, n_r_a, j), figures in solved.items():
+        solved = [(channel, gp._link_pass("fermion", p)(*channel))
+                  for stat, *channel in SECTOR_LINK_CHANNELS if stat == "fermion"]
+    for (n_l, n_r_a, j), figures in solved:
         assert isinstance(figures, tuple)
-        assert figures == gp.link_tunneling_phase(n_l, n_r_a, j, p, "fermion")
+        assert figures == gp._return_figures(*link_spectrum(n_l, n_r_a, j, p, "fermion"), p)
+
+
+def test_public_link_function_reads_the_cli_link_pass(tmp_path, monkeypatch):
+    """After `geophase-dynamics --statistics both` at a scale, `link_tunneling_phase` on every
+    SECTOR_LINKS channel of that scale solves nothing, and returns the very channel figures
+    that the sector rows were built from."""
+    read, link_pass = {}, gp._link_pass
+
+    def recording_pass(statistics, params):
+        figures = link_pass(statistics, params)
+
+        def recording(n_l, n_r_a, j):
+            read[statistics, n_l, n_r_a, j] = figures(n_l, n_r_a, j)
+            return read[statistics, n_l, n_r_a, j]
+        return recording
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gp, "_link_pass", recording_pass)
+        assert cli.run(_dynamics("47.1", "both", "all", tmp_path)) == 0
+    assert set(read) == set(SECTOR_LINK_CHANNELS)
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", lambda *_: pytest.fail("the public function solved"))
+        for statistics, n_l, n_r_a, j in SECTOR_LINK_CHANNELS:
+            p = gp.link_params(statistics, gp.LEFT_REPULSION_RATIO * 47.1, 47.1)
+            figures = gp.link_tunneling_phase(n_l, n_r_a, j, p, statistics)
+            assert figures == read[statistics, n_l, n_r_a, j]
 
 
 @pytest.mark.parametrize("statistics", ["boson", "fermion"])
 def test_link_hamiltonian_has_no_element_between_spin_z_blocks(statistics):
     """Each N-particle link Hamiltonian is real and S_z block diagonal; each channel state
-    lies in the block 2 S_z = 2j that `_link_spectrum` solves for it."""
+    lies in the block 2 S_z = 2j that `_link_pass` solves for it."""
     p = gp.link_params(statistics, gp.LEFT_REPULSION_RATIO * 40.0, 40.0)
     for n in range(6 * gp.MODE_CAP[statistics] + 1):
         space = gp.TwoBandFockSpace(statistics, total_number=n)
@@ -707,7 +733,7 @@ def test_boson_links_do_not_depend_on_the_mode_cap(u):
     for statistics, n_l, n_r_a, j in SECTOR_LINK_CHANNELS:
         if statistics == "boson":
             figures = gp.link_tunneling_phase(n_l, n_r_a, j, p, statistics)
-            evals, _ = gp._link_spectrum(n_l, n_r_a, j, p, statistics)
+            evals, _ = link_spectrum(n_l, n_r_a, j, p, statistics)
             bound = TRUTH_BOUND * np.finfo(float).eps * np.abs(evals).max() * figures[0]
             got = cap4_link_figures(n_l, n_r_a, j, p)
             assert np.abs(np.subtract(got, figures)).max() <= bound, (n_l, n_r_a, j)
@@ -738,8 +764,7 @@ def test_tied_channels_keep_the_positive_phase(u, monkeypatch):
         outs = {Fr(0): (0.1, -0.004, 0.0), Fr(1): (0.2, 0.004 * (1.0 - 1e-13), 0.0)}
         with monkeypatch.context() as patch:
             # the stubbed channel figures reach the tie-break through the link pass
-            patch.setattr(gp, "_link_pass",
-                          lambda *_: {(n_l, n_r_a, j): outs[j] for j in channels})
+            patch.setattr(gp, "_link_pass", lambda *_: lambda n_l, n_r_a, j: outs[j])
             assert gp.tunneling_phase("TT", p, "fermion") == (0.2, 0.008 * (1.0 - 1e-13), 0.0)
 
 

@@ -123,6 +123,17 @@ def test_spectrum_random_couplings(seed):
     assert abs(spec.quintet - 4.0 * (2.0 * j + d)) < 1e-10
 
 
+@pytest.mark.parametrize("j, d", [(1.0, -1.0), (1.0, -0.5), (1.0, 0.0), (1.0, 0.5), (1.0, 2.0),
+                                  (0.0, 0.0), (1.0, 1e300)])
+def test_spectrum_at_level_crossings(j, d):
+    # levels of different total spin coincide here, where eigh may mix their vectors
+    spec = plaquette_spectrum(j, d)
+    tol = 1e-12 * max(1.0, 8.0 * abs(j) + 4.0 * abs(d))
+    np.testing.assert_allclose(spec.singlets, sorted([-4.0 * (j - d), 4.0 * (j - d)]), atol=tol)
+    np.testing.assert_allclose(spec.triplets, sorted([4.0 * j, 4.0 * j, 4.0 * d]), atol=tol)
+    assert abs(spec.quintet - 4.0 * (2.0 * j + d)) <= tol
+
+
 def test_spectrum_offset_convention():
     # raw exchange eigenvalues are shifted by 4J + 2d so the quoted levels
     # match the constant-free convention
@@ -270,9 +281,10 @@ def test_hubbard_rejects_unknown_statistics():
 
 
 @pytest.mark.parametrize("statistics", ["fermion", "boson"])
-@pytest.mark.parametrize("t", [0.0, -0.5, float("nan")])
+@pytest.mark.parametrize("t", [0.0, -0.5, float("nan"), 1e-9, 1e-300])
 def test_hubbard_rejects_t_outside_superexchange_regime(statistics, t):
-    # t = 0 has no gap to compare; |t|/U = 0.5 is far from superexchange; NaN is neither
+    # t = 0 has no gap to compare; |t|/U = 0.5 is far from superexchange; NaN is neither;
+    # at 1e-9 the gap is rounding noise (rel_error 0.50), and at 1e-300 4t^2/U underflows
     with pytest.raises(ValueError, match="t/U"):
         superexchange_hubbard_check(t, 1.0, statistics)
 
