@@ -41,7 +41,7 @@ Hamiltonians, the Schwinger spin identity (`fixed_number_schwinger_check`, over 
 particle numbers) and the two-site Hubbard model behind the plaquette's superexchange
 J ~ t^2/U (`superexchange_hubbard_check`). Every operator is real. One route serves every
 link figure: `_link_pass`, cached per (statistics, params), solves each S_z block once by a
-real `eigh` (`_link_eigensystem`), and `link_tunneling_phase` and `tunneling_phase` read it.
+real `eigh`, and `link_tunneling_phase` and `tunneling_phase` read it.
 A return time is the root of d|a|^2/dt (`_slope_root`, safeguarded Newton on numpy alone),
 and a phase lies in (-pi/2, 3pi/2], where pi is interior.
 """
@@ -590,33 +590,6 @@ def _channel_state(statistics: str, n_l: int, n_r_a: int, channel_spin: Fraction
     return read_only(_initial_channel_state(space, n_l, n_r_a, channel_spin))
 
 
-def _link_hamiltonian(statistics: str, total_number: int, params: OnsiteParams) -> np.ndarray:
-    """Read-only real link Hamiltonian of one (statistics, N, params); no channel enters it."""
-    space = _link_space(statistics, total_number)
-    return read_only(onsite_hamiltonian(params, space) + tunneling_hamiltonian(params, space))
-
-
-def _link_eigensystem(h: np.ndarray, statistics: str, total_number: int, two_m: int,
-                      params: OnsiteParams) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only real (evals, evecs) of the link Hamiltonian h on its S_z block 2 S_z = two_m.
-
-    h is `_link_hamiltonian(statistics, total_number, params)`, real and S_z-conserving, so
-    each block is one real `eigh` (Sandvik, AIP Conf. Proc. 1297, 135 (2010), sec. 4); S^2 is
-    not conserved for bosons at the mode cap, so there is no finer block. Refused: a non-finite
-    spectrum (U n(n-1) at U = 1e308), and one whose rounding eps max|E| exceeds 1e-6 |t|, since
-    the return figures carry errors of order eps max|E| / |t|.
-    """
-    block = _link_space(statistics, total_number).spin_z_blocks[two_m]
-    evals, evecs = np.linalg.eigh(h[np.ix_(block, block)])
-    rounding = np.finfo(float).eps * np.abs(evals).max()
-    if not np.isfinite(rounding):
-        raise ValueError(f"non-finite link spectrum, {statistics} N = {total_number}: {params}")
-    if rounding > 1e-6 * abs(params.t):
-        raise ValueError(f"ill-conditioned link spectrum, {statistics} N = {total_number}: "
-                         f"eps max|E| = {rounding:.3g} exceeds 1e-6 |t|: {params}")
-    return read_only(evals), read_only(evecs)
-
-
 def _return_scan(evals: np.ndarray, weights: np.ndarray,
                  params: OnsiteParams) -> tuple[np.ndarray, np.ndarray]:
     """Grid t_k = k t_max / SCAN_POINTS up to t_max = 1.25 pi / |t|, and |a(t_k)|.
@@ -706,17 +679,33 @@ def _link_pass(statistics: str, params: OnsiteParams):
     """The cached figures(n_L, n_R_a, j) of `link_tunneling_phase` at one (statistics, params).
 
     Each N-particle Hamiltonian is built once and each S_z block solved once, whichever channel
-    reads it: 8 Hamiltonians and 12 blocks per scale over both statistics. Every channel of
-    SECTOR_LINKS[statistics] is filled before the pass returns, since the `links` benchmark runs
-    a 729-dim probe between the sector calls of a scale, and solving each channel on its first
-    read, spread over those calls, took its item median from 16.2 to 19.8 ms (2-core Xeon VM).
-    A channel that fails stays uncached, so each sector that reads it raises its own error.
-    The cache holds one scale of both statistics.
+    reads it: 8 Hamiltonians and 12 blocks per scale over both statistics. The Hamiltonian is
+    real and conserves S_z, so a block is one real `eigh` (Sandvik, AIP Conf. Proc. 1297, 135
+    (2010), sec. 4); S^2 is not conserved for bosons at the mode cap, so there is no finer
+    block. A block is refused if its spectrum is non-finite (U n(n-1) at U = 1e308), or if its
+    rounding eps max|E| exceeds 1e-6 |t|, since the figures carry errors of eps max|E| / |t|.
+
+    Every channel of SECTOR_LINKS[statistics] is filled before the pass returns, since the
+    `links` benchmark runs a 729-dim probe between the sector calls of a scale, and solving
+    each channel on its first read, spread over those calls, took its item median from 16.2
+    to 19.8 ms (2-core Xeon VM). A channel that fails stays uncached, so each sector that
+    reads it raises its own error. The cache holds one scale of both statistics.
     """
     check_statistics(statistics)
-    hamiltonian = cache(lambda n: _link_hamiltonian(statistics, n, params))
-    eigensystem = cache(lambda n, two_m: _link_eigensystem(hamiltonian(n), statistics, n,
-                                                           two_m, params))
+    hamiltonian = cache(lambda n: onsite_hamiltonian(params, _link_space(statistics, n))
+                        + tunneling_hamiltonian(params, _link_space(statistics, n)))
+
+    @cache
+    def eigensystem(n: int, two_m: int) -> tuple[np.ndarray, np.ndarray]:
+        block = _link_space(statistics, n).spin_z_blocks[two_m]
+        evals, evecs = np.linalg.eigh(hamiltonian(n)[np.ix_(block, block)])
+        rounding = np.finfo(float).eps * np.abs(evals).max()
+        if not np.isfinite(rounding):
+            raise ValueError(f"non-finite link spectrum, {statistics} N = {n}: {params}")
+        if rounding > 1e-6 * abs(params.t):
+            raise ValueError(f"ill-conditioned link spectrum, {statistics} N = {n}: "
+                             f"eps max|E| = {rounding:.3g} exceeds 1e-6 |t|: {params}")
+        return evals, evecs
 
     @cache
     def figures(n_l: int, n_r_a: int, j: Fraction) -> tuple[float, float, float]:

@@ -186,18 +186,32 @@ def plaquette_spectrum(j: float, d: float) -> PlaquetteSpectrum:
     """Diagonalize heisenberg_plaquette(diag(j, d)) and group by total spin.
 
     Where levels of different total spin coincide (d/J = -1, -1/2, 0, 1/2, 2, or J = 0),
-    `eigh` may return any mix of their vectors. So the spins come from the eigenvalues of S^2
-    on each cluster of levels equal within 1e-9 max|E|, not from each vector's expectation.
+    `eigh` may return any mix of their vectors. So the levels are grouped into clusters equal
+    within 1e-9 max|E|, S^2 is diagonalized on each cluster, and its eigenvectors take the
+    cluster's levels in the order of their energies <u|H|u>. The levels are the eigenvalues
+    of the one 16-dim solve, so a cluster of one spin keeps its levels as they are.
+
+    Raises:
+        ValueError: where the eigensolve cannot resolve the smaller non-zero coupling, i.e.
+            eps max|E| exceeds 1e-6 min(|J|, |d|); J = d = 0 is allowed.
     """
     h = heisenberg_plaquette(PlaquetteCouplings.diag(j, d))
     spec = eig_hermitian(h)
     v = spec.eigenvectors
     s2 = v.conj().T @ total_spin_squared(plaquette_register()) @ v  # 4S(S+1)
     bare = spec.eigenvalues
-    ends = [*np.flatnonzero(np.diff(bare) > 1e-9 * np.abs(bare).max()) + 1, len(bare)]
-    # a cluster's levels differ by rounding only; they take its S^2 values in descending order
-    s2vals = np.concatenate([np.linalg.eigvalsh(s2[a:b, a:b])[::-1]
-                             for a, b in zip([0, *ends], ends)])
+    scale = np.abs(bare).max()
+    rounding = np.finfo(float).eps * scale
+    if rounding > 1e-6 * min((abs(c) for c in (j, d) if c), default=np.inf):
+        raise ValueError(f"couplings J = {j}, d = {d} are not resolved: eps max|E| = "
+                         f"{rounding:.3g} exceeds 1e-6 min(|J|, |d|)")
+    cluster = np.concatenate(([0], np.cumsum(np.diff(bare) > 1e-9 * scale)))  # of each level
+    # one eigh of S^2 on all clusters; cluster k is shifted by 100 k, and 100 exceeds the
+    # largest 4S(S+1) = 24, so no eigenvector mixes two clusters
+    shift = 100.0 * cluster
+    w, u = np.linalg.eigh(np.where(cluster[:, None] == cluster, s2, 0.0) + np.diag(shift))
+    rayleigh = (u.conj() * bare[:, None] * u).sum(axis=0).real  # <u|H|u>, cluster by cluster
+    s2vals = (w - shift)[np.lexsort((rayleigh, cluster))]
     spins = np.rint((np.sqrt(1.0 + s2vals) - 1.0) / 2.0)
     offset = 4.0 * j + 2.0 * d
     levels = bare + offset

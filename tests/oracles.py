@@ -232,13 +232,15 @@ def link_spectrum(n_l: int, n_r_a: int, channel_spin, params: gp.OnsiteParams,
                   statistics: str) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of one link's S_z block and the weights |<k|psi0>|^2 of its initial state.
 
-    One channel alone, with the program's own functions: its Hamiltonian is built and its
-    block solved for this call, so the eigenpairs are those of `_link_pass`, bit for bit.
+    One channel alone: its Hamiltonian is built from the program's operators and its block
+    solved by the same real `eigh` for this call, so the eigenpairs are those of `_link_pass`,
+    bit for bit, without its cache or its refusals.
     """
     j = Fraction(channel_spin)
-    h = gp._link_hamiltonian(statistics, n_l + n_r_a, params)
-    evals, evecs = gp._link_eigensystem(h, statistics, n_l + n_r_a, int(2 * j), params)
-    block = gp._link_space(statistics, n_l + n_r_a).spin_z_blocks[int(2 * j)]
+    space = gp._link_space(statistics, n_l + n_r_a)
+    h = gp.onsite_hamiltonian(params, space) + gp.tunneling_hamiltonian(params, space)
+    block = space.spin_z_blocks[int(2 * j)]
+    evals, evecs = np.linalg.eigh(h[np.ix_(block, block)])
     return evals, (evecs.T @ gp._channel_state(statistics, n_l, n_r_a, j)[block]) ** 2
 
 

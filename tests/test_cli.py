@@ -533,6 +533,8 @@ BAD_RESULTS = {
     # below 1e-4 the eigensolve's rounding swamps the gap: rel_error read 0.50 at 1e-9
     pytest.param(("hubbard-check", "--t-over-u", "1e-9"), "outside the superexchange regime",
                  id="hubbard-check-1e-9"),
+    # beyond |d/J| ~ 7.5e8 the rounding of the d levels swamps J: a 4J level would read -8.9e284
+    pytest.param(("spectrum", "--dJ", "1e300"), "are not resolved", id="spectrum-dJ-1e300"),
     # m = 0 would divide the phase-matching level by zero
     pytest.param(("pert-allowed", "--m", "0"), "n and m must be positive integers",
                  id="pert-allowed-m0"),

@@ -124,14 +124,24 @@ def test_spectrum_random_couplings(seed):
 
 
 @pytest.mark.parametrize("j, d", [(1.0, -1.0), (1.0, -0.5), (1.0, 0.0), (1.0, 0.5), (1.0, 2.0),
-                                  (0.0, 0.0), (1.0, 1e300)])
+                                  (0.0, 0.0), (1.0, 0.5 + 1e-10), (1.0, 0.5 - 1e-10),
+                                  (1.0, -1.0 + 1e-10), (1.0, -1.0 - 1e-10)])
 def test_spectrum_at_level_crossings(j, d):
-    # levels of different total spin coincide here, where eigh may mix their vectors
+    # levels of different total spin coincide here, where eigh may mix their vectors; 1e-10
+    # off a crossing the levels differ by 8e-10, inside one cluster, and keep their spins
     spec = plaquette_spectrum(j, d)
-    tol = 1e-12 * max(1.0, 8.0 * abs(j) + 4.0 * abs(d))
-    np.testing.assert_allclose(spec.singlets, sorted([-4.0 * (j - d), 4.0 * (j - d)]), atol=tol)
-    np.testing.assert_allclose(spec.triplets, sorted([4.0 * j, 4.0 * j, 4.0 * d]), atol=tol)
-    assert abs(spec.quintet - 4.0 * (2.0 * j + d)) <= tol
+    np.testing.assert_allclose(spec.singlets, sorted([-4.0 * (j - d), 4.0 * (j - d)]),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(spec.triplets, sorted([4.0 * j, 4.0 * j, 4.0 * d]),
+                               rtol=0, atol=1e-12)
+    assert abs(spec.quintet - 4.0 * (2.0 * j + d)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1e-10, -1e-10, 1e10, 1e300])
+def test_spectrum_rejects_unresolved_couplings(d):
+    # eps max|E| exceeds 1e-6 of the smaller coupling; at d = 1e20 a 4J level would read -196608
+    with pytest.raises(ValueError, match="are not resolved"):
+        plaquette_spectrum(1.0, d)
 
 
 def test_spectrum_offset_convention():
