@@ -23,16 +23,13 @@ from plaqgate.geophase import (
     tunneling_phase,
 )
 
-U0 = 50.0       # right-site repulsions, in units of the tunneling t
+U0 = 50.0       # the right-site repulsion U_R, in units of the tunneling t
 OMEGA = 600.0   # band splitting
 U_L_AA = 77.3   # generic left repulsion (avoids accidental degeneracies)
 
 
 def params(bias_surplus: float) -> OnsiteParams:
-    return OnsiteParams(
-        mu_l=OMEGA + bias_surplus, mu_r=0.0, omega=OMEGA,
-        u_l_aa=U_L_AA, u_r_aa=U0, u_r_bb=U0, u_r_ab=U0, t=1.0,
-    )
+    return OnsiteParams(delta=OMEGA + bias_surplus, omega=OMEGA, u_l_aa=U_L_AA, u_r=U0, t=1.0)
 
 
 # the gap ledger: delta E_1 = c0 (Delta - omega) + c1 U_L^aa + c2 U_R^ab,
@@ -62,5 +59,5 @@ for sector in SECTORS:
 residual = schwinger_identity_check(TwoBandFockSpace("boson"))
 print(f"\ntwo-band spin-identity residual: {residual:.2e}")
 for stat in ("boson", "fermion"):
-    gap, ref = superexchange_hubbard_check(0.02, 1.0, stat)
+    gap, ref = superexchange_hubbard_check(0.02, stat)
     print(f"superexchange gap ({stat}, t/U = 0.02): {gap:.6e} vs 4 t^2/U = {ref:.6e}")

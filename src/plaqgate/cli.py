@@ -234,7 +234,7 @@ def _cmd_pert_fidelity(config: RunConfig):
     if not p["dJ_min"] <= p["dJ_max"]:
         raise ValueError(f"--dJ-min must not exceed --dJ-max, got {p['dJ_min']} > {p['dJ_max']}")
     _check_jp(p["jp"])
-    d_values = np.round(np.arange(p["dJ_min"], p["dJ_max"] + 1e-12, p["dJ_step"]), 10)
+    d_values = pertgate.sweep_grid(p["dJ_min"], p["dJ_max"], p["dJ_step"])
     rows = pertgate.sweep(d_values, [p["jp"]], n=p["n"], m=p["m"], target=p["target"])
     if not rows:  # the sweep skips d/J outside (0, 1), the poles and lambda_z = 1/8
         raise ValueError(f"--dJ-min {p['dJ_min']} to --dJ-max {p['dJ_max']} holds no d/J in "
@@ -262,6 +262,9 @@ def _cmd_pert_validate(config: RunConfig):
     params = pertgate.PertParams(j=1.0, d=p["dJ"], jp=p["jp"])
     _check_jp(p["jp"])
     horizon = p["horizon_tc"] * pertgate.gate_time(params)
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"--horizon-tc = {p['horizon_tc']} gives a horizon of {horizon}, but "
+                         "the horizon must be positive and finite")
     dev = pertgate.validate_effective(params, horizon)
     rows = [{"d_over_J": p["dJ"], "Jp_over_J": p["jp"], "horizon": horizon, "max_deviation": dev}]
     return list(rows[0]), rows, None
@@ -369,7 +372,7 @@ def _cmd_hubbard_check(config: RunConfig):
     p = config.params
     rows = []
     for stat in _statistics(p["statistics"]):
-        gap, ref = geophase.superexchange_hubbard_check(p["t_over_u"], 1.0, stat)
+        gap, ref = geophase.superexchange_hubbard_check(p["t_over_u"], stat)
         rows.append({"statistics": stat, "t_over_u": p["t_over_u"], "gap": gap,
                      "four_t2_over_u": ref, "rel_error": abs(gap - ref) / ref})
     return ["statistics", "t_over_u", "gap", "four_t2_over_u", "rel_error"], rows, None
@@ -383,7 +386,7 @@ REPORT_FIGURES = {
         "Gate fidelity vs d/J at J'/J in {0.05, 0.1, 0.2} (columns: "
         + ", ".join(pertgate.SWEEP_FIELDS) + ")",
         list(pertgate.SWEEP_FIELDS),
-        lambda: pertgate.sweep(pertgate.default_sweep_grid(), [0.05, 0.1, 0.2]),
+        lambda: pertgate.sweep(pertgate.sweep_grid(0.05, 0.95, 0.01), [0.05, 0.1, 0.2]),
         'set xlabel "d/J"\nset ylabel "F"\nset key bottom\n'
         "plot for [jp in \"0.05 0.1 0.2\"] 'data.csv' "
         'using 1:($2 == jp + 0 ? $6 : 1/0) every ::1 with lines title "J\'/J = ".jp\n',
@@ -391,7 +394,7 @@ REPORT_FIGURES = {
     "coeffs": (
         "Effective coupling coefficients vs d/J (columns: d_over_J, lambda_z, gamma_z)",
         ["d_over_J", "lambda_z", "gamma_z"],
-        lambda: [_coeff_row(float(r)) for r in pertgate.default_sweep_grid()],
+        lambda: [_coeff_row(float(r)) for r in pertgate.sweep_grid(0.05, 0.95, 0.01)],
         'set xlabel "d/J"\n'
         "plot 'data.csv' using 1:2 every ::1 with lines title \"lambda_z\", "
         "'data.csv' using 1:3 every ::1 with lines title \"gamma_z\"\n",

@@ -20,8 +20,11 @@ whose return amplitude carries the geometric phase pi; off-resonant links
 pick up only O((t/dE1)^2) corrections.
 
 Conventions adopted here (fixed by the ledger rows):
+  * mu_R = 0 is the energy zero, so the bias is Delta = mu_L; at fixed N a mu_R would add
+    only mu_R N, which the return amplitude's gauge removes;
+  * one right-site repulsion U_R = U_R^aa = U_R^bb = U_R^ab, the `u_r` of OnsiteParams;
   * left-site repulsion enters as U_L^aa n(n-1) (a doublon costs 2 U_L^aa),
-    right-site intra-band repulsion as (1/2) U n(n-1);
+    right-site intra-band repulsion as (1/2) U_R n(n-1);
   * the right-site inter-band coupling is U_R^ab (n^a n^b + spin exchange)
     for bosons and U_R^ab (n^a n^b - spin exchange) for fermions, where the
     exchange sum is sum_{s,s'} a^dag_s b^dag_s' b_s a_s';
@@ -54,6 +57,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -82,36 +86,30 @@ class RWAValidityWarning(UserWarning):
 
 @dataclass(frozen=True)
 class OnsiteParams:
-    """Single-link energies; the bias Delta = mu_L - mu_R is derived."""
+    """Single-link energies: the bias Delta = mu_L - mu_R, with mu_R = 0 the energy zero, and
+    one right-site repulsion u_r = U_R^aa = U_R^bb = U_R^ab."""
 
-    mu_l: float
-    mu_r: float
+    delta: float
     omega: float
     u_l_aa: float
-    u_r_aa: float
-    u_r_bb: float
-    u_r_ab: float
+    u_r: float
     t: float
 
     def __post_init__(self) -> None:
         if not all(map(math.isfinite, vars(self).values())):
             raise ValueError(f"link energies must be finite, got {self}")
-        if self.omega < 10.0 * self.u_r_ab:
+        if self.omega < 10.0 * self.u_r:
             warnings.warn(
-                f"omega={self.omega} is not >> U_R_ab={self.u_r_ab}; the "
+                f"omega={self.omega} is not >> U_R_ab={self.u_r}; the "
                 "rotating-wave neglect of band-changing terms is unreliable",
                 RWAValidityWarning,
                 stacklevel=3,
             )
 
-    @property
-    def delta(self) -> float:
-        return self.mu_l - self.mu_r
-
 
 def link_params(statistics: str, u_l_aa: float, u_r_ab: float,
                 bias_surplus: "float | None" = None) -> OnsiteParams:
-    """The CLI's links: omega = max(20 U_R^ab, 1), t = 1, mu_R = 0, U_R^aa = U_R^bb = U_R^ab.
+    """The CLI's links: omega = max(20 U_R^ab, 1), t = 1 and u_r = U_R^ab.
 
     Delta - omega = bias_surplus, by default resonant: 0 for bosons, U_R^ab for fermions.
     The links are repulsive: U_L^aa and U_R^ab must be positive.
@@ -122,8 +120,7 @@ def link_params(statistics: str, u_l_aa: float, u_r_ab: float,
     if bias_surplus is None:
         bias_surplus = 0.0 if statistics == "boson" else u_r_ab
     omega = max(20.0 * u_r_ab, 1.0)
-    return OnsiteParams(mu_l=omega + bias_surplus, mu_r=0.0, omega=omega, u_l_aa=u_l_aa,
-                        u_r_aa=u_r_ab, u_r_bb=u_r_ab, u_r_ab=u_r_ab, t=1.0)
+    return OnsiteParams(delta=omega + bias_surplus, omega=omega, u_l_aa=u_l_aa, u_r=u_r_ab, t=1.0)
 
 
 def _as_half_integer(value) -> Fraction:
@@ -143,32 +140,30 @@ def _couples_to(j: Fraction, n_a: int, n_b: int) -> bool:
 class NumberConfig:
     """Occupation/spin labels of one link after a single tunneling event.
 
-    n_L counts left-site particles before the event; (n_R_a, n_R_b) the
-    right-site bands after it (n_R_b = 1 for every ledger row); j_R the
-    total right-site spin of the final state.
+    n_L counts left-site particles before the event; n_R_a the right ground band after it,
+    beside the one excited-band particle that the event puts there; j_R the total right-site
+    spin of the final state.
     """
 
     n_l: int
     n_r_a: int
-    n_r_b: int
     j_r: Fraction
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "j_r", _as_half_integer(self.j_r))
-        for name, val in (("n_L", self.n_l), ("n_R_a", self.n_r_a), ("n_R_b", self.n_r_b)):
+        for name, val in (("n_L", self.n_l), ("n_R_a", self.n_r_a)):
             if not 0 <= val <= 2:
                 raise ValueError(f"{name} must be in 0..2, got {val}")
-        if not _couples_to(self.j_r, self.n_r_a, self.n_r_b):
-            raise ValueError(
-                f"j_R={self.j_r} incompatible with (n_R_a, n_R_b)=({self.n_r_a}, {self.n_r_b})"
-            )
+        if not _couples_to(self.j_r, self.n_r_a, 1):
+            raise ValueError(f"j_R={self.j_r} incompatible with (n_R_a, n_R_b)=({self.n_r_a}, 1)")
 
 
 @dataclass(frozen=True)
 class EnergyLedgerEntry:
+    #: the coefficient of Delta - omega, the same in every row
+    c0: ClassVar[Fraction] = Fraction(1)
     config: NumberConfig
     statistics: str
-    c0: Fraction
     c1: Fraction
     c2: Fraction
     resonant_at_bias: bool
@@ -179,11 +174,8 @@ class EnergyLedgerEntry:
                 self.c0, self.c1, self.c2, self.resonant_at_bias)
 
     def evaluate(self, params: OnsiteParams) -> float:
-        return (
-            float(self.c0) * (params.delta - params.omega)
-            + float(self.c1) * params.u_l_aa
-            + float(self.c2) * params.u_r_ab
-        )
+        return (params.delta - params.omega + float(self.c1) * params.u_l_aa
+                + float(self.c2) * params.u_r)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +210,7 @@ def delta_e1(
 
     The sign convention is initial minus final: the event is resonant when
     the bias surplus Delta - omega cancels the interaction shift.
-    Coefficients are exact rationals (`_ledger_entry`): c0 = 1;
+    Coefficients are exact rationals (`_ledger_entry`): c0 = 1 in every row;
     bosons   c1 = 2(n_L - 1),        c2 = -f[n_R_a, 1, j_R];
     fermions c1 = [n_L = 2],         c2 = -(n_R_a + eta)/2.
     The entry is marked resonant when |dE1| <= 0.1 |t| at `params`.
@@ -231,18 +223,15 @@ def _ledger_entry(config: NumberConfig, statistics: str) -> EnergyLedgerEntry:
     check_statistics(statistics)
     if config.n_l < 1:
         raise ValueError("the ledger describes a tunneling event; need n_L >= 1")
-    if config.n_r_b != 1:
-        raise ValueError("ledger rows have exactly one excited-band particle (n_R_b = 1)")
     if statistics == "fermion" and config.n_r_a == 2 and config.j_r != Fraction(1, 2):
         raise ValueError("a filled fermion band is a spin singlet; (2, 1) forces j_R = 1/2")
-    c0 = Fraction(1)
     if statistics == "boson":
         c1 = Fraction(2 * (config.n_l - 1))
         c2 = -boson_f(config.n_r_a, 1, config.j_r)
     else:
         c1 = Fraction(1 if config.n_l == 2 else 0)
         c2 = -Fraction(config.n_r_a + fermion_eta(config.n_r_a, 1, config.j_r), 2)
-    return EnergyLedgerEntry(config, statistics, c0, c1, c2, resonant_at_bias=False)
+    return EnergyLedgerEntry(config, statistics, c1, c2, resonant_at_bias=False)
 
 
 def _at_bias(entry: EnergyLedgerEntry, params: OnsiteParams) -> tuple[float, EnergyLedgerEntry]:
@@ -261,7 +250,7 @@ def table_configs(statistics: str) -> list[NumberConfig]:
     triples = [(1, 0, half), (1, 1, Fraction(0)), (1, 1, Fraction(1)), (1, 2, half),
                (1, 2, three_halves), (2, 1, Fraction(0)), (2, 1, Fraction(1)), (2, 2, half),
                (2, 2, three_halves)]
-    return [NumberConfig(n_l, n_a, 1, j) for n_l, n_a, j in triples
+    return [NumberConfig(n_l, n_a, j) for n_l, n_a, j in triples
             if statistics == "boson" or j != three_halves]
 
 
@@ -436,19 +425,18 @@ def onsite_hamiltonian(params: OnsiteParams, space: TwoBandFockSpace) -> np.ndar
     n_ra = space.occupation(RA_UP, RA_DN)
     n_rb = space.occupation(RB_UP, RB_DN)
     # float also for integer energies: the terms below are added in place
-    diag = (params.mu_l * n_l + params.mu_r * n_ra + (params.mu_r + params.omega) * n_rb
-            ).astype(float, copy=False)
+    diag = (params.delta * n_l + params.omega * n_rb).astype(float, copy=False)
     if space.statistics == "boson":
         diag += params.u_l_aa * (n_l * (n_l - 1.0))
-        diag += 0.5 * params.u_r_aa * (n_ra * (n_ra - 1.0))
-        diag += 0.5 * params.u_r_bb * (n_rb * (n_rb - 1.0))
+        diag += 0.5 * params.u_r * (n_ra * (n_ra - 1.0))
+        diag += 0.5 * params.u_r * (n_rb * (n_rb - 1.0))
         exchange = space.band_exchange
     else:
-        for (up, dn), u in zip(ORBITAL_PAIRS, (params.u_l_aa, params.u_r_aa, params.u_r_bb)):
+        for (up, dn), u in zip(ORBITAL_PAIRS, (params.u_l_aa, params.u_r, params.u_r)):
             diag += u * (space.occupation(up) * space.occupation(dn))
         exchange = -space.band_exchange
     h = np.diag(diag)
-    h += params.u_r_ab * (np.diag(n_ra * n_rb) + exchange)
+    h += params.u_r * (np.diag(n_ra * n_rb) + exchange)
     return h
 
 
@@ -494,21 +482,21 @@ def fixed_number_schwinger_check() -> float:
 
 @lru_cache(maxsize=2)
 def _two_site_setup(statistics: str):
-    """Read-only (n0, n1, hop at t = -1, S^2) of the two-site model; -t * hop is the hop at t.
+    """Read-only (on-site diagonal at U = 1, hop at t = -1, S^2) of the two-site model.
 
     The model is the R_b-empty block of the shared two-particle link space, where
-    the link's S^2 is that of the two sites.
+    the link's S^2 is that of the two sites; -t * hop is the hop at t.
     """
     space = _link_space(statistics, 2)
     keep = np.flatnonzero(space.occupation(RB_UP, RB_DN) == 0)
+    n0, n1 = space.occupation(L_UP, L_DN)[keep], space.occupation(RA_UP, RA_DN)[keep]
     hop = space.operator([(1.0, [(L_UP, +1), (RA_UP, -1)]), (1.0, [(L_DN, +1), (RA_DN, -1)])])
-    return tuple(read_only(a) for a in (space.occupation(L_UP, L_DN)[keep],
-                 space.occupation(RA_UP, RA_DN)[keep], hop[np.ix_(keep, keep)],
-                 space.spin_squared[np.ix_(keep, keep)]))
+    return tuple(read_only(a) for a in (0.5 * (n0 * (n0 - 1) + n1 * (n1 - 1)),
+                 hop[np.ix_(keep, keep)], space.spin_squared[np.ix_(keep, keep)]))
 
 
-def superexchange_hubbard_check(t: float, u: float, statistics: str) -> tuple[float, float]:
-    """Exact two-site singlet-triplet gap against the superexchange value 4t^2/U.
+def superexchange_hubbard_check(t_over_u: float, statistics: str) -> tuple[float, float]:
+    """Exact two-site singlet-triplet gap against the superexchange value 4t^2/U, in units of U.
 
     The two sites are the L_a and R_a orbitals of the two-particle link space
     (`_two_site_setup`); the on-site energy (U/2) n(n-1) counts doubly occupied orbitals for
@@ -518,25 +506,23 @@ def superexchange_hubbard_check(t: float, u: float, statistics: str) -> tuple[fl
     runs at |t| and t, -t give the same result.
 
     Returns:
-        (exact_gap, 4t^2/U)
+        (exact_gap / U, 4 (t/U)^2)
 
     Raises:
-        ValueError: unless 1e-4 <= |t|/U <= 0.1. Below 1e-4 the eigensolve's rounding, a
+        ValueError: unless 1e-4 <= |t/U| <= 0.1. Below 1e-4 the eigensolve's rounding, a
             relative error of about eps / (4 (t/U)^2), exceeds the physical one.
     """
     check_statistics(statistics)
-    if u <= 0:
-        raise ValueError("U must be positive")
-    if not 1e-4 <= abs(t) / u <= 0.1:
-        raise ValueError(f"t/U = {t / u:.3g} is outside the superexchange regime "
+    if not 1e-4 <= abs(t_over_u) <= 0.1:
+        raise ValueError(f"t/U = {t_over_u:.3g} is outside the superexchange regime "
                          "1e-4 <= |t/U| <= 0.1")
-    n0, n1, unit_hop, s2 = _two_site_setup(statistics)
-    hop = -abs(t) * unit_hop
-    w, v = np.linalg.eigh(np.diag(0.5 * u * (n0 * (n0 - 1) + n1 * (n1 - 1))) + hop + hop.T)
+    onsite, unit_hop, s2 = _two_site_setup(statistics)
+    hop = -abs(t_over_u) * unit_hop
+    w, v = np.linalg.eigh(np.diag(onsite) + hop + hop.T)
     s2vals = np.einsum("ik,ij,jk->k", v, s2, v)
     e_singlet, e_triplet = w[s2vals < 1.0].min(), w[s2vals >= 1.0].min()
     gap = (e_triplet - e_singlet) if statistics == "fermion" else (e_singlet - e_triplet)
-    return float(gap), 4.0 * t * t / u
+    return float(gap), 4.0 * t_over_u * t_over_u
 
 
 # ---------------------------------------------------------------------------
@@ -682,8 +668,10 @@ def _link_pass(statistics: str, params: OnsiteParams):
     reads it: 8 Hamiltonians and 12 blocks per scale over both statistics. The Hamiltonian is
     real and conserves S_z, so a block is one real `eigh` (Sandvik, AIP Conf. Proc. 1297, 135
     (2010), sec. 4); S^2 is not conserved for bosons at the mode cap, so there is no finer
-    block. A block is refused if its spectrum is non-finite (U n(n-1) at U = 1e308), or if its
-    rounding eps max|E| exceeds 1e-6 |t|, since the figures carry errors of eps max|E| / |t|.
+    block. The cache holds each block's raw `eigh`; a channel's read refuses its block if the
+    spectrum is non-finite (U n(n-1) at U = 1e308), or if its rounding eps max|E| exceeds
+    1e-6 |t|, since the figures carry errors of eps max|E| / |t|. So a refused block is solved
+    once too, and no exception is stored.
 
     Every channel of SECTOR_LINKS[statistics] is filled before the pass returns, since the
     `links` benchmark runs a 729-dim probe between the sector calls of a scale, and solving
@@ -698,19 +686,19 @@ def _link_pass(statistics: str, params: OnsiteParams):
     @cache
     def eigensystem(n: int, two_m: int) -> tuple[np.ndarray, np.ndarray]:
         block = _link_space(statistics, n).spin_z_blocks[two_m]
-        evals, evecs = np.linalg.eigh(hamiltonian(n)[np.ix_(block, block)])
-        rounding = np.finfo(float).eps * np.abs(evals).max()
-        if not np.isfinite(rounding):
-            raise ValueError(f"non-finite link spectrum, {statistics} N = {n}: {params}")
-        if rounding > 1e-6 * abs(params.t):
-            raise ValueError(f"ill-conditioned link spectrum, {statistics} N = {n}: "
-                             f"eps max|E| = {rounding:.3g} exceeds 1e-6 |t|: {params}")
-        return evals, evecs
+        return np.linalg.eigh(hamiltonian(n)[np.ix_(block, block)])
 
     @cache
     def figures(n_l: int, n_r_a: int, j: Fraction) -> tuple[float, float, float]:
-        evals, evecs = eigensystem(n_l + n_r_a, int(2 * j))
-        block = _link_space(statistics, n_l + n_r_a).spin_z_blocks[int(2 * j)]
+        n = n_l + n_r_a
+        evals, evecs = eigensystem(n, int(2 * j))
+        rounding = np.finfo(float).eps * np.abs(evals).max()
+        if not np.isfinite(rounding):
+            raise ValueError(f"non-finite link spectrum, {statistics} N = {n}")
+        if rounding > 1e-6 * abs(params.t):
+            raise ValueError(f"ill-conditioned link spectrum, {statistics} N = {n}: "
+                             f"eps max|E| = {rounding:.3g} exceeds 1e-6 |t|")
+        block = _link_space(statistics, n).spin_z_blocks[int(2 * j)]
         weights = (evecs.T @ _channel_state(statistics, n_l, n_r_a, j)[block]) ** 2  # |<k|psi0>|^2
         return _return_figures(evals, weights, params)
 

@@ -505,6 +505,6 @@ def sweep(
     return rows
 
 
-def default_sweep_grid() -> np.ndarray:
-    """d/J from 0.05 to 0.95 in steps of 0.01."""
-    return np.round(np.arange(0.05, 0.95 + 1e-9, 0.01), 10)
+def sweep_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """d/J from lo to hi, both included, in steps of `step`, rounded to 10 decimals."""
+    return np.round(np.arange(lo, hi + 1e-12, step), 10)

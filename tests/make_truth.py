@@ -88,15 +88,14 @@ def block_basis(statistics: str, total: int, two_m: int) -> list:
 def hamiltonian(basis: list, params: gp.OnsiteParams, statistics: str):
     """The link Hamiltonian of the `geophase` module docstring, on `basis`."""
     p = {k: mp.mpf(v) for k, v in vars(params).items()}
-    h = matrix(basis, EXCHANGE, statistics, p["u_r_ab"] * (1 if statistics == "boson" else -1))
+    h = matrix(basis, EXCHANGE, statistics, p["u_r"] * (1 if statistics == "boson" else -1))
     hop = matrix(basis, HOP, statistics, -p["t"])
     h += hop + hop.T
     for i, occ in enumerate(basis):
         n_l, n_a, n_b = (occ[up] + occ[dn] for up, dn in gp.ORBITAL_PAIRS)
-        energy = (p["mu_l"] * n_l + p["mu_r"] * n_a + (p["mu_r"] + p["omega"]) * n_b
-                  + p["u_r_ab"] * n_a * n_b)
+        energy = p["delta"] * n_l + p["omega"] * n_b + p["u_r"] * n_a * n_b
         # bosons: U_L^aa n(n-1) on the left, (1/2) U n(n-1) on the right; fermions: U n_up n_dn
-        for (up, dn), u, half in zip(gp.ORBITAL_PAIRS, (p["u_l_aa"], p["u_r_aa"], p["u_r_bb"]),
+        for (up, dn), u, half in zip(gp.ORBITAL_PAIRS, (p["u_l_aa"], p["u_r"], p["u_r"]),
                                      (1, mp.mpf(1) / 2, mp.mpf(1) / 2)):
             n = occ[up] + occ[dn]
             energy += u * half * n * (n - 1) if statistics == "boson" else u * occ[up] * occ[dn]

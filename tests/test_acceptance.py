@@ -35,10 +35,8 @@ U_L_AA = 77.3
 
 
 def _geo_params(bias_surplus: float) -> geophase.OnsiteParams:
-    return geophase.OnsiteParams(
-        mu_l=OMEGA + bias_surplus, mu_r=0.0, omega=OMEGA,
-        u_l_aa=U_L_AA, u_r_aa=U0, u_r_bb=U0, u_r_ab=U0, t=1.0,
-    )
+    return geophase.OnsiteParams(delta=OMEGA + bias_surplus, omega=OMEGA, u_l_aa=U_L_AA, u_r=U0,
+                                 t=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +86,7 @@ def test_02_coefficient_root_and_values():
 @pytest.fixture(scope="module")
 def fidelity_traces():
     t0 = time.monotonic()
-    d_values = pertgate.default_sweep_grid()
+    d_values = pertgate.sweep_grid(0.05, 0.95, 0.01)
     traces = {}
     for jp in (0.05, 0.1, 0.2):
         rows = pertgate.sweep(d_values, [jp])
@@ -346,5 +344,5 @@ def test_11_subspace_properties_and_hubbard_gap():
     # two-site superexchange gap against 4 t^2 / U
     for stat in ("boson", "fermion"):
         for t_over_u in (0.02, 0.05):
-            gap, ref = geophase.superexchange_hubbard_check(t_over_u, 1.0, stat)
+            gap, ref = geophase.superexchange_hubbard_check(t_over_u, stat)
             assert abs(gap - ref) <= 5.0 * t_over_u**2

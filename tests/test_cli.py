@@ -12,7 +12,7 @@ import pytest
 import plaqgate
 from plaqgate import geophase
 from plaqgate.cli import COMMANDS, REPORT_FIGURES, RunConfig, _build_parser, run
-from plaqgate.pertgate import default_sweep_grid
+from plaqgate.pertgate import sweep_grid
 
 
 def _run(tmp_path, *argv) -> int:
@@ -385,7 +385,7 @@ def test_report_writes_plot_script(tmp_path):
 
 def test_report_coeffs_rows_are_pert_coeffs_rows(tmp_path):
     report = _json_rows(tmp_path / "report", "report", "--figure", "coeffs")
-    assert [row["d_over_J"] for row in report] == [float(r) for r in default_sweep_grid()]
+    assert [row["d_over_J"] for row in report] == [float(r) for r in sweep_grid(0.05, 0.95, 0.01)]
     for k, row in enumerate(report):
         (single,) = _json_rows(tmp_path / str(k), "pert-coeffs", "--dJ", repr(row["d_over_J"]))
         del single["delta_e"]
@@ -583,6 +583,11 @@ BAD_RESULTS = {
     *(pytest.param(("pert-validate", "--dJ", "0.3", "--Jp", "0.05", "--horizon-tc", h),
                    "horizon must be positive and finite", id=f"pert-validate-horizon-{h}")
       for h in ("nan", "inf", "0")),
+    # the message names the flag and its value, not only its product with t_c (inf at 1e308)
+    *(pytest.param(("pert-validate", "--dJ", "0.3", "--Jp", "0.05", "--horizon-tc", h),
+                   f"--horizon-tc = {float(h)} gives a horizon of",
+                   id=f"pert-validate-horizon-tc{h}")
+      for h in ("-1", "0", "1e308")),
     # a non-finite horizon, given or read back, fails at the pulse and not in the propagation
     pytest.param(("optctrl-optimize", "--t-horizon", "nan"),
                  "pulse horizon must be positive and finite", id="optimize-t-horizon-nan"),

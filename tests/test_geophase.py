@@ -33,16 +33,12 @@ U0, T = 50.0, 1.0
 OMEGA = 600.0
 
 # all interactions equal: fine for dynamics of individual links
-PB = gp.OnsiteParams(mu_l=OMEGA, mu_r=0.0, omega=OMEGA, u_l_aa=U0, u_r_aa=U0,
-                     u_r_bb=U0, u_r_ab=U0, t=T)
-PF = gp.OnsiteParams(mu_l=OMEGA + U0, mu_r=0.0, omega=OMEGA, u_l_aa=U0,
-                     u_r_aa=U0, u_r_bb=U0, u_r_ab=U0, t=T)
+PB = gp.OnsiteParams(delta=OMEGA, omega=OMEGA, u_l_aa=U0, u_r=U0, t=T)
+PF = gp.OnsiteParams(delta=OMEGA + U0, omega=OMEGA, u_l_aa=U0, u_r=U0, t=T)
 # generic left repulsion: equal couplings make the (2, n_a) rows accidentally
 # resonant (2 U_L^aa = 2 U_R^ab), which would mask the universal resonant set
-PB_TAB = gp.OnsiteParams(mu_l=OMEGA, mu_r=0.0, omega=OMEGA, u_l_aa=77.3,
-                         u_r_aa=U0, u_r_bb=U0, u_r_ab=U0, t=T)
-PF_TAB = gp.OnsiteParams(mu_l=OMEGA + U0, mu_r=0.0, omega=OMEGA, u_l_aa=77.3,
-                         u_r_aa=U0, u_r_bb=U0, u_r_ab=U0, t=T)
+PB_TAB = gp.OnsiteParams(delta=OMEGA, omega=OMEGA, u_l_aa=77.3, u_r=U0, t=T)
+PF_TAB = gp.OnsiteParams(delta=OMEGA + U0, omega=OMEGA, u_l_aa=77.3, u_r=U0, t=T)
 
 # frozen first-order energy-cost rows (c0, c1, c2) keyed by (n_L, n_R_a, j_R):
 # delta_E1 = c0 (Delta - omega) + c1 U_L^aa + c2 U_R^ab, initial minus final
@@ -73,15 +69,15 @@ GOLD_FERMION = {
 # ---------------------------------------------------------------------------
 
 def test_number_config_triangle_rule():
-    gp.NumberConfig(1, 2, 1, Fr(1, 2))
+    gp.NumberConfig(1, 2, Fr(1, 2))
     with pytest.raises(ValueError):
-        gp.NumberConfig(1, 2, 1, Fr(5, 2))  # violates |j| <= (n_a + n_b)/2
+        gp.NumberConfig(1, 2, Fr(5, 2))  # violates |j| <= (n_a + n_b)/2 with n_b = 1
     with pytest.raises(ValueError):
-        gp.NumberConfig(1, 1, 1, Fr(1, 2))  # wrong parity for two particles
+        gp.NumberConfig(1, 1, Fr(1, 2))  # wrong parity for two particles
 
 
 def test_number_config_accepts_float_spin():
-    cfg = gp.NumberConfig(1, 2, 1, 0.5)
+    cfg = gp.NumberConfig(1, 2, 0.5)
     assert cfg.j_r == Fr(1, 2)
 
 
@@ -111,8 +107,7 @@ def test_golden_ledger_rows(statistics, gold, params, expected_resonant):
 
 
 def test_detuned_bias_gives_empty_resonant_set():
-    detuned = gp.OnsiteParams(mu_l=OMEGA + 10 * U0, mu_r=0.0, omega=OMEGA,
-                              u_l_aa=U0, u_r_aa=U0, u_r_bb=U0, u_r_ab=U0, t=T)
+    detuned = gp.OnsiteParams(delta=OMEGA + 10 * U0, omega=OMEGA, u_l_aa=U0, u_r=U0, t=T)
     assert not any(e.resonant_at_bias for e in gp.resonance_table(detuned, "boson"))
 
 
@@ -122,11 +117,11 @@ def test_cached_ledger_rows_follow_every_bias(statistics, params):
     # the sweep goes resonant -> each row's own resonance -> detuned -> resonant,
     # so every flag flips both ways and none may leak from an earlier call
     fresh_rows = [gp.delta_e1(c, params, statistics)[1] for c in gp.table_configs(statistics)]
-    surpluses = [-(float(e.c1) * params.u_l_aa + float(e.c2) * params.u_r_ab) for e in fresh_rows]
+    surpluses = [-(float(e.c1) * params.u_l_aa + float(e.c2) * params.u_r) for e in fresh_rows]
     base = params.delta - params.omega
     flags = []
     for surplus in [base, *surpluses, base + 10 * U0, base]:
-        biased = replace(params, mu_l=params.mu_r + params.omega + surplus)
+        biased = replace(params, delta=params.omega + surplus)
         table = gp.resonance_table(biased, statistics)
         assert table == [gp.delta_e1(c, biased, statistics)[1]
                          for c in gp.table_configs(statistics)]
@@ -146,7 +141,7 @@ def test_coefficients_are_exact_rationals():
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     statistics=st.sampled_from(["boson", "fermion"]),
-    values=st.tuples(*[st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)] * 8),
+    values=st.tuples(*[st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)] * 5),
 )
 def test_ledger_is_exact_rational_for_any_positive_params(statistics, values):
     with warnings.catch_warnings():
@@ -156,7 +151,7 @@ def test_ledger_is_exact_rational_for_any_positive_params(statistics, values):
         assert all(isinstance(c, Fr) for c in (e.c0, e.c1, e.c2))
     energy = gp.boson_f if statistics == "boson" else gp.fermion_eta
     for cfg in gp.table_configs(statistics):
-        assert isinstance(energy(cfg.n_r_a, cfg.n_r_b, cfg.j_r), Fr)
+        assert isinstance(energy(cfg.n_r_a, 1, cfg.j_r), Fr)
 
 
 @pytest.mark.parametrize("statistics,params", [("boson", PB), ("fermion", PF)])
@@ -258,7 +253,7 @@ def test_onsite_hamiltonian_conservation_laws(statistics, params):
 
 @pytest.mark.parametrize("statistics", ["boson", "fermion"])
 def test_onsite_hamiltonian_takes_integer_energies(statistics):
-    values = dict(mu_l=1000, mu_r=0, omega=1000, u_l_aa=77, u_r_aa=50, u_r_bb=50, u_r_ab=50, t=1)
+    values = dict(delta=1000, omega=1000, u_l_aa=77, u_r=50, t=1)
     ints = gp.OnsiteParams(**values)
     floats = gp.OnsiteParams(**{k: float(v) for k, v in values.items()})
     for n in (2, 3, 4):
@@ -273,7 +268,7 @@ def test_single_particle_ground_state(statistics, params):
     h = gp.onsite_hamiltonian(params, space)
     one = sector_indices(space, 1)
     evals = np.linalg.eigvalsh(h[np.ix_(one, one)])
-    assert abs(evals.min() - min(params.mu_l, params.mu_r)) < 1e-10
+    assert abs(evals.min() - min(params.delta, 0.0)) < 1e-10  # mu_R = 0 is the energy zero
 
 
 def _reference_operator(space, strings):
@@ -514,6 +509,10 @@ def _eigh_sizes(monkeypatch, runs):
     return sorted(sizes)
 
 
+#: Sorted sizes of the 12 (statistics, N, S_z) blocks that one interaction scale solves
+LINK_BLOCK_SIZES = [3, 3, 3, 6, 7, 9, 9, 9, 9, 18, 21, 36]
+
+
 def test_one_link_solve_per_statistics_and_number(tmp_path, monkeypatch):
     """One eigensolve per (statistics, N, S_z) block in use at an interaction scale.
 
@@ -521,14 +520,14 @@ def test_one_link_solve_per_statistics_and_number(tmp_path, monkeypatch):
     (4, 2) and fermion (1, 1/2), (2, 0), (2, 1), (3, 1/2), (4, 0). The whole N spaces had
     6, 21, 50 and 90 (bosons) and 6, 15, 20 and 15 (fermions) states.
     """
-    solves = [3, 3, 3, 6, 7, 9, 9, 9, 9, 18, 21, 36]
     # the channel states are built once, at the first interaction scale
     assert cli.run(_dynamics("31.94", "both", "all", tmp_path)) == 0
-    assert _eigh_sizes(monkeypatch, [_dynamics("32.94", "both", "all", tmp_path)]) == solves
+    runs = [_dynamics("32.94", "both", "all", tmp_path)]
+    assert _eigh_sizes(monkeypatch, runs) == LINK_BLOCK_SIZES
     # a `links` benchmark item: one run per (statistics, sector)
     per_sector = [_dynamics("33.94", stat, sector, tmp_path)
                   for stat in ("boson", "fermion") for sector in gp.SECTORS]
-    assert _eigh_sizes(monkeypatch, per_sector) == solves
+    assert _eigh_sizes(monkeypatch, per_sector) == LINK_BLOCK_SIZES
 
 
 def test_shared_link_solves_keep_sector_rows(tmp_path):
@@ -546,6 +545,22 @@ def test_shared_link_solves_keep_sector_rows(tmp_path):
             (run_dir,) = out.iterdir()
             header, rows[stat, sector] = (run_dir / "data.csv").read_bytes().splitlines(True)
         assert header + b"".join(rows[point] for point in points) == golden
+
+
+def test_refused_link_blocks_are_solved_once(tmp_path, monkeypatch):
+    """At --u-l-aa 1e12 every block is refused, and the eight per-sector runs of a scale still
+    solve each block once, as at any other scale: 12 `eigh` calls, where solving a refused
+    block again for each channel and sector that reads it made 25. A row names its block and
+    the rounding, not the parameter object."""
+    assert cli.run(_dynamics("31.94", "both", "all", tmp_path)) == 0  # builds the channel states
+    gp._link_pass.cache_clear()
+    runs = [[*_dynamics("50", stat, sector, tmp_path / stat / sector), "--u-l-aa", "1e12"]
+            for stat in gp.STATISTICS for sector in gp.SECTORS]
+    assert _eigh_sizes(monkeypatch, runs) == LINK_BLOCK_SIZES
+    (run_dir,) = (tmp_path / "fermion" / "SS").iterdir()
+    (row,) = list(csv.DictReader((run_dir / "data.csv").open()))
+    assert row["status"] == ("error: ValueError: ill-conditioned link spectrum, fermion N = 4: "
+                             "eps max|E| = 0.000222 exceeds 1e-6 |t|")
 
 
 def test_per_sector_error_rows_match_one_all_sector_run(tmp_path):
@@ -781,8 +796,7 @@ def test_resonant_fermion_link_phase():
 
 def test_resonant_phase_independent_of_tunneling_rate():
     for tt in (0.5, 2.0):
-        p = gp.OnsiteParams(mu_l=OMEGA, mu_r=0.0, omega=OMEGA, u_l_aa=U0,
-                            u_r_aa=U0, u_r_bb=U0, u_r_ab=U0, t=tt)
+        p = gp.OnsiteParams(delta=OMEGA, omega=OMEGA, u_l_aa=U0, u_r=U0, t=tt)
         t_ret, phase, _ = gp.link_tunneling_phase(1, 0, Fr(1, 2), p, "boson")
         assert abs(t_ret - np.pi / tt) < 1e-2
         assert abs(abs(phase) - np.pi) < 1e-2
@@ -800,8 +814,7 @@ def test_off_resonant_links_suppressed():
 @pytest.mark.parametrize("u", [25.0, 50.0, 100.0])
 def test_peak_leakage_bound(u):
     # transient depletion of an off-resonant link obeys leak <= 4 n_L (t/dE)^2
-    p = gp.OnsiteParams(mu_l=OMEGA, mu_r=0.0, omega=OMEGA, u_l_aa=u, u_r_aa=u,
-                        u_r_bb=u, u_r_ab=u, t=T)
+    p = gp.OnsiteParams(delta=OMEGA, omega=OMEGA, u_l_aa=u, u_r=u, t=T)
     peak = link_peak_leakage(1, 1, Fr(1), p, "boson")
     assert peak <= 4.0 * (T / (2.0 * u)) ** 2 * 1.02
 
@@ -839,18 +852,16 @@ def test_unknown_sector_rejected():
 
 def test_rwa_validity_warning():
     with pytest.warns(gp.RWAValidityWarning) as record:
-        gp.OnsiteParams(mu_l=0.0, mu_r=0.0, omega=100.0, u_l_aa=1.0, u_r_aa=1.0,
-                        u_r_bb=1.0, u_r_ab=50.0, t=1.0)
+        gp.OnsiteParams(delta=0.0, omega=100.0, u_l_aa=1.0, u_r=50.0, t=1.0)
     assert record[0].filename == __file__
 
 
 @pytest.mark.parametrize("statistics, surplus", [("boson", 0.0), ("fermion", 30.0)])
 def test_link_params_convention(statistics, surplus):
-    # omega = max(20 U_R^ab, 1), t = 1, mu_R = 0, equal right-site repulsions, resonant bias
+    # omega = max(20 U_R^ab, 1), t = 1, u_r = U_R^ab, resonant bias
     assert gp.link_params(statistics, 77.3, 30.0) == gp.OnsiteParams(
-        mu_l=600.0 + surplus, mu_r=0.0, omega=600.0, u_l_aa=77.3, u_r_aa=30.0, u_r_bb=30.0,
-        u_r_ab=30.0, t=1.0)
-    assert gp.link_params(statistics, 77.3, 30.0, -5.0).mu_l == 595.0
+        delta=600.0 + surplus, omega=600.0, u_l_aa=77.3, u_r=30.0, t=1.0)
+    assert gp.link_params(statistics, 77.3, 30.0, -5.0).delta == 595.0
     assert gp.link_params(statistics, 1.0, 0.01).omega == 1.0  # the floor of a weak link
 
 
@@ -862,4 +873,5 @@ def test_onsite_params_reject_non_finite(name, value):
 
 
 def test_delta_property():
-    assert PB.delta == PB.mu_l - PB.mu_r == OMEGA
+    # Delta = mu_L - mu_R with mu_R = 0: the ledger's bias surplus is Delta - omega
+    assert PB.delta == OMEGA and PF.delta - PF.omega == U0

@@ -26,7 +26,6 @@ from plaqgate.pertgate import (
     _target_cphase,
     _two_qubit,
     allowed_ratios,
-    default_sweep_grid,
     echo_gate,
     echo_pulse,
     effective_coeffs,
@@ -36,6 +35,7 @@ from plaqgate.pertgate import (
     phase_level,
     superplaquette_hamiltonian,
     sweep,
+    sweep_grid,
     validate_effective,
 )
 from plaqgate.plaquette import logical_basis
@@ -506,7 +506,7 @@ def test_sector_gate_is_unitary(d, jp, physical_x):
 def test_sweep_matches_full_space_on_pertfid_grid():
     # every (d/J, J'/J) point of report --figure pertfid
     for jp in (0.05, 0.1, 0.2):
-        for row in sweep(default_sweep_grid(), [jp]):
+        for row in sweep(sweep_grid(0.05, 0.95, 0.01), [jp]):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", WeakCouplingWarning)
                 p = PertParams(j=1.0, d=row["d_over_J"], jp=jp)

@@ -240,7 +240,7 @@ def test_rotation_step_bound_collinear_rejected():
 @pytest.mark.parametrize("statistics", ["fermion", "boson"])
 @pytest.mark.parametrize("t_over_u", [0.02, 0.05])
 def test_hubbard_gap_matches_superexchange(statistics, t_over_u):
-    gap, ref = superexchange_hubbard_check(t_over_u, 1.0, statistics)
+    gap, ref = superexchange_hubbard_check(t_over_u, statistics)
     assert ref == pytest.approx(4.0 * t_over_u**2)
     assert abs(gap - ref) <= 5.0 * t_over_u**2
 
@@ -249,7 +249,7 @@ def test_hubbard_gap_matches_superexchange(statistics, t_over_u):
 @pytest.mark.parametrize("t_over_u", [0.005, 0.02, 0.1])
 def test_hubbard_gap_is_exact(statistics, t_over_u):
     # the two-site singlet-triplet gap in closed form, (sqrt(U^2 + 16 t^2) - U)/2
-    gap, _ = superexchange_hubbard_check(t_over_u, 1.0, statistics)
+    gap, _ = superexchange_hubbard_check(t_over_u, statistics)
     assert abs(gap - (np.sqrt(1.0 + 16.0 * t_over_u**2) - 1.0) / 2.0) < 1e-12
 
 
@@ -269,8 +269,9 @@ def test_two_site_setup_matches_own_space(statistics):
     keep = np.flatnonzero(space.occupation(RB_UP, RB_DN) == 0)
     hop = space.operator([(1.0, [(L_UP, +1), (RA_UP, -1)]), (1.0, [(L_DN, +1), (RA_DN, -1)])])
     s2 = space.total_spin_squared(((L_UP, L_DN), (RA_UP, RA_DN)))
-    own = (space.occupation(L_UP, L_DN)[keep], space.occupation(RA_UP, RA_DN)[keep],
-           hop[np.ix_(keep, keep)].real, s2[np.ix_(keep, keep)])
+    n0, n1 = space.occupation(L_UP, L_DN)[keep], space.occupation(RA_UP, RA_DN)[keep]
+    own = (0.5 * (n0 * (n0 - 1) + n1 * (n1 - 1)), hop[np.ix_(keep, keep)].real,
+           s2[np.ix_(keep, keep)])
     for arr, ref in zip(_two_site_setup(statistics), own, strict=True):
         assert arr.dtype == ref.dtype and np.array_equal(arr, ref)
 
@@ -282,12 +283,12 @@ def test_two_site_unit_hop_scales_exactly(statistics, t):
     space = TwoBandFockSpace(statistics, total_number=2)
     keep = np.flatnonzero(space.occupation(RB_UP, RB_DN) == 0)
     hop = space.operator([(-t, [(L_UP, +1), (RA_UP, -1)]), (-t, [(L_DN, +1), (RA_DN, -1)])])
-    assert np.array_equal(hop[np.ix_(keep, keep)].real, -t * _two_site_setup(statistics)[2])
+    assert np.array_equal(hop[np.ix_(keep, keep)].real, -t * _two_site_setup(statistics)[1])
 
 
 def test_hubbard_rejects_unknown_statistics():
     with pytest.raises(ValueError):
-        superexchange_hubbard_check(0.02, 1.0, "anyon")
+        superexchange_hubbard_check(0.02, "anyon")
 
 
 @pytest.mark.parametrize("statistics", ["fermion", "boson"])
@@ -296,14 +297,13 @@ def test_hubbard_rejects_t_outside_superexchange_regime(statistics, t):
     # t = 0 has no gap to compare; |t|/U = 0.5 is far from superexchange; NaN is neither;
     # at 1e-9 the gap is rounding noise (rel_error 0.50), and at 1e-300 4t^2/U underflows
     with pytest.raises(ValueError, match="t/U"):
-        superexchange_hubbard_check(t, 1.0, statistics)
+        superexchange_hubbard_check(t, statistics)
 
 
 @pytest.mark.parametrize("statistics", ["fermion", "boson"])
 def test_hubbard_check_is_even_in_t(statistics):
-    assert superexchange_hubbard_check(-0.02, 1.0, statistics) == superexchange_hubbard_check(
-        0.02, 1.0, statistics
-    )
+    assert superexchange_hubbard_check(-0.02, statistics) == superexchange_hubbard_check(
+        0.02, statistics)
 
 
 def test_exchange_pulse_leaves_total_spin_invariant():

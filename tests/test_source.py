@@ -9,6 +9,8 @@ import plaqgate
 SRC = pathlib.Path(plaqgate.__file__).parent
 #: Parameters with defaults in src/plaqgate/*.py; every one is relied on by a caller
 DEFAULTED_PARAMETERS = 22
+#: Init fields of the dataclasses in src/plaqgate/*.py; each field of a config object is a knob
+DATACLASS_FIELDS = 73
 
 
 def defaulted_parameters(tree: ast.AST) -> int:
@@ -27,3 +29,33 @@ def test_defaulted_parameters_counts_every_kind():
     tree = ast.parse("def f(a, b=1, *c, d=2, e, **g):\n    return lambda x=0, *, y=1: x\n"
                      "async def h(a=1, /, b=2):\n    pass\n")
     assert defaulted_parameters(tree) == 6
+
+
+def dataclass_fields(tree: ast.AST) -> int:
+    """Init fields of every `@dataclass` class in `tree`: no `ClassVar`, no `field(init=False)`."""
+    count = 0
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ClassDef) and any(
+                ast.unparse(d).split("(")[0].endswith("dataclass") for d in node.decorator_list)):
+            continue
+        for stmt in node.body:
+            if not isinstance(stmt, ast.AnnAssign) or "ClassVar" in ast.unparse(stmt.annotation):
+                continue
+            count += not (isinstance(stmt.value, ast.Call) and any(
+                kw.arg == "init" and ast.unparse(kw.value) == "False"
+                for kw in stmt.value.keywords))
+    return count
+
+
+def test_dataclass_fields_do_not_grow():
+    count = sum(dataclass_fields(ast.parse(path.read_text())) for path in SRC.glob("*.py"))
+    assert count <= DATACLASS_FIELDS
+
+
+def test_dataclass_fields_counts_only_init_fields():
+    tree = ast.parse("@dataclass(frozen=True)\nclass A:\n    k: ClassVar[int] = 1\n    a: int\n"
+                     "    b: int = field(init=False)\n    c: int = field(default=0)\n"
+                     "    def f(self) -> None:\n        x: int = 0\n"
+                     "@dataclasses.dataclass\nclass B:\n    d: 'ClassVar[int]' = 2\n    e: float\n"
+                     "class C:\n    f: int\n")
+    assert dataclass_fields(tree) == 3
