@@ -167,16 +167,23 @@ def write_dataset(config: RunConfig, fieldnames, rows, extra) -> str:
 
 
 def _is_complete(config: RunConfig) -> bool:
-    path = os.path.join(config.run_dir(), "manifest.json")
+    """A run whose manifest has this config's hash and whose dataset holds the manifest's rows:
+    CSV records after the header, or the items of the JSON list. An emptied or truncated
+    dataset fails; an edited one with as many rows still passes."""
     try:
-        with open(path) as fh:
+        with open(os.path.join(config.run_dir(), "manifest.json")) as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+        if manifest.get("config_hash") != config.config_hash():
+            return False
+        with open(os.path.join(config.run_dir(), manifest["dataset"]), newline="") as fh:
+            if manifest["dataset"].endswith(".json"):
+                data = json.load(fh)
+                rows = len(data) if isinstance(data, list) else -1
+            else:
+                rows = sum(1 for _ in csv.reader(fh)) - 1
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, csv.Error):
         return False
-    return (
-        manifest.get("config_hash") == config.config_hash()
-        and os.path.exists(os.path.join(config.run_dir(), manifest.get("dataset", "")))
-    )
+    return rows == manifest.get("rows")
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,28 @@ sym Im Z meets the real symmetric controls, so the series is real matmuls,
 and dF/dalpha_k(t_s) = (dt / 8) sum_b Tr(O_k Z_s): exact for the discretized
 dynamics (finite differences agree to ~1e-9), not an ODE approximation.
 
+Workspace: the slice arrays of the gradient and the propagator (the slice
+Hamiltonians, the Horner and cos/sin temporaries, the powers, the embeddings,
+the tree levels, the down-sweep and the adjoint series) are views of byte
+buffers that outlive the call, written with `out=` and in-place ufuncs. With
+fresh arrays on every call glibc trims and unmaps the freed heap, and each call
+faults its pages back in (5,107 minor faults per warm 2000-slice gradient);
+`np.matmul(a, b, out=c)` gives the bits of `a @ b`. The rules:
+- one workspace per thread (`threading.local`), so threads share no buffer;
+  a call is not re-entrant within its thread;
+- each path (`fidelity_and_gradient`; `_block_propagators`) keeps only the
+  buffers of its latest key (steps; steps and pulse count), at most one call's
+  working set: 3.5 MB at 400 gradient slices, 17 MB at 2000, 2.3 MB for
+  `propagate(2000)`;
+- a helper takes its buffers as a required dict; the blocks share a name where
+  their arrays are never alive at once, and the gradient keeps each block's A,
+  powers and tree, which its adjoint reads, in a dict of the block's own; the
+  scratch slots t0-t5 hold the real temporaries of `_slice_cos_sin` and
+  `_exp_adjoint`, which never run at once, and die when the helper returns,
+  but for the result that its caller reads at once;
+- no returned or cached array lies in a buffer, and the test oracles pass
+  fresh dicts, so the bit-for-bit tests compare independent arrays.
+
 Controllability is checked by closing the real Lie algebra generated by the
 O_k (plus the identity) under brackets with the O_k alone (the all-pairs
 closure is the test oracle): dimension 80, the sum of the blocks' 49 + 9 + 22.
@@ -67,9 +89,10 @@ import csv
 import io
 import json
 import math
+import threading
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -260,6 +283,34 @@ def control_blocks() -> tuple[ControlBlock, ...]:
 #: aligned chunk is a whole subtree of the slices' pairwise product tree
 _CHUNK = 256
 
+#: Per thread, each hot path's (key, buffers) (module docstring: "Workspace")
+_WORKSPACE = threading.local()
+
+
+def _workspace(path: str, key) -> dict:
+    """This thread's buffers of `path`; a new, empty dict when `key` differs from the last."""
+    held = getattr(_WORKSPACE, path, None)
+    if held is None or held[0] != key:
+        held = (key, {})
+        setattr(_WORKSPACE, path, held)
+    return held[1]
+
+
+def _buffer(bufs: dict, name: str, shape: tuple, dtype) -> np.ndarray:
+    """An uninitialized C-contiguous array of `shape` on bufs[name], a byte buffer that
+    grows to the largest request, so that every block can use the same name. The
+    views of a buffer are cached by (shape, dtype), and dropped when it grows; it is
+    allocated as complex, so that every view is aligned."""
+    flat, views = bufs.get(name, (None, {}))
+    view = views.get((shape, dtype))
+    if view is None:
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        if flat is None or flat.size < nbytes:
+            flat, views = np.empty(-(-nbytes // 16), complex).view(np.uint8), {}
+            bufs[name] = flat, views
+        view = views[shape, dtype] = flat[:nbytes].view(dtype).reshape(shape)
+    return view
+
 
 @lru_cache(maxsize=8)
 def _slice_sine_basis(n_harmonics: int, t_horizon: float, steps: int) -> np.ndarray:
@@ -276,21 +327,27 @@ def _slice_amplitudes(x: np.ndarray, t_horizon: float, steps: int):
     return t_horizon / steps, sin_basis, np.swapaxes(x @ sin_basis, -1, -2)
 
 
-def _block_hamiltonians(alphas: np.ndarray, block: ControlBlock) -> np.ndarray:
-    """The real symmetric slice Hamiltonians sum_k alpha_k(t_s) O_k of one block."""
+def _block_hamiltonians(alphas: np.ndarray, block: ControlBlock, bufs: dict) -> np.ndarray:
+    """The real symmetric slice Hamiltonians sum_k alpha_k(t_s) O_k of one block, in bufs["h"]."""
     d = block.target.shape[0]
-    return (alphas @ block.controls.reshape(N_CONTROLS, d * d)).reshape(*alphas.shape[:-1], d, d)
+    h = _buffer(bufs, "h", (*alphas.shape[:-1], d, d), float)
+    np.matmul(alphas, block.controls.reshape(N_CONTROLS, d * d),
+              out=h.reshape(*alphas.shape[:-1], d * d))
+    return h
 
 
-def _horner(b: np.ndarray, coeffs: list[float]) -> np.ndarray:
-    """sum_k coeffs[k] b^k for a batch b[..., d, d], by Horner's rule."""
+def _horner(b: np.ndarray, coeffs: list[float], bufs: dict, names: tuple) -> np.ndarray:
+    """sum_k coeffs[k] b^k for a batch b[..., d, d], by Horner's rule, ping-ponging
+    between bufs[names[0]] and bufs[names[1]]."""
     eye = np.eye(b.shape[-1])
+    p = _buffer(bufs, names[0], b.shape, float)
     if len(coeffs) < 2:
-        return np.zeros_like(b) + sum(coeffs) * eye
-    p = coeffs[-1] * b
+        p[...] = sum(coeffs) * eye
+        return p
+    np.multiply(coeffs[-1], b, out=p)
     p += coeffs[-2] * eye
-    for c in coeffs[-3::-1]:
-        p = p @ b
+    for k, c in enumerate(coeffs[-3::-1], 1):
+        p = np.matmul(p, b, out=_buffer(bufs, names[k % 2], b.shape, float))
         p += c * eye
     return p
 
@@ -324,9 +381,11 @@ def _slice_scale(hs: Iterable[np.ndarray], dt: float) -> tuple[float, int]:
     return theta / 2.0 ** squarings, squarings
 
 
-def _slice_cos_sin(h: np.ndarray, dt: float, theta: float, squarings: int):
+def _slice_cos_sin(h: np.ndarray, dt: float, theta: float, squarings: int, out: dict,
+                   bufs: dict):
     """A = h dt / 2^s, cos A and sin A for a batch h[..., d, d] of real symmetric
-    slice Hamiltonians, with (theta, s) from `_slice_scale`.
+    slice Hamiltonians, with (theta, s) from `_slice_scale`. A goes to out["a"],
+    cos A, sin A and the temporaries to the scratch slots t0-t4 of `bufs`.
 
     cos A = sum_k (-1)^k A^2k / (2k)! and sin A = A sum_k (-1)^k A^2k / (2k+1)!
     are Horner sums in A^2, all real matmuls, of degree `_tail_order(theta, 1)`
@@ -335,77 +394,86 @@ def _slice_cos_sin(h: np.ndarray, dt: float, theta: float, squarings: int):
     at 2000 (degree 6). Each slice's result depends only on its own h and on
     (theta, s), so any run of slices gives the bits of the batch.
     """
-    a = h * dt
+    a = np.multiply(h, dt, out=_buffer(out, "a", h.shape, float))
     if squarings:
         a /= 2.0 ** squarings
     degree = _tail_order(theta, 1)
-    b = a @ a
+    b = np.matmul(a, a, out=_buffer(bufs, "t0", a.shape, float))
     cos, sin = (_horner(b, [(-1) ** (k // 2) / math.factorial(k)
-                            for k in range(odd, degree + 1, 2)]) for odd in (0, 1))
-    return a, cos, a @ sin
+                            for k in range(odd, degree + 1, 2)], bufs, names)
+                for odd, names in ((0, ("t1", "t2")), (1, ("t3", "t4"))))
+    return a, cos, np.matmul(a, sin, out=b)  # the sums are done with b
 
 
-def _slice_powers(h: np.ndarray, dt: float, theta: float, squarings: int):
+def _slice_powers(h: np.ndarray, dt: float, theta: float, squarings: int, out: dict,
+                  bufs: dict):
     """A = h dt / 2^s and E_j = exp(-iA)^(2^j), j = 0..s, for the gradient:
     E_0 = cos A - i sin A (`_slice_cos_sin`), then s complex squarings undo
-    the scaling, so E_s = exp(-i h dt).
+    the scaling, so E_s = exp(-i h dt). A and the E_j go to `out`, temporaries to `bufs`.
     """
-    a, cos, sin = _slice_cos_sin(h, dt, theta, squarings)
-    u = np.empty(a.shape, dtype=complex)
+    a, cos, sin = _slice_cos_sin(h, dt, theta, squarings, out, bufs)
+    u = _buffer(out, "power0", a.shape, complex)
     u.real, u.imag = cos, sin
     u.imag *= -1.0
     powers = [u]
-    for _ in range(squarings):
-        powers.append(powers[-1] @ powers[-1])
+    for j in range(1, squarings + 1):
+        powers.append(np.matmul(powers[-1], powers[-1],
+                                out=_buffer(out, f"power{j}", a.shape, complex)))
     return a, powers
 
 
-def _embedded_slices(h: np.ndarray, dt: float, theta: float, squarings: int) -> np.ndarray:
+def _embedded_slices(h: np.ndarray, dt: float, theta: float, squarings: int,
+                     bufs: dict) -> np.ndarray:
     """exp(-i h dt) = X + iY of each slice as its real 2d x 2d form [[X, -Y], [Y, X]]:
     [[cos A, sin A], [-sin A, cos A]] from `_slice_cos_sin`, then s real squarings.
     The map keeps products, so a product of these holds X + iY in its left block column.
     """
-    _, cos, sin = _slice_cos_sin(h, dt, theta, squarings)
+    _, cos, sin = _slice_cos_sin(h, dt, theta, squarings, bufs, bufs)
     d = cos.shape[-1]
-    e = np.empty((*cos.shape[:-2], 2 * d, 2 * d))
+    shape = (*cos.shape[:-2], 2 * d, 2 * d)
+    e = _buffer(bufs, "embedded0", shape, float)
     e[..., :d, :d] = e[..., d:, d:] = cos
     e[..., :d, d:] = sin
     np.negative(sin, out=e[..., d:, :d])
-    for _ in range(squarings):
-        e = e @ e
+    for j in range(1, squarings + 1):
+        e = np.matmul(e, e, out=_buffer(bufs, f"embedded{j % 2}", shape, float))
     return e
 
 
-def _product_tree(mats: np.ndarray) -> list[np.ndarray]:
+def _product_tree(mats: np.ndarray, out: dict) -> list[np.ndarray]:
     """Pairwise product tree of mats[..., s, :, :], later slices on the left.
 
     levels[j + 1][i] = levels[j][2i + 1] @ levels[j][2i], after an identity is
     appended to a level of odd length, and levels[-1][..., 0, :, :] is the
     ordered product U_{S-1} ... U_0: log2(S) batched matmuls, no slice loop.
+    Level j > 0 is out[f"level{j}"], and a padded level j out[f"padded{j}"].
     """
     levels = [mats]
     while levels[-1].shape[-3] > 1:
         m = levels[-1]
-        if m.shape[-3] % 2:
-            pad = np.broadcast_to(np.eye(m.shape[-1]), m[..., :1, :, :].shape)
-            m = levels[-1] = np.concatenate([m, pad], axis=-3)
-        levels.append(m[..., 1::2, :, :] @ m[..., 0::2, :, :])
+        *batch, n, d, _ = m.shape
+        if n % 2:
+            padded = _buffer(out, f"padded{len(levels) - 1}", (*batch, n + 1, d, d), m.dtype)
+            padded[..., :n, :, :], padded[..., n, :, :] = m, np.eye(d)
+            m = levels[-1] = padded
+        levels.append(np.matmul(m[..., 1::2, :, :], m[..., 0::2, :, :], out=_buffer(
+            out, f"level{len(levels)}", (*batch, (n + 1) // 2, d, d), m.dtype)))
     return levels
 
 
-def _adjoint_sweep(levels: list[np.ndarray], seed: np.ndarray) -> np.ndarray:
+def _adjoint_sweep(levels: list[np.ndarray], seed: np.ndarray, bufs: dict) -> np.ndarray:
     """M_s = P_s Q_s, P_s = U_{s-1} ... U_0 and Q_s = seed U_{S-1} ... U_{s+1}.
 
     The down-sweep of the product tree: the root carries the seed, and a node
     U_R U_L carrying M hands M U_R to its earlier child L and U_L M to its
-    later child R. Padding slices come last.
+    later child R. Padding slices come last. Level j's M is bufs[f"adjoint{j % 2}"].
     """
     m = np.broadcast_to(seed, levels[-1].shape)
-    for level in reversed(levels[:-1]):
+    for j, level in reversed(list(enumerate(levels[:-1]))):
         n = level.shape[-3] // 2
         pairs = level.reshape(*level.shape[:-3], n, 2, *level.shape[-2:])
         m = m[..., :n, :, :]
-        new = np.empty_like(pairs)
+        new = _buffer(bufs, f"adjoint{j % 2}", pairs.shape, level.dtype)
         np.matmul(m, pairs[..., 1, :, :], out=new[..., 0, :, :])
         np.matmul(pairs[..., 0, :, :], m, out=new[..., 1, :, :])
         m = new.reshape(level.shape)
@@ -417,27 +485,31 @@ def _block_propagators(x: np.ndarray, t_horizon: float, steps: int) -> list[np.n
 
     The pulses stream in groups of max(1, _CHUNK // steps), and each pulse's
     slices through aligned chunks of _CHUNK (module docstring), with theta and
-    s from a first pass over every group. The first group's h is kept, so a
-    lone group builds it once. The trees multiply real embeddings
-    (`_embedded_slices`); U_b = X + iY is the root's left block column.
+    s from a first pass over every group. A lone group builds its h once.
+    The trees multiply real embeddings (`_embedded_slices`); U_b = X + iY is
+    the root's left block column.
     """
     dt, _, alphas = _slice_amplitudes(x, t_horizon, steps)
     pulses = alphas.reshape(-1, steps, N_CONTROLS)
-    group = max(1, _CHUNK // steps)
+    group, chunks = max(1, _CHUNK // steps), range(0, steps, _CHUNK)
+    bufs = _workspace("propagate", (steps, len(pulses)))
     unitaries = []
     for block in control_blocks():
-        first = _block_hamiltonians(pulses[:group], block)
+        d = block.target.shape[0]
 
         def hamiltonians():  # one matmul per group: a 1-slice chunk rounds differently
-            yield first
-            for p in range(group, len(pulses), group):
-                yield _block_hamiltonians(pulses[p:p + group], block)
+            for p in range(0, len(pulses), group):
+                yield p, _block_hamiltonians(pulses[p:p + group], block, bufs)
 
-        theta, squarings = _slice_scale(hamiltonians(), dt)
-        roots = np.concatenate([np.concatenate(
-            [_product_tree(_embedded_slices(h[:, i:i + _CHUNK], dt, theta, squarings))[-1]
-             for i in range(0, steps, _CHUNK)], axis=1) for h in hamiltonians()])
-        root, d = _product_tree(roots)[-1][:, 0], block.target.shape[0]
+        lone = list(hamiltonians()) if len(pulses) <= group else None
+        theta, squarings = _slice_scale((h for _, h in lone or hamiltonians()), dt)
+        roots = _buffer(bufs, "roots", (len(pulses), len(chunks), 2 * d, 2 * d), float)
+        for p, h in lone or hamiltonians():
+            for k, i in enumerate(chunks):
+                tree = _product_tree(_embedded_slices(h[:, i:i + _CHUNK], dt, theta, squarings,
+                                                      bufs), bufs)
+                roots[p:p + group, k] = tree[-1][:, 0]
+        root = _product_tree(roots, bufs)[-1][:, 0]
         u = root[:, :d, :d] + 1j * root[:, d:, :d]
         unitaries.append(u.reshape(*x.shape[:-2], d, d))
     return unitaries
@@ -460,33 +532,44 @@ def propagate(pulse: PulseParams, steps: int) -> np.ndarray:
     return sum(b.basis @ u @ b.basis.conj().T for b, u in zip(control_blocks(), blocks))
 
 
-def _commutator(a: np.ndarray, x: np.ndarray, symmetric: bool) -> np.ndarray:
-    """[A, X] for real symmetric A and (anti)symmetric X, where XA = +-(AX)^T."""
-    ax = a @ x
-    return ax - np.swapaxes(ax, -1, -2) if symmetric else ax + np.swapaxes(ax, -1, -2)
+def _commutator(a: np.ndarray, x: np.ndarray, symmetric: bool, bufs: dict,
+                name: str) -> np.ndarray:
+    """[A, X] for real symmetric A and (anti)symmetric X, where XA = +-(AX)^T, into bufs[name]
+    (scratch slot t5 holds AX)."""
+    ax = np.matmul(a, x, out=_buffer(bufs, "t5", x.shape, float))
+    return (np.subtract if symmetric else np.add)(
+        ax, np.swapaxes(ax, -1, -2), out=_buffer(bufs, name, x.shape, float))
 
 
-def _exp_adjoint(a: np.ndarray, theta: float, powers: list[np.ndarray], m: np.ndarray):
+def _exp_adjoint(a: np.ndarray, theta: float, powers: list[np.ndarray], m: np.ndarray,
+                 bufs: dict):
     """sym Im Z, where d Tr(M exp(-i h dt)) = -i dt Tr(dh Z) (module docstring).
 
     The halving in the squaring adjoint absorbs the 2^s of dA = dh dt / 2^s.
     ad_A swaps symmetric and antisymmetric, so with N = E_0 M_0
     sym Im Z = sum_j (-1)^j ad_A^2j (sym Im N / (2j+1)! + ad_A(anti Re N) / (2j+2)!),
     a Horner sum in ad_A^2 of K + 1 terms, K = `_tail_order(2 theta, 2)`
-    (||ad_A|| <= 2 theta; K = 14 at theta = 1/4).
+    (||ad_A|| <= 2 theta; K = 14 at theta = 1/4). Its real arrays use the scratch slots t0-t5.
     """
-    for e in reversed(powers[:-1]):
-        m = 0.5 * (e @ m + m @ e)
-    n = powers[0] @ m
+    for k, e in enumerate(reversed(powers[:-1])):
+        em = np.matmul(e, m, out=_buffer(bufs, f"squaring{k % 2}", m.shape, complex))
+        em += np.matmul(m, e, out=_buffer(bufs, "squaring", m.shape, complex))
+        m = np.multiply(0.5, em, out=em)
+    n = np.matmul(powers[0], m, out=_buffer(bufs, "n", m.shape, complex))
+    real = partial(_buffer, bufs, shape=a.shape, dtype=float)
     order = _tail_order(2.0 * theta, 2)
-    even = 0.5 * (n.imag + np.swapaxes(n.imag, -1, -2))
-    odd = _commutator(a, 0.5 * (n.real - np.swapaxes(n.real, -1, -2)), False)
+    even = np.add(n.imag, np.swapaxes(n.imag, -1, -2), out=real("t0"))
+    np.multiply(0.5, even, out=even)
+    anti = np.subtract(n.real, np.swapaxes(n.real, -1, -2), out=real("t4"))
+    odd = _commutator(a, np.multiply(0.5, anti, out=anti), False, bufs, "t1")
     z = None
     for j in range(order // 2, -1, -1):
-        c = even / math.factorial(2 * j + 1)
+        c = np.divide(even, math.factorial(2 * j + 1), out=real(("t2", "t3")[j % 2]))
         if 2 * j < order:
-            c += odd / math.factorial(2 * j + 2)
-        z = c if z is None else c - _commutator(a, _commutator(a, z, True), False)
+            c += np.divide(odd, math.factorial(2 * j + 2), out=real("t4"))
+        if z is not None:
+            c -= _commutator(a, _commutator(a, z, True, bufs, "t4"), False, bufs, "t4")
+        z = c
     return z
 
 
@@ -496,21 +579,23 @@ def fidelity_and_gradient(pulse: PulseParams, steps: int) -> tuple[float, np.nda
     The blocks' product trees give f = sum_b Tr(G_b^T U_b) / 16; their
     down-sweeps, seeded with conj(f) G_b^T, give M_s = conj(f) P_s Q_s, and
     `_exp_adjoint` the real symmetric Z_s. Then dF/dx_kl = 2 Re(conj(f) df/dx_kl)
-    = (dt / 8) sum_s c_ks sin(l pi t_s / T), c_ks = sum_b Tr(O_k Z_s).
+    = (dt / 8) sum_s c_ks sin(l pi t_s / T), c_ks = sum_b Tr(O_k Z_s). Each
+    block's A, powers and tree, which the adjoint reads, stay in a dict of their own.
     """
     dt, sin_basis, alphas = _slice_amplitudes(pulse.x, pulse.t_horizon, steps)
+    bufs = _workspace("gradient", steps)
     forward = []
-    for block in control_blocks():
-        h = _block_hamiltonians(alphas, block)
+    for i, block in enumerate(control_blocks()):
+        h = _block_hamiltonians(alphas, block, bufs)
         theta, squarings = _slice_scale([h], dt)
-        a, powers = _slice_powers(h, dt, theta, squarings)
-        del h  # the adjoint needs only A and the powers; h would stay alive through it
-        forward.append((a, theta, powers, _product_tree(powers[-1])))
+        kept = bufs.setdefault(f"block{i}", {})
+        a, powers = _slice_powers(h, dt, theta, squarings, kept, bufs)
+        forward.append((a, theta, powers, _product_tree(powers[-1], kept)))
     f = _gate_trace([levels[-1][0] for *_, levels in forward])
     c = 0.0
     for block, (a, theta, powers, levels) in zip(control_blocks(), forward):
-        m = _adjoint_sweep(levels, np.conj(f) * block.target.T)[:steps]
-        z = _exp_adjoint(a, theta, powers, m).reshape(steps, -1)
+        m = _adjoint_sweep(levels, np.conj(f) * block.target.T, bufs)[:steps]
+        z = _exp_adjoint(a, theta, powers, m, bufs).reshape(steps, -1)
         c = c + block.controls.reshape(N_CONTROLS, -1) @ z.T
     grad = (dt / 8.0) * c @ sin_basis.T  # K x L
     return float(abs(f) ** 2), grad

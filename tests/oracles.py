@@ -14,7 +14,9 @@ solves one channel alone, outside the cache of `geophase._link_pass`);
 
 The whole-batch block propagator is the reference for the streamed one of
 `plaqgate.optctrl`: it exponentiates every slice at once and multiplies their
-real embeddings in one pairwise tree, and the two must agree bit for bit. The fourth-order
+real embeddings in one pairwise tree, and the two must agree bit for bit. Each oracle hands
+the program's slice helpers fresh buffer dicts, so its arrays share no memory with the
+program's workspace (`plaqgate.optctrl` module docstring). The fourth-order
 commutator-free product (`cf4_fidelity`) is the continuous-time reference for
 the program's second-order midpoint slices.
 
@@ -132,7 +134,7 @@ def full_space_fidelity_and_gradient(
 
 def slice_exponentials(h: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i h dt) for a whole batch h[..., d, d] of real symmetric slice Hamiltonians."""
-    return _slice_powers(h, dt, *_slice_scale([h], dt))[1][-1]
+    return _slice_powers(h, dt, *_slice_scale([h], dt), {}, {})[1][-1]
 
 
 def whole_batch_block_propagators(x: np.ndarray, t_horizon: float, steps: int) -> list[np.ndarray]:
@@ -144,8 +146,9 @@ def whole_batch_block_propagators(x: np.ndarray, t_horizon: float, steps: int) -
     dt, _, alphas = _slice_amplitudes(x, t_horizon, steps)
     unitaries = []
     for block in control_blocks():
-        h = _block_hamiltonians(alphas, block)
-        root, d = _product_tree(_embedded_slices(h, dt, *_slice_scale([h], dt)))[-1], h.shape[-1]
+        h = _block_hamiltonians(alphas, block, {})
+        root = _product_tree(_embedded_slices(h, dt, *_slice_scale([h], dt), {}), {})[-1]
+        d = h.shape[-1]
         unitaries.append(root[..., 0, :d, :d] + 1j * root[..., 0, d:, :d])
     return unitaries
 
@@ -166,7 +169,7 @@ def cf4_fidelity(pulse: PulseParams, steps: int) -> float:
     alphas = np.stack([a2 * minus + a1 * plus, a1 * minus + a2 * plus], axis=-1)
     alphas = alphas.reshape(len(alphas), -1).T
     return float(_gate_overlap([_product_tree(slice_exponentials(
-        _block_hamiltonians(alphas, b), dt))[-1][0] for b in control_blocks()]))
+        _block_hamiltonians(alphas, b, {}), dt), {})[-1][0] for b in control_blocks()]))
 
 
 def all_orders_logical_hamiltonian(p: pg.PertParams) -> np.ndarray:

@@ -116,6 +116,26 @@ def test_resume_and_force(tmp_path, capsys):
     assert "already complete" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("fmt, cut", [
+    ("csv", lambda text: ""),
+    ("json", lambda text: json.dumps(json.loads(text)[:-1])),
+], ids=["emptied-csv", "json-one-row-short"])
+def test_damaged_dataset_is_recomputed(tmp_path, capsys, fmt, cut):
+    # a run directory counts as complete only while its dataset holds the manifest's rows
+    argv = ("spectrum", "--dJ", "0.3", "--format", fmt)
+    assert _run(tmp_path, *argv) == 0
+    data = os.path.join(_only_run_dir(tmp_path), f"data.{fmt}")
+    original = open(data, "rb").read()
+    with open(data, "w") as fh:
+        fh.write(cut(original.decode()))
+    capsys.readouterr()
+    assert _run(tmp_path, *argv) == 0
+    assert "already complete" not in capsys.readouterr().out
+    assert open(data, "rb").read() == original
+    assert _run(tmp_path, *argv) == 0
+    assert "already complete" in capsys.readouterr().out
+
+
 def test_forced_run_reads_no_old_run(tmp_path, monkeypatch):
     import plaqgate.cli as cli
 

@@ -1,6 +1,8 @@
 """Control operators, Lie closure, slice propagation, and the exact gradient."""
 from __future__ import annotations
 
+import concurrent.futures
+import sys
 import tracemalloc
 
 import numpy as np
@@ -48,6 +50,11 @@ from plaqgate.optctrl import (
     target_gate,
 )
 from plaqgate.spincore import pauli_site
+
+try:
+    import resource
+except ImportError:  # not on every platform; the fault count needs it
+    resource = None
 
 
 def _random_pulse(seed: int, n_harmonics: int = 4) -> PulseParams:
@@ -257,7 +264,7 @@ def _pulse_at_theta(theta: float, steps: int) -> PulseParams:
     # h dt that sets the squarings and the series cuts) is exactly `theta`
     x = _random_pulse(11, n_harmonics=5).x
     dt, _, alphas = _slice_amplitudes(x, 1.0, steps)
-    norm = max(float(np.abs(_block_hamiltonians(alphas, b) * dt).sum(axis=-2).max())
+    norm = max(float(np.abs(_block_hamiltonians(alphas, b, {}) * dt).sum(axis=-2).max())
                for b in control_blocks())
     return PulseParams(x * (theta / norm), 1.0)
 
@@ -275,7 +282,7 @@ def test_gradient_matches_full_space_oracle_at_series_extremes(theta, squarings,
     dt, _, alphas = _slice_amplitudes(pulse.x, pulse.t_horizon, steps)
     cuts = []
     for block in control_blocks():
-        scaled, n_squarings = _slice_scale([_block_hamiltonians(alphas, block)], dt)
+        scaled, n_squarings = _slice_scale([_block_hamiltonians(alphas, block, {})], dt)
         cuts.append((n_squarings, _tail_order(2.0 * scaled, 2)))
     assert max(cuts) == (squarings, order)
     f, grad = fidelity_and_gradient(pulse, steps=steps)
@@ -426,19 +433,20 @@ def test_real_propagator_matches_complex_slice_product(kind):
     steps = 400
     dt, _, alphas = _slice_amplitudes(x, 1.0, steps)
     for block, u in zip(control_blocks(), _block_propagators(x, 1.0, steps)):
-        h = _block_hamiltonians(alphas, block)
+        h = _block_hamiltonians(alphas, block, {})
         if kind == "scaled-x40":
             assert _slice_scale([h], dt)[1] >= 2
-        ref = _product_tree(slice_exponentials(h, dt))[-1][..., 0, :, :]
+        ref = _product_tree(slice_exponentials(h, dt), {})[-1][..., 0, :, :]
         assert u.shape == ref.shape == (*x.shape[:-2], *block.target.shape)
         assert np.abs(u - ref).max() <= 1e-13
 
 
 def test_gradient_check_working_set_is_bounded():
     # the 2 x 100 shifted pulses propagated as two whole batches peaked at
-    # 79.6 MB; streamed one pulse at a time the peak is about 2 MB
+    # 79.6 MB; streamed one pulse at a time the peak was about 2 MB, and with
+    # the workspace filled a call allocates 1.4 MB, mostly the batch's amplitudes
     pulse = _random_pulse(14, n_harmonics=20)
-    gradient_check(pulse)  # fill the caches
+    gradient_check(pulse)  # fill the caches and the workspace
     tracemalloc.start()
     try:
         gradient_check(pulse)
@@ -450,9 +458,10 @@ def test_gradient_check_working_set_is_bounded():
 
 def test_propagate_working_set_is_bounded():
     # the whole-batch path held (2000, d, d) temporaries, a 6.4 MB peak; the
-    # streamed path holds one chunk at a time (about 1.6 MB)
+    # streamed path held one chunk at a time (about 1.6 MB), and with the
+    # workspace filled a call allocates 0.28 MB
     pulse = _random_pulse(13, n_harmonics=20)
-    propagate(pulse, steps=2000)  # fill the caches
+    propagate(pulse, steps=2000)  # fill the caches and the workspace
     tracemalloc.start()
     try:
         propagate(pulse, steps=2000)
@@ -460,6 +469,116 @@ def test_propagate_working_set_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 3e6
+
+
+def _workspace_buffers() -> list[np.ndarray]:
+    """Every byte buffer of this thread's workspaces, the gradient's per-block dicts included."""
+    found, todo = [], [bufs for _, bufs in vars(optctrl._WORKSPACE).values()]
+    while todo:
+        for value in todo.pop().values():
+            if isinstance(value, dict):
+                todo.append(value)
+            else:
+                found.append(value[0])
+    return found
+
+
+def _leaves(result) -> list:
+    return list(result) if isinstance(result, (tuple, list)) else [result]
+
+
+def test_workspace_keeps_bits_and_shares_no_memory():
+    # each call, made on the buffers that the other calls left, gives the bits of
+    # the same call on an emptied workspace; no later call changes an earlier
+    # result, and no result, cached array or oracle output lies in a buffer
+    pulse = _random_pulse(15, n_harmonics=20)
+    calls = [lambda: fidelity_and_gradient(pulse, 400),
+             lambda: fidelity_and_gradient(pulse, 250),
+             lambda: propagate(pulse, 2000),
+             lambda: gradient_check(pulse, steps=80),
+             lambda: robustness_sweep(pulse, [0.0, 0.05], steps=300)]
+    for call in calls:
+        call()
+    warm = []
+    for call in calls:
+        warm.append(call())
+        assert not any(np.shares_memory(leaf, buf)
+                       for leaf in _leaves(warm[-1]) for buf in _workspace_buffers())
+    kept = [[np.copy(leaf) for leaf in _leaves(result)] for result in warm]
+    for call, result in zip(calls, warm):
+        optctrl._WORKSPACE.__dict__.clear()
+        fresh = call()
+        assert all(np.array_equal(a, b) for a, b in zip(_leaves(fresh), _leaves(result)))
+    for result, copies in zip(warm, kept):
+        assert all(np.array_equal(a, b) for a, b in zip(_leaves(result), copies))
+    dt, _, alphas = _slice_amplitudes(pulse.x, 1.0, 300)
+    others = [whole_batch_block_propagators(pulse.x, 1.0, 300),
+              slice_exponentials(_block_hamiltonians(alphas, control_blocks()[0], {}), dt),
+              _slice_sine_basis(20, 1.0, 400),
+              [getattr(b, f) for b in control_blocks() for f in ("basis", "controls", "target")]]
+    buffers = _workspace_buffers()
+    assert len(buffers) > 10
+    assert not any(np.shares_memory(leaf, buf)
+                   for result in others for leaf in _leaves(result) for buf in buffers)
+
+
+def test_threads_keep_their_own_workspace():
+    # four threads on two cores, switching often, each on its own buffers: every
+    # concurrent call gives the bits of the serial one; shared buffers would mix
+    # them, since numpy releases the interpreter lock inside matmul
+    pulses = [_random_pulse(seed, n_harmonics=20) for seed in (17, 18, 19, 20)]
+    calls = [(fidelity_and_gradient, 400), (propagate, 2000)]
+    serial = [[_leaves(fn(p, steps)) for fn, steps in calls] for p in pulses]
+
+    def work(p):
+        return [[_leaves(fn(p, steps)) for fn, steps in calls] for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(len(pulses)) as pool:
+            results = [f.result(timeout=120) for f in [pool.submit(work, p) for p in pulses]]
+    finally:
+        sys.setswitchinterval(interval)
+    for runs, expected in zip(results, serial):
+        for run in runs:
+            assert all(np.array_equal(a, b) for got, want in zip(run, expected)
+                       for a, b in zip(got, want))
+
+
+@pytest.mark.skipif(not hasattr(resource, "RUSAGE_THREAD"), reason="needs per-thread rusage")
+def test_warm_gradient_takes_no_page_faults():
+    # fresh slice arrays on every call took 5,107 minor faults per warm 2000-slice
+    # gradient, as glibc trimmed and unmapped the freed heap; with the retained
+    # workspace the measured count is 0
+    pulse = _random_pulse(16, n_harmonics=20)
+    for _ in range(2):
+        fidelity_and_gradient(pulse, 2000)
+    before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+    for _ in range(5):
+        fidelity_and_gradient(pulse, 2000)
+    assert resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before <= 5 * 100
+
+
+@pytest.mark.parametrize("steps, fresh_peak", [(400, 3.33e6), (2000, 1.68e6)],
+                         ids=["gradient-400", "propagate-2000"])
+def test_workspace_holds_one_working_set_per_path(steps, fresh_peak):
+    # the bytes a path keeps are one call's working set: a call on an emptied
+    # workspace peaks, and keeps, at most the peak of the code that allocated
+    # every array afresh (3.33 MB and 1.68 MB) plus 1 MB. Measured: 3.60 MB
+    # peak and 3.50 MB kept for the gradient, 2.49 and 2.26 MB for the propagator
+    pulse = _random_pulse(13, n_harmonics=20)
+    call = {400: lambda: fidelity_and_gradient(pulse, 400),
+            2000: lambda: propagate(pulse, 2000)}[steps]
+    call()  # fill the caches
+    optctrl._WORKSPACE.__dict__.clear()
+    tracemalloc.start()
+    try:
+        call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= peak <= fresh_peak + 1e6
 
 
 def test_propagation_calls_no_eigh(monkeypatch):
@@ -652,8 +771,8 @@ def test_gradient_and_propagator_share_one_slice_path(monkeypatch, steps):
     # so F agrees to rounding only: at most 5.6e-16 (measured), bound 1e-14
     cos_sin, calls = optctrl._slice_cos_sin, []
 
-    def recording(*args):
-        calls.append(cos_sin(*args))
+    def recording(*args):  # copies: the results live in buffers that later calls reuse
+        calls.append([np.copy(r) for r in cos_sin(*args)])
         return calls[-1]
 
     monkeypatch.setattr(optctrl, "_slice_cos_sin", recording)

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import ast
+import io
 import pathlib
+import tokenize
 
 import plaqgate
 
@@ -11,6 +13,8 @@ SRC = pathlib.Path(plaqgate.__file__).parent
 DEFAULTED_PARAMETERS = 22
 #: Init fields of the dataclasses in src/plaqgate/*.py; each field of a config object is a knob
 DATACLASS_FIELDS = 73
+#: Code lines of src/plaqgate/*.py: no docstrings, comments or blank lines
+CODE_LINES = 1716
 
 
 def defaulted_parameters(tree: ast.AST) -> int:
@@ -59,3 +63,29 @@ def test_dataclass_fields_counts_only_init_fields():
                      "@dataclasses.dataclass\nclass B:\n    d: 'ClassVar[int]' = 2\n    e: float\n"
                      "class C:\n    f: int\n")
     assert dataclass_fields(tree) == 3
+
+
+def code_lines(source: str) -> int:
+    """Lines that hold a token of a statement other than a lone string (a docstring),
+    counted once however many tokens they hold; comments and blank lines hold none."""
+    skip = (tokenize.COMMENT, tokenize.NL, tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING)
+    lines, statement = set(), []
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type in (tokenize.NEWLINE, tokenize.ENDMARKER):
+            if not all(t.type == tokenize.STRING for t in statement):
+                lines.update(n for t in statement for n in range(t.start[0], t.end[0] + 1))
+            statement = []
+        elif tok.type not in skip:
+            statement.append(tok)
+    return len(lines)
+
+
+def test_code_lines_do_not_grow():
+    assert sum(code_lines(path.read_text()) for path in SRC.glob("*.py")) <= CODE_LINES
+
+
+def test_code_lines_skip_docstrings_comments_and_blanks():
+    source = ('"""Module\ndocstring."""\n\n# a comment\ndef f(a,\n      b):  # trailing\n'
+              '    """Doc."""\n    s = """two\n    lines"""\n\n    return (a +\n\n            b)\n'
+              'class C:\n    "one" "line"\n    x = 1; y = 2\n')
+    assert code_lines(source) == 8
