@@ -27,7 +27,7 @@ the target and the propagator in block b, and `propagate` still returns the
 
 Gradient scheme: U(T) is the pairwise product tree of midpoint-rule slices
 U_s = exp(-i H_s dt) = (cos A - i sin A)^(2^s), A = H_s dt / 2^s, with theta
-and s from the whole batch (`_slice_scale`); one routine, `_slice_cos_sin`,
+and s from every slice (`_slice_scale`); one routine, `_slice_cos_sin`,
 gives cos A and sin A as real Taylor sums. The gradient multiplies complex
 slices (`_slice_powers`). `propagate` multiplies their real forms
 [[cos A, sin A], [-sin A, cos A]] under X + iY -> [[X, -Y], [Y, X]]
@@ -41,13 +41,10 @@ slices: each chunk's exponentials and tree, then the tree of the chunk
 roots. An aligned power-of-two chunk is a whole subtree of the full tree,
 and the last chunk lacks only padding identities, which multiply exactly;
 so U keeps the whole-batch bits without (S, 2d, 2d) temporaries.
-A batch of pulses (`gradient_check`) streams in groups of at most _CHUNK
-slices in all, one pulse at a time from _CHUNK slices up, with theta and s
-from the whole batch; so the working set does not grow with the batch.
-The gradient is the adjoint of the whole-batch tree, whose every level it
-needs; nothing solves an eigenproblem. The three blocks' trees give f
-first, and one down-sweep per tree, seeded with conj(f) G_b^T, gives every
-slice its M_s = P_s Q_s (prefix times suffix).
+A call propagates one pulse. The gradient is the adjoint of the whole-batch
+tree, whose every level it needs; nothing solves an eigenproblem. The three
+blocks' trees give f first, and one down-sweep per tree, seeded with
+conj(f) G_b^T, gives every slice its M_s = P_s Q_s (prefix times suffix).
 The squaring adjoint M <- (E M + M E) / 2 takes M_s back to M_0, and the
 Frechet derivative of exp(-iA) is Z = sum_k (i ad_A)^k (E_0 M_0) / (k+1)!,
 E_0 = exp(-iA), cut by the Taylor tail rule with 2 theta for theta. Only
@@ -65,7 +62,7 @@ faults its pages back in (5,107 minor faults per warm 2000-slice gradient);
 - one workspace per thread (`threading.local`), so threads share no buffer;
   a call is not re-entrant within its thread;
 - each path (`fidelity_and_gradient`; `_block_propagators`) keeps only the
-  buffers of its latest key (steps; steps and pulse count), at most one call's
+  buffers of its latest key (the slice count), at most one call's
   working set: 3.5 MB at 400 gradient slices, 17 MB at 2000, 2.3 MB for
   `propagate(2000)`;
 - a helper takes its buffers as a required dict; the blocks share a name where
@@ -90,7 +87,6 @@ import io
 import json
 import math
 import threading
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -320,19 +316,18 @@ def _slice_sine_basis(n_harmonics: int, t_horizon: float, steps: int) -> np.ndar
 
 
 def _slice_amplitudes(x: np.ndarray, t_horizon: float, steps: int):
-    """dt, sin(l pi t_s / T) (L x S) and alpha_k(t_s) (..., S, K) at the slice midpoints."""
+    """dt, sin(l pi t_s / T) (L x S) and one pulse's alpha_k(t_s) (S x K) at the slice midpoints."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    sin_basis = _slice_sine_basis(x.shape[-1], t_horizon, steps)
-    return t_horizon / steps, sin_basis, np.swapaxes(x @ sin_basis, -1, -2)
+    sin_basis = _slice_sine_basis(x.shape[1], t_horizon, steps)
+    return t_horizon / steps, sin_basis, (x @ sin_basis).T
 
 
 def _block_hamiltonians(alphas: np.ndarray, block: ControlBlock, bufs: dict) -> np.ndarray:
     """The real symmetric slice Hamiltonians sum_k alpha_k(t_s) O_k of one block, in bufs["h"]."""
     d = block.target.shape[0]
-    h = _buffer(bufs, "h", (*alphas.shape[:-1], d, d), float)
-    np.matmul(alphas, block.controls.reshape(N_CONTROLS, d * d),
-              out=h.reshape(*alphas.shape[:-1], d * d))
+    h = _buffer(bufs, "h", (len(alphas), d, d), float)
+    np.matmul(alphas, block.controls.reshape(N_CONTROLS, d * d), out=h.reshape(len(alphas), -1))
     return h
 
 
@@ -362,18 +357,17 @@ def _tail_order(x: float, shift: int) -> int:
     return order
 
 
-def _slice_scale(hs: Iterable[np.ndarray], dt: float) -> tuple[float, int]:
-    """(theta, s) for batches h[..., S, d, d] of real symmetric slice Hamiltonians.
+def _slice_scale(h: np.ndarray, dt: float) -> tuple[float, int]:
+    """(theta, s) for the real symmetric slice Hamiltonians h[S, d, d] of one pulse.
 
     s is the smallest s >= 0 that brings theta, the largest 1-norm of
-    A = h dt / 2^s over every batch in `hs`, to at most 1/4. The norms are
-    taken _CHUNK slices at a time, in place, so that no temporary spans a batch.
+    A = h dt / 2^s over the S slices, to at most 1/4. The norms are taken
+    _CHUNK slices at a time, in place, so that no temporary spans every slice.
     """
     norms = []
-    for h in hs:
-        for i in range(0, h.shape[-3], _CHUNK):
-            a = h[..., i:i + _CHUNK, :, :] * dt
-            norms.append(np.abs(a, out=a).sum(axis=-2).max(initial=0.0))
+    for i in range(0, len(h), _CHUNK):
+        a = h[i:i + _CHUNK] * dt
+        norms.append(np.abs(a, out=a).sum(axis=-2).max(initial=0.0))
     theta = float(np.max(norms, initial=0.0))
     if not np.isfinite(theta):
         raise ValueError("slice Hamiltonians must be finite")
@@ -441,23 +435,23 @@ def _embedded_slices(h: np.ndarray, dt: float, theta: float, squarings: int,
 
 
 def _product_tree(mats: np.ndarray, out: dict) -> list[np.ndarray]:
-    """Pairwise product tree of mats[..., s, :, :], later slices on the left.
+    """Pairwise product tree of mats[s, :, :], later slices on the left.
 
     levels[j + 1][i] = levels[j][2i + 1] @ levels[j][2i], after an identity is
-    appended to a level of odd length, and levels[-1][..., 0, :, :] is the
-    ordered product U_{S-1} ... U_0: log2(S) batched matmuls, no slice loop.
+    appended to a level of odd length, and levels[-1][0] is the ordered
+    product U_{S-1} ... U_0: log2(S) batched matmuls, no slice loop.
     Level j > 0 is out[f"level{j}"], and a padded level j out[f"padded{j}"].
     """
     levels = [mats]
-    while levels[-1].shape[-3] > 1:
+    while len(levels[-1]) > 1:
         m = levels[-1]
-        *batch, n, d, _ = m.shape
+        n, d, _ = m.shape
         if n % 2:
-            padded = _buffer(out, f"padded{len(levels) - 1}", (*batch, n + 1, d, d), m.dtype)
-            padded[..., :n, :, :], padded[..., n, :, :] = m, np.eye(d)
+            padded = _buffer(out, f"padded{len(levels) - 1}", (n + 1, d, d), m.dtype)
+            padded[:n], padded[n] = m, np.eye(d)
             m = levels[-1] = padded
-        levels.append(np.matmul(m[..., 1::2, :, :], m[..., 0::2, :, :], out=_buffer(
-            out, f"level{len(levels)}", (*batch, (n + 1) // 2, d, d), m.dtype)))
+        levels.append(np.matmul(m[1::2], m[0::2], out=_buffer(
+            out, f"level{len(levels)}", ((n + 1) // 2, d, d), m.dtype)))
     return levels
 
 
@@ -470,48 +464,37 @@ def _adjoint_sweep(levels: list[np.ndarray], seed: np.ndarray, bufs: dict) -> np
     """
     m = np.broadcast_to(seed, levels[-1].shape)
     for j, level in reversed(list(enumerate(levels[:-1]))):
-        n = level.shape[-3] // 2
-        pairs = level.reshape(*level.shape[:-3], n, 2, *level.shape[-2:])
-        m = m[..., :n, :, :]
+        n = len(level) // 2
+        pairs = level.reshape(n, 2, *level.shape[1:])
+        m = m[:n]
         new = _buffer(bufs, f"adjoint{j % 2}", pairs.shape, level.dtype)
-        np.matmul(m, pairs[..., 1, :, :], out=new[..., 0, :, :])
-        np.matmul(pairs[..., 0, :, :], m, out=new[..., 1, :, :])
+        np.matmul(m, pairs[:, 1], out=new[:, 0])
+        np.matmul(pairs[:, 0], m, out=new[:, 1])
         m = new.reshape(level.shape)
     return m
 
 
 def _block_propagators(x: np.ndarray, t_horizon: float, steps: int) -> list[np.ndarray]:
-    """U_b(T; x) of each block; x of shape (..., 5, L) propagates a batch of pulses.
+    """U_b(T; x) of each block for one pulse x of shape (5, L).
 
-    The pulses stream in groups of max(1, _CHUNK // steps), and each pulse's
-    slices through aligned chunks of _CHUNK (module docstring), with theta and
-    s from a first pass over every group. A lone group builds its h once.
-    The trees multiply real embeddings (`_embedded_slices`); U_b = X + iY is
-    the root's left block column.
+    The slices stream through aligned chunks of _CHUNK (module docstring), with
+    theta and s from every slice. The trees multiply real embeddings
+    (`_embedded_slices`); U_b = X + iY is the root's left block column.
     """
     dt, _, alphas = _slice_amplitudes(x, t_horizon, steps)
-    pulses = alphas.reshape(-1, steps, N_CONTROLS)
-    group, chunks = max(1, _CHUNK // steps), range(0, steps, _CHUNK)
-    bufs = _workspace("propagate", (steps, len(pulses)))
+    chunks = range(0, steps, _CHUNK)
+    bufs = _workspace("propagate", steps)
     unitaries = []
     for block in control_blocks():
         d = block.target.shape[0]
-
-        def hamiltonians():  # one matmul per group: a 1-slice chunk rounds differently
-            for p in range(0, len(pulses), group):
-                yield p, _block_hamiltonians(pulses[p:p + group], block, bufs)
-
-        lone = list(hamiltonians()) if len(pulses) <= group else None
-        theta, squarings = _slice_scale((h for _, h in lone or hamiltonians()), dt)
-        roots = _buffer(bufs, "roots", (len(pulses), len(chunks), 2 * d, 2 * d), float)
-        for p, h in lone or hamiltonians():
-            for k, i in enumerate(chunks):
-                tree = _product_tree(_embedded_slices(h[:, i:i + _CHUNK], dt, theta, squarings,
-                                                      bufs), bufs)
-                roots[p:p + group, k] = tree[-1][:, 0]
-        root = _product_tree(roots, bufs)[-1][:, 0]
-        u = root[:, :d, :d] + 1j * root[:, d:, :d]
-        unitaries.append(u.reshape(*x.shape[:-2], d, d))
+        h = _block_hamiltonians(alphas, block, bufs)
+        theta, squarings = _slice_scale(h, dt)
+        roots = _buffer(bufs, "roots", (len(chunks), 2 * d, 2 * d), float)
+        for k, i in enumerate(chunks):
+            embedded = _embedded_slices(h[i:i + _CHUNK], dt, theta, squarings, bufs)
+            roots[k] = _product_tree(embedded, bufs)[-1][0]
+        root = _product_tree(roots, bufs)[-1][0]
+        unitaries.append(root[:d, :d] + 1j * root[d:, :d])
     return unitaries
 
 
@@ -587,7 +570,7 @@ def fidelity_and_gradient(pulse: PulseParams, steps: int) -> tuple[float, np.nda
     forward = []
     for i, block in enumerate(control_blocks()):
         h = _block_hamiltonians(alphas, block, bufs)
-        theta, squarings = _slice_scale([h], dt)
+        theta, squarings = _slice_scale(h, dt)
         kept = bufs.setdefault(f"block{i}", {})
         a, powers = _slice_powers(h, dt, theta, squarings, kept, bufs)
         forward.append((a, theta, powers, _product_tree(powers[-1], kept)))
@@ -607,15 +590,16 @@ def gradient_check(pulse: PulseParams, steps: int = 250, fd_step: float = 1e-6) 
     Returns ||grad - fd|| / max(||fd||, 1e-10). Componentwise comparison is
     deliberately avoided: the central difference carries ~1e-10 of rounding
     noise per component, which swamps the relative error wherever the true
-    gradient is nearly flat. The shifted pulses x +- fd_step e_kl of all
-    coordinates propagate together, as one batch per block and sign.
+    gradient is nearly flat. Each shifted pulse x +- fd_step e_kl propagates on
+    its own, and one `_gate_overlap` reduces the stacked unitaries of each sign.
     """
     if not fd_step > 0:
         raise ValueError(f"fd_step must be positive, got {fd_step}")
     _, grad = fidelity_and_gradient(pulse, steps)
     shifts = fd_step * np.eye(pulse.x.size).reshape(-1, *pulse.x.shape)
     f_plus, f_minus = (
-        _gate_overlap(_block_propagators(pulse.x + sign * shifts, pulse.t_horizon, steps))
+        _gate_overlap([np.stack(us) for us in zip(*(
+            _block_propagators(x, pulse.t_horizon, steps) for x in pulse.x + sign * shifts))])
         for sign in (1.0, -1.0)
     )
     fd = ((f_plus - f_minus) / (2.0 * fd_step)).reshape(pulse.x.shape)

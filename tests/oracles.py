@@ -13,10 +13,11 @@ solves one channel alone, outside the cache of `geophase._link_pass`);
 `tests/make_truth.py` computes the same figures at 40 digits without them.
 
 The whole-batch block propagator is the reference for the streamed one of
-`plaqgate.optctrl`: it exponentiates every slice at once and multiplies their
-real embeddings in one pairwise tree, and the two must agree bit for bit. Each oracle hands
-the program's slice helpers fresh buffer dicts, so its arrays share no memory with the
-program's workspace (`plaqgate.optctrl` module docstring). The fourth-order
+`plaqgate.optctrl`: for one pulse it exponentiates every slice at once and
+multiplies their real embeddings in one pairwise tree, and the two must agree
+bit for bit. Each oracle hands the program's slice helpers fresh buffer dicts,
+so its arrays share no memory with the program's workspace (`plaqgate.optctrl`
+module docstring). The fourth-order
 commutator-free product (`cf4_fidelity`) is the continuous-time reference for
 the program's second-order midpoint slices.
 
@@ -133,12 +134,13 @@ def full_space_fidelity_and_gradient(
 
 
 def slice_exponentials(h: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i h dt) for a whole batch h[..., d, d] of real symmetric slice Hamiltonians."""
-    return _slice_powers(h, dt, *_slice_scale([h], dt), {}, {})[1][-1]
+    """exp(-i h dt) for every slice h[S, d, d] of real symmetric slice Hamiltonians."""
+    return _slice_powers(h, dt, *_slice_scale(h, dt), {}, {})[1][-1]
 
 
 def whole_batch_block_propagators(x: np.ndarray, t_horizon: float, steps: int) -> list[np.ndarray]:
-    """U_b(T; x) of each block from all slice exponentials at once and one product tree.
+    """U_b(T; x) of one pulse x (5, L) from all slice exponentials at once and one product
+    tree.
 
     As in the program, the slices are real 2d x 2d embeddings [[X, -Y], [Y, X]] of
     exp(-i h dt) = X + iY, and U_b = X + iY is read from the root's left block column.
@@ -147,9 +149,9 @@ def whole_batch_block_propagators(x: np.ndarray, t_horizon: float, steps: int) -
     unitaries = []
     for block in control_blocks():
         h = _block_hamiltonians(alphas, block, {})
-        root = _product_tree(_embedded_slices(h, dt, *_slice_scale([h], dt), {}), {})[-1]
+        root = _product_tree(_embedded_slices(h, dt, *_slice_scale(h, dt), {}), {})[-1][0]
         d = h.shape[-1]
-        unitaries.append(root[..., 0, :d, :d] + 1j * root[..., 0, d:, :d])
+        unitaries.append(root[:d, :d] + 1j * root[d:, :d])
     return unitaries
 
 

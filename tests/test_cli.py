@@ -651,6 +651,14 @@ def test_exit_3_nonconverged_gradcheck(tmp_path):
     assert code == 3
 
 
+def test_exit_3_nan_gradcheck(tmp_path, capsys):
+    # a pulse shifted to ~1e300 squares to a NaN error, which must fail the gate too
+    assert _run(tmp_path, "optctrl-gradcheck", "--points", "1", "--steps", "1",
+                "--fd-step", "1e300") == 3
+    assert "worst relative error nan" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_exit_2_hubbard_check_outside_superexchange_regime(tmp_path, capsys):
     assert _run(tmp_path, "hubbard-check", "--t-over-u", "0") == 2
     assert "t/U = 0 is outside the superexchange regime" in capsys.readouterr().err
