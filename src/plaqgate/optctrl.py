@@ -27,11 +27,12 @@ the target and the propagator in block b, and `propagate` still returns the
 
 Gradient scheme: U(T) is the pairwise product tree of midpoint-rule slices
 U_s = exp(-i H_s dt) = (cos A - i sin A)^(2^s), A = H_s dt / 2^s, with theta
-and s from every slice (`_slice_scale`); one routine, `_slice_cos_sin`,
-gives cos A and sin A as real Taylor sums. The gradient multiplies complex
-slices (`_slice_powers`). `propagate` multiplies their real forms
-[[cos A, sin A], [-sin A, cos A]] under X + iY -> [[X, -Y], [Y, X]]
-(`_embedded_slices`) and reads U = X + iY from the root's left block column:
+and s from every slice. A is formed once per block, in place (`_block_slices`,
+`_slice_scale`), and is the one slice array that the slice routines read; one
+routine, `_slice_cos_sin`, gives cos A and sin A as real Taylor sums. The
+gradient multiplies complex slices (`_slice_powers`). `propagate` multiplies
+their real forms [[cos A, sin A], [-sin A, cos A]] under X + iY -> [[X, -Y],
+[Y, X]] (`_embedded_slices`) and reads U = X + iY from the root's left block column:
 numpy batches small real matmuls in one vectorized loop but complex ones as
 a zgemm call per matrix, so a real 14x14 product costs about half a complex
 7x7 one. The two U agree to rounding (~5e-15), not bit for bit. A real
@@ -52,8 +53,8 @@ sym Im Z meets the real symmetric controls, so the series is real matmuls,
 and dF/dalpha_k(t_s) = (dt / 8) sum_b Tr(O_k Z_s): exact for the discretized
 dynamics (finite differences agree to ~1e-9), not an ODE approximation.
 
-Workspace: the slice arrays of the gradient and the propagator (the slice
-Hamiltonians, the Horner and cos/sin temporaries, the powers, the embeddings,
+Workspace: the slice arrays of the gradient and the propagator (the scaled
+slices A, the Horner and cos/sin temporaries, the powers, the embeddings,
 the tree levels, the down-sweep and the adjoint series) are views of byte
 buffers that outlive the call, written with `out=` and in-place ufuncs. With
 fresh arrays on every call glibc trims and unmaps the freed heap, and each call
@@ -63,7 +64,7 @@ faults its pages back in (5,107 minor faults per warm 2000-slice gradient);
   a call is not re-entrant within its thread;
 - each path (`fidelity_and_gradient`; `_block_propagators`) keeps only the
   buffers of its latest key (the slice count), at most one call's
-  working set: 3.5 MB at 400 gradient slices, 17 MB at 2000, 2.3 MB for
+  working set: 3.3 MB at 400 gradient slices, 16 MB at 2000, 2.1 MB for
   `propagate(2000)`;
 - a helper takes its buffers as a required dict; the blocks share a name where
   their arrays are never alive at once, and the gradient keeps each block's A,
@@ -323,12 +324,14 @@ def _slice_amplitudes(x: np.ndarray, t_horizon: float, steps: int):
     return t_horizon / steps, sin_basis, (x @ sin_basis).T
 
 
-def _block_hamiltonians(alphas: np.ndarray, block: ControlBlock, bufs: dict) -> np.ndarray:
-    """The real symmetric slice Hamiltonians sum_k alpha_k(t_s) O_k of one block, in bufs["h"]."""
+def _block_slices(alphas: np.ndarray, dt: float, block: ControlBlock, out: dict):
+    """(A, theta, s) of one block: its scaled slices A = h dt / 2^s, with
+    h = sum_k alpha_k(t_s) O_k, in out["a"], and (theta, s) from `_slice_scale`."""
     d = block.target.shape[0]
-    h = _buffer(bufs, "h", (len(alphas), d, d), float)
-    np.matmul(alphas, block.controls.reshape(N_CONTROLS, d * d), out=h.reshape(len(alphas), -1))
-    return h
+    a = _buffer(out, "a", (len(alphas), d, d), float)
+    np.matmul(alphas, block.controls.reshape(N_CONTROLS, d * d), out=a.reshape(len(alphas), d * d))
+    a *= dt
+    return (a, *_slice_scale(a))
 
 
 def _horner(b: np.ndarray, coeffs: list[float], bufs: dict, names: tuple) -> np.ndarray:
@@ -357,55 +360,52 @@ def _tail_order(x: float, shift: int) -> int:
     return order
 
 
-def _slice_scale(h: np.ndarray, dt: float) -> tuple[float, int]:
-    """(theta, s) for the real symmetric slice Hamiltonians h[S, d, d] of one pulse.
+def _slice_scale(a: np.ndarray) -> tuple[float, int]:
+    """(theta, s) for the real symmetric slices a[S, d, d] = h dt of one pulse, which
+    it scales in place to A = h dt / 2^s.
 
-    s is the smallest s >= 0 that brings theta, the largest 1-norm of
-    A = h dt / 2^s over the S slices, to at most 1/4. The norms are taken
-    _CHUNK slices at a time, in place, so that no temporary spans every slice.
+    s is the smallest s >= 0 that brings theta, the largest 1-norm of A over
+    the S slices, to at most 1/4. The norms are taken _CHUNK slices at a time,
+    so that no temporary spans every slice. The s squarings multiply the rounding
+    of each slice by up to 2^s, so s > 32, where 2^s eps exceeds 1e-6 (the rule of
+    `plaquette_spectrum`), is refused: a 1-norm of h dt above 2^30, or one not finite.
     """
-    norms = []
-    for i in range(0, len(h), _CHUNK):
-        a = h[i:i + _CHUNK] * dt
-        norms.append(np.abs(a, out=a).sum(axis=-2).max(initial=0.0))
-    theta = float(np.max(norms, initial=0.0))
-    if not np.isfinite(theta):
-        raise ValueError("slice Hamiltonians must be finite")
+    theta = float(np.max([np.abs(a[i:i + _CHUNK]).sum(axis=-2).max(initial=0.0)
+                          for i in range(0, len(a), _CHUNK)], initial=0.0))
+    if not theta <= 2.0 ** 30:  # s <= 32, so that the rounding 2^s eps stays under 1e-6
+        raise ValueError(f"slices need a finite 1-norm of h dt <= 2^30 (s <= 32), got {theta:.3g}")
     squarings = max(0, math.ceil(math.log2(4.0 * theta))) if theta > 0.0 else 0
+    if squarings:
+        a /= 2.0 ** squarings
     return theta / 2.0 ** squarings, squarings
 
 
-def _slice_cos_sin(h: np.ndarray, dt: float, theta: float, squarings: int, out: dict,
-                   bufs: dict):
-    """A = h dt / 2^s, cos A and sin A for a batch h[..., d, d] of real symmetric
-    slice Hamiltonians, with (theta, s) from `_slice_scale`. A goes to out["a"],
-    cos A, sin A and the temporaries to the scratch slots t0-t4 of `bufs`.
+def _slice_cos_sin(a: np.ndarray, theta: float, bufs: dict):
+    """cos A and sin A for a batch a[..., d, d] of real symmetric scaled slices,
+    with theta from `_slice_scale`, in the scratch slots t0-t4 of `bufs` with
+    the temporaries.
 
     cos A = sum_k (-1)^k A^2k / (2k)! and sin A = A sum_k (-1)^k A^2k / (2k+1)!
     are Horner sums in A^2, all real matmuls, of degree `_tail_order(theta, 1)`
     (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2010). A drawn
     start pulse has theta ~ 0.04 at 400 slices (s = 0, degree 8) and ~ 0.007
-    at 2000 (degree 6). Each slice's result depends only on its own h and on
-    (theta, s), so any run of slices gives the bits of the batch.
+    at 2000 (degree 6). Each slice's result depends only on its own A and on
+    theta, so any run of slices gives the bits of the batch.
     """
-    a = np.multiply(h, dt, out=_buffer(out, "a", h.shape, float))
-    if squarings:
-        a /= 2.0 ** squarings
     degree = _tail_order(theta, 1)
     b = np.matmul(a, a, out=_buffer(bufs, "t0", a.shape, float))
     cos, sin = (_horner(b, [(-1) ** (k // 2) / math.factorial(k)
                             for k in range(odd, degree + 1, 2)], bufs, names)
                 for odd, names in ((0, ("t1", "t2")), (1, ("t3", "t4"))))
-    return a, cos, np.matmul(a, sin, out=b)  # the sums are done with b
+    return cos, np.matmul(a, sin, out=b)  # the sums are done with b
 
 
-def _slice_powers(h: np.ndarray, dt: float, theta: float, squarings: int, out: dict,
-                  bufs: dict):
-    """A = h dt / 2^s and E_j = exp(-iA)^(2^j), j = 0..s, for the gradient:
+def _slice_powers(a: np.ndarray, theta: float, squarings: int, out: dict, bufs: dict):
+    """E_j = exp(-iA)^(2^j), j = 0..s, of the scaled slices A for the gradient:
     E_0 = cos A - i sin A (`_slice_cos_sin`), then s complex squarings undo
-    the scaling, so E_s = exp(-i h dt). A and the E_j go to `out`, temporaries to `bufs`.
+    the scaling, so E_s = exp(-i h dt). The E_j go to `out`, temporaries to `bufs`.
     """
-    a, cos, sin = _slice_cos_sin(h, dt, theta, squarings, out, bufs)
+    cos, sin = _slice_cos_sin(a, theta, bufs)
     u = _buffer(out, "power0", a.shape, complex)
     u.real, u.imag = cos, sin
     u.imag *= -1.0
@@ -413,16 +413,15 @@ def _slice_powers(h: np.ndarray, dt: float, theta: float, squarings: int, out: d
     for j in range(1, squarings + 1):
         powers.append(np.matmul(powers[-1], powers[-1],
                                 out=_buffer(out, f"power{j}", a.shape, complex)))
-    return a, powers
+    return powers
 
 
-def _embedded_slices(h: np.ndarray, dt: float, theta: float, squarings: int,
-                     bufs: dict) -> np.ndarray:
-    """exp(-i h dt) = X + iY of each slice as its real 2d x 2d form [[X, -Y], [Y, X]]:
+def _embedded_slices(a: np.ndarray, theta: float, squarings: int, bufs: dict) -> np.ndarray:
+    """exp(-i h dt) = X + iY of each scaled slice A as its real 2d x 2d form [[X, -Y], [Y, X]]:
     [[cos A, sin A], [-sin A, cos A]] from `_slice_cos_sin`, then s real squarings.
     The map keeps products, so a product of these holds X + iY in its left block column.
     """
-    _, cos, sin = _slice_cos_sin(h, dt, theta, squarings, bufs, bufs)
+    cos, sin = _slice_cos_sin(a, theta, bufs)
     d = cos.shape[-1]
     shape = (*cos.shape[:-2], 2 * d, 2 * d)
     e = _buffer(bufs, "embedded0", shape, float)
@@ -487,11 +486,10 @@ def _block_propagators(x: np.ndarray, t_horizon: float, steps: int) -> list[np.n
     unitaries = []
     for block in control_blocks():
         d = block.target.shape[0]
-        h = _block_hamiltonians(alphas, block, bufs)
-        theta, squarings = _slice_scale(h, dt)
+        a, theta, squarings = _block_slices(alphas, dt, block, bufs)
         roots = _buffer(bufs, "roots", (len(chunks), 2 * d, 2 * d), float)
         for k, i in enumerate(chunks):
-            embedded = _embedded_slices(h[i:i + _CHUNK], dt, theta, squarings, bufs)
+            embedded = _embedded_slices(a[i:i + _CHUNK], theta, squarings, bufs)
             roots[k] = _product_tree(embedded, bufs)[-1][0]
         root = _product_tree(roots, bufs)[-1][0]
         unitaries.append(root[:d, :d] + 1j * root[d:, :d])
@@ -569,10 +567,9 @@ def fidelity_and_gradient(pulse: PulseParams, steps: int) -> tuple[float, np.nda
     bufs = _workspace("gradient", steps)
     forward = []
     for i, block in enumerate(control_blocks()):
-        h = _block_hamiltonians(alphas, block, bufs)
-        theta, squarings = _slice_scale(h, dt)
         kept = bufs.setdefault(f"block{i}", {})
-        a, powers = _slice_powers(h, dt, theta, squarings, kept, bufs)
+        a, theta, squarings = _block_slices(alphas, dt, block, kept)
+        powers = _slice_powers(a, theta, squarings, kept, bufs)
         forward.append((a, theta, powers, _product_tree(powers[-1], kept)))
     f = _gate_trace([levels[-1][0] for *_, levels in forward])
     c = 0.0

@@ -243,7 +243,11 @@ def echo_pulse(physical: bool = False) -> np.ndarray:
 
 
 def gate_time(p: PertParams) -> float:
-    """t_c = (2n-1) pi J / (4 J'^2 |lambda_z - 1/8|); diverges at lambda_z = 1/8."""
+    """t_c = (2n-1) pi J / (4 J'^2 |lambda_z - 1/8|); diverges at lambda_z = 1/8.
+
+    A ValueError when t_c is not finite: at lambda_z = 1/8, or at a J' so small
+    that J'^2 underflows or t_c overflows.
+    """
     return _gate_time(p, effective_coeffs(p.j, p.d).lambda_z)
 
 
@@ -251,7 +255,11 @@ def _gate_time(p: PertParams, lambda_z: float) -> float:
     detune = abs(lambda_z - 0.125)
     if detune < 1e-14:
         raise ValueError("lambda_z = 1/8: the Ising term vanishes and no gate time exists")
-    return (2 * p.n - 1) * np.pi * p.j / (4.0 * p.jp**2 * detune)
+    denominator = 4.0 * p.jp**2 * detune  # 0 once J'^2 underflows
+    t_c = (2 * p.n - 1) * np.pi * p.j / denominator if denominator else math.inf
+    if not math.isfinite(t_c):
+        raise ValueError(f"J' = {p.jp} is too small: the gate time t_c is not finite")
+    return t_c
 
 
 def echo_gate(p: PertParams, physical_x: bool = False) -> np.ndarray:

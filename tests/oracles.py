@@ -13,11 +13,12 @@ solves one channel alone, outside the cache of `geophase._link_pass`);
 `tests/make_truth.py` computes the same figures at 40 digits without them.
 
 The whole-batch block propagator is the reference for the streamed one of
-`plaqgate.optctrl`: for one pulse it exponentiates every slice at once and
-multiplies their real embeddings in one pairwise tree, and the two must agree
-bit for bit. Each oracle hands the program's slice helpers fresh buffer dicts,
-so its arrays share no memory with the program's workspace (`plaqgate.optctrl`
-module docstring). The fourth-order
+`plaqgate.optctrl`: for one pulse it scales every slice at once (`_block_slices`),
+exponentiates them and multiplies their real embeddings in one pairwise tree, and
+the two must agree bit for bit. `slice_exponentials` scales h dt in place with
+`_slice_scale`, as `_block_slices` does. Each oracle hands the program's slice
+helpers fresh buffer dicts, so its arrays share no memory with the program's
+workspace (`plaqgate.optctrl` module docstring). The fourth-order
 commutator-free product (`cf4_fidelity`) is the continuous-time reference for
 the program's second-order midpoint slices.
 
@@ -45,7 +46,7 @@ from plaqgate import pertgate as pg
 from plaqgate.optctrl import (
     FULL_DIM,
     PulseParams,
-    _block_hamiltonians,
+    _block_slices,
     _embedded_slices,
     _gate_overlap,
     _product_tree,
@@ -135,7 +136,8 @@ def full_space_fidelity_and_gradient(
 
 def slice_exponentials(h: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i h dt) for every slice h[S, d, d] of real symmetric slice Hamiltonians."""
-    return _slice_powers(h, dt, *_slice_scale(h, dt), {}, {})[1][-1]
+    a = h * dt
+    return _slice_powers(a, *_slice_scale(a), {}, {})[-1]
 
 
 def whole_batch_block_propagators(x: np.ndarray, t_horizon: float, steps: int) -> list[np.ndarray]:
@@ -148,9 +150,8 @@ def whole_batch_block_propagators(x: np.ndarray, t_horizon: float, steps: int) -
     dt, _, alphas = _slice_amplitudes(x, t_horizon, steps)
     unitaries = []
     for block in control_blocks():
-        h = _block_hamiltonians(alphas, block, {})
-        root = _product_tree(_embedded_slices(h, dt, *_slice_scale(h, dt), {}), {})[-1][0]
-        d = h.shape[-1]
+        root = _product_tree(_embedded_slices(*_block_slices(alphas, dt, block, {}), {}), {})[-1][0]
+        d = block.target.shape[0]
         unitaries.append(root[:d, :d] + 1j * root[d:, :d])
     return unitaries
 
@@ -170,8 +171,8 @@ def cf4_fidelity(pulse: PulseParams, steps: int) -> float:
     # K x S x 2 -> 2S x K, the earlier slice of each step first
     alphas = np.stack([a2 * minus + a1 * plus, a1 * minus + a2 * plus], axis=-1)
     alphas = alphas.reshape(len(alphas), -1).T
-    return float(_gate_overlap([_product_tree(slice_exponentials(
-        _block_hamiltonians(alphas, b, {}), dt), {})[-1][0] for b in control_blocks()]))
+    return float(_gate_overlap([_product_tree(_slice_powers(
+        *_block_slices(alphas, dt, b, {}), {}, {})[-1], {})[-1][0] for b in control_blocks()]))
 
 
 def all_orders_logical_hamiltonian(p: pg.PertParams) -> np.ndarray:

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import plaqgate
-from plaqgate import geophase
+from plaqgate import geophase, optctrl
 from plaqgate.cli import COMMANDS, REPORT_FIGURES, RunConfig, _build_parser, run
 from plaqgate.pertgate import sweep_grid
 
@@ -632,6 +632,17 @@ BAD_RESULTS = {
     pytest.param(("optctrl-robustness", "--result", "good.json", "--deltas", "0,abc"),
                  "--deltas must be comma-separated numbers, got '0,abc'",
                  id="robustness-deltas-abc"),
+    # a finite scale or shift far out of range needs about 1,000 squarings, which gave a NaN
+    # infidelity or a NaN gradient error
+    pytest.param(("optctrl-robustness", "--result", "good.json", "--deltas", "0,1e300"),
+                 "slices need a finite 1-norm of h dt <= 2^30", id="robustness-deltas-1e300"),
+    pytest.param(("optctrl-gradcheck", "--points", "1", "--steps", "1", "--fd-step", "1e300"),
+                 "slices need a finite 1-norm of h dt <= 2^30", id="gradcheck-fd-step-1e300"),
+    # a J' whose square underflows, or whose t_c overflows: a NaN row or a division by zero
+    pytest.param(("pert-fidelity", "--Jp", "1e-300", "--dJ-min", "0.3", "--dJ-max", "0.3"),
+                 "J' = 1e-300 is too small", id="pert-fidelity-Jp-1e-300"),
+    pytest.param(("pert-validate", "--dJ", "0.3", "--Jp", "1e-300"),
+                 "J' = 1e-300 is too small", id="pert-validate-Jp-1e-300"),
 ])
 def test_exit_2_bad_value(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -651,10 +662,10 @@ def test_exit_3_nonconverged_gradcheck(tmp_path):
     assert code == 3
 
 
-def test_exit_3_nan_gradcheck(tmp_path, capsys):
-    # a pulse shifted to ~1e300 squares to a NaN error, which must fail the gate too
-    assert _run(tmp_path, "optctrl-gradcheck", "--points", "1", "--steps", "1",
-                "--fd-step", "1e300") == 3
+def test_exit_3_nan_gradcheck(tmp_path, capsys, monkeypatch):
+    # a NaN error must fail the gate too, not pass as max(0.0, nan) = 0.0
+    monkeypatch.setattr(optctrl, "gradient_check", lambda *args, **kwargs: float("nan"))
+    assert _run(tmp_path, "optctrl-gradcheck", "--points", "1", "--steps", "1") == 3
     assert "worst relative error nan" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 

@@ -25,13 +25,15 @@ from plaqgate.optctrl import (
     _CHUNK,
     BLOCK_LABELS,
     FULL_DIM,
+    N_CONTROLS,
     PulseParams,
-    _block_hamiltonians,
     _block_propagators,
+    _block_slices,
     _draw_start,
     _gate_overlap,
     _product_tree,
     _slice_amplitudes,
+    _slice_powers,
     _slice_scale,
     _slice_sine_basis,
     _tail_order,
@@ -264,8 +266,8 @@ def _pulse_at_theta(theta: float, steps: int) -> PulseParams:
     # h dt that sets the squarings and the series cuts) is exactly `theta`
     x = _random_pulse(11, n_harmonics=5).x
     dt, _, alphas = _slice_amplitudes(x, 1.0, steps)
-    norm = max(float(np.abs(_block_hamiltonians(alphas, b, {}) * dt).sum(axis=-2).max())
-               for b in control_blocks())
+    scales = [_block_slices(alphas, dt, b, {})[1:] for b in control_blocks()]
+    norm = max(scaled * 2.0 ** s for scaled, s in scales)
     return PulseParams(x * (theta / norm), 1.0)
 
 
@@ -282,7 +284,7 @@ def test_gradient_matches_full_space_oracle_at_series_extremes(theta, squarings,
     dt, _, alphas = _slice_amplitudes(pulse.x, pulse.t_horizon, steps)
     cuts = []
     for block in control_blocks():
-        scaled, n_squarings = _slice_scale(_block_hamiltonians(alphas, block, {}), dt)
+        _, scaled, n_squarings = _block_slices(alphas, dt, block, {})
         cuts.append((n_squarings, _tail_order(2.0 * scaled, 2)))
     assert max(cuts) == (squarings, order)
     f, grad = fidelity_and_gradient(pulse, steps=steps)
@@ -319,6 +321,44 @@ def test_slice_exponentials_of_zero_and_empty_batches():
     assert u.dtype == complex
     np.testing.assert_array_equal(u, np.broadcast_to(np.eye(7), (3, 7, 7)))
     assert slice_exponentials(np.zeros((0, 7, 7)), 0.1).shape == (0, 7, 7)
+
+
+def _one_norm(h: np.ndarray, dt: float) -> float:
+    # the largest 1-norm of h dt over the whole batch, taken without chunks
+    return np.abs(h * dt).sum(axis=-2).max(initial=0.0)
+
+
+@pytest.mark.parametrize("slices", [0, 1, _CHUNK, _CHUNK + 1, 2000])
+@pytest.mark.parametrize("theta", [0.2, 3.0], ids=["no-squaring", "squarings"])
+def test_slice_scale_forms_a_in_place_bit_for_bit(slices, theta):
+    # A = h dt / 2^s is formed once, in place, by the two IEEE operations of the
+    # whole-batch reference, and the returned theta is the reference's over 2^s;
+    # for `_block_slices`, h of a block is alphas @ controls
+    rng, dt = np.random.default_rng(slices), 0.3
+    h = rng.standard_normal((slices, 7, 7))
+    h += np.swapaxes(h, 1, 2)
+    h *= theta / max(_one_norm(h, dt), 1e-300)
+    a = h * dt
+    results = [(h, a, *_slice_scale(a))]
+    for block in control_blocks():
+        d = block.target.shape[0]
+        controls = block.controls.reshape(N_CONTROLS, d * d)
+        alphas = rng.standard_normal((slices, N_CONTROLS))
+        alphas *= theta / max(_one_norm((alphas @ controls).reshape(-1, d, d), dt), 1e-300)
+        results.append(((alphas @ controls).reshape(slices, d, d),
+                        *_block_slices(alphas, dt, block, {})))
+    for h, a, scaled, s in results:
+        assert (s == 0) if theta < 0.25 or not slices else (s >= 3)
+        assert a.tobytes() == ((h * dt) / 2.0 ** s).tobytes()
+        assert scaled == _one_norm(h, dt) / 2 ** s
+
+
+def test_slice_scale_refuses_more_than_32_squarings():
+    # the s squarings multiply each slice's rounding by up to 2^s; 2^s eps
+    # exceeds 1e-6 above s = 32, at a 1-norm of h dt above 2^30
+    assert _slice_scale(np.full((1, 1, 1), 2.0 ** 30))[1] == 32
+    with pytest.raises(ValueError, match="s <= 32"):
+        _slice_scale(np.full((1, 1, 1), 2.0 ** 31))
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +448,10 @@ def test_real_propagator_matches_complex_slice_product(kind):
     steps = 400
     dt, _, alphas = _slice_amplitudes(x, 1.0, steps)
     for block, u in zip(control_blocks(), _block_propagators(x, 1.0, steps)):
-        h = _block_hamiltonians(alphas, block, {})
+        a, theta, squarings = _block_slices(alphas, dt, block, {})
         if kind == "scaled-x40":
-            assert _slice_scale(h, dt)[1] >= 2
-        ref = _product_tree(slice_exponentials(h, dt), {})[-1][0]
+            assert squarings >= 2
+        ref = _product_tree(_slice_powers(a, theta, squarings, {}, {})[-1], {})[-1][0]
         assert u.shape == ref.shape == block.target.shape
         assert np.abs(u - ref).max() <= 1e-13
 
@@ -488,7 +528,7 @@ def test_workspace_keeps_bits_and_shares_no_memory():
         assert all(np.array_equal(a, b) for a, b in zip(_leaves(result), copies))
     dt, _, alphas = _slice_amplitudes(pulse.x, 1.0, 300)
     others = [whole_batch_block_propagators(pulse.x, 1.0, 300),
-              slice_exponentials(_block_hamiltonians(alphas, control_blocks()[0], {}), dt),
+              _slice_powers(*_block_slices(alphas, dt, control_blocks()[0], {}), {}, {}),
               _slice_sine_basis(20, 1.0, 400),
               [getattr(b, f) for b in control_blocks() for f in ("basis", "controls", "target")]]
     buffers = _workspace_buffers()
@@ -610,6 +650,16 @@ def test_propagate_rejects_overflowing_pulse():
     # a NaN norm, which would end the Taylor sum at the identity
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
         propagate(PulseParams(np.full((5, 4), 1e308), 1.0), steps=10)
+
+
+@pytest.mark.parametrize("call", [propagate, fidelity_and_gradient])
+def test_pulse_beyond_32_squarings_is_refused(call):
+    # a finite coefficient of 1e300 needs about 1,000 squarings, which gave a NaN
+    # U, F and gradient; it is refused like an overflowing pulse
+    x = np.zeros((5, 4))
+    x[0, 0] = 1e300
+    with pytest.raises(ValueError, match="s <= 32"):
+        call(PulseParams(x, 1.0), 400)
 
 
 def test_pulse_boundary_values():
@@ -771,10 +821,10 @@ def test_gradient_and_propagator_share_one_slice_path(monkeypatch, steps):
     f, _ = fidelity_and_gradient(pulse, steps=steps)
     f_streamed = _gate_overlap(_block_propagators(pulse.x, pulse.t_horizon, steps))
     gradient, streamed = calls[:len(control_blocks())], calls[len(control_blocks()):]
-    for _, cos, sin in gradient:
-        chunks = [c for c in streamed if c[1].shape[-1] == cos.shape[-1]]
+    for cos, sin in gradient:
+        chunks = [c for c in streamed if c[0].shape[-1] == cos.shape[-1]]
         assert len(chunks) == -(-steps // _CHUNK)
-        for k, whole in ((1, cos), (2, sin)):
+        for k, whole in ((0, cos), (1, sin)):
             assert np.array_equal(np.concatenate([c[k] for c in chunks]), whole)
     assert abs(f - f_streamed) <= 1e-14
 

@@ -14,7 +14,7 @@ DEFAULTED_PARAMETERS = 22
 #: Init fields of the dataclasses in src/plaqgate/*.py; each field of a config object is a knob
 DATACLASS_FIELDS = 73
 #: Code lines of src/plaqgate/*.py: no docstrings, comments or blank lines
-CODE_LINES = 1705
+CODE_LINES = 1701
 
 
 def defaulted_parameters(tree: ast.AST) -> int:
